@@ -6,15 +6,27 @@ the (i-1)-st reduced homology of the complex
 
     K^m(I) = { S subset of support(m) : the monomial m with S removed lies in I }.
 
-Faces of K^m have cardinality at most deg(m) - min generator degree, since a
-face must fit inside m / g for some generator g dividing m; levels are
-enumerated by cardinality and stop at the first empty one.  Boundary ranks
-are taken over GF(p), p = 32003 by default; the characteristic is recorded in
-every table because Betti numbers may depend on it.
+Membership in I is read from a table.  For I.n <= TABLE_MAX_VARS one byte per
+squarefree monomial on the n variables (2^n bytes) is set on the generators
+and then closed upwards, one numpy pass per variable; the table is built once
+per ideal and shared by every multidegree.  The faces of K^m are then the
+complements m ^ T of the monomials T in I that divide m.  When deg(m) is
+below NUMPY_WALK_MIN_DEGREE the submasks T are walked in plain Python and
+bucketed by cardinality; from there on one vectorised numpy gather over all
+2^deg(m) submasks is cheaper.  Ideals on more than TABLE_MAX_VARS variables
+build no table: faces are enumerated by cardinality, stopping at the first
+empty level (complexes are closed under subsets), and each candidate is
+tested against the generators that divide m.
+
+Boundary ranks are taken over GF(p), p = 32003 by default, with one dense
+elimination kernel that computes in int64 while (p - 1)^2 fits and in Python
+integers above; the characteristic is recorded in every table because Betti
+numbers may depend on it.  Primality is decided by deterministic
+Miller-Rabin, and characteristics from 2^64 up are rejected.
 
 Nonzero Betti numbers occur only at lattice multidegrees, so tables store a
-sparse map (i, m) -> b_{i,m} and derive regularity, projective dimension, and
-the coarse graded table from it.
+sparse map (i, m) -> b_{i,m} and derive regularity, projective dimension,
+linearity of the resolution, and the coarse graded table from it.
 """
 
 from __future__ import annotations
@@ -39,6 +51,9 @@ from .ideals import (
 DEFAULT_CHARACTERISTIC = 32003
 GENERATOR_CAP = 2000
 SPARSE_COLUMN_THRESHOLD = 5000
+TABLE_MAX_VARS = 24
+NUMPY_WALK_MIN_DEGREE = 10
+MAX_CHARACTERISTIC = 1 << 64
 
 
 class BudgetExceeded(RuntimeError):
@@ -50,14 +65,34 @@ def _check_deadline(deadline: float | None) -> None:
         raise BudgetExceeded("time budget exhausted")
 
 
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def _is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin.
+
+    The first twelve primes as bases decide every p below 3.3e24, so every
+    p below MAX_CHARACTERISTIC.
+    """
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for q in _MILLER_RABIN_BASES:
+        if p % q == 0:
+            return p == q
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -73,8 +108,14 @@ def gf_rank(matrix: np.ndarray, p: int) -> int:
     return _gf_rank_dense(matrix, p)
 
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
 def _gf_rank_dense(matrix: np.ndarray, p: int) -> int:
-    A = np.mod(matrix.astype(np.int64), p)
+    # a product of two residues must not wrap: int64 while (p - 1)^2 fits,
+    # exact Python integers (object dtype) above
+    dtype = np.int64 if (p - 1) ** 2 <= _INT64_MAX else object
+    A = np.mod(matrix.astype(dtype), p)
     rows, cols = A.shape
     rank = 0
     for col in range(cols):
@@ -152,16 +193,85 @@ def lcm_lattice(gens: Sequence[int]) -> list[int]:
     return sorted(lattice, key=lambda m: (monomial_degree(m), monomial_vars(m)))
 
 
-def _face_levels(
-    I: MonomialIdeal, m: int, max_card: int | None = None
-) -> list[list[int]]:
-    """Faces of K^m(I) grouped by cardinality, each level sorted.
+def _membership_table(I: MonomialIdeal) -> bytearray | None:
+    """Byte u is 1 exactly when the squarefree monomial u lies in I.
 
-    Stops at the first empty level (complexes are closed under subsets) or at
-    max_card when given.
+    None above TABLE_MAX_VARS variables: 2^n bytes (16 MiB at 24) is too
+    much to build for every ideal.
     """
+    if I.n > TABLE_MAX_VARS:
+        return None
+    table = bytearray(1 << I.n)
+    flags = np.frombuffer(table, dtype=np.uint8)
+    flags[list(I.gens)] = 1
+    for v in range(I.n):
+        # upward closure along x_{v+1}: u + x_{v+1} is in I when u is
+        pairs = flags.reshape(-1, 2, 1 << v)
+        pairs[:, 1, :] |= pairs[:, 0, :]
+    return table
+
+
+def _walk_levels(table: bytearray, m: int, d: int) -> list[list[int]]:
+    """Faces m ^ T of K^m for the members T of I dividing m, walked in Python."""
+    levels: list[list[int]] = [[] for _ in range(d + 1)]
+    sub = m
+    while True:
+        if table[sub]:
+            levels[d - sub.bit_count()].append(m ^ sub)
+        if not sub:
+            break
+        sub = (sub - 1) & m
+    while levels and not levels[-1]:
+        levels.pop()
+    return levels
+
+
+def _gather_levels(table: bytearray, m: int, d: int) -> list[list[int]]:
+    """The same faces from one numpy gather over all 2^d submasks of m."""
+    subs = np.zeros(1, dtype=np.int64)
+    cards = np.zeros(1, dtype=np.int64)
+    for v in monomial_vars(m):
+        subs = np.concatenate((subs, subs | (1 << (v - 1))))
+        cards = np.concatenate((cards, cards + 1))
+    hit = np.frombuffer(table, dtype=np.uint8)[subs].astype(bool)
+    if not hit.any():
+        return []
+    sizes = d - cards[hit]
+    order = np.argsort(sizes, kind="stable")
+    faces = (m ^ subs[hit])[order]
+    bounds = np.cumsum(np.bincount(sizes))[:-1]
+    return [level.tolist() for level in np.split(faces, bounds)]
+
+
+def _face_levels(
+    I: MonomialIdeal,
+    m: int,
+    table: bytearray | None = None,
+    max_card: int | None = None,
+) -> list[list[int]]:
+    """Faces of K^m(I) grouped by cardinality.
+
+    With a membership table and no max_card every submask of m is tested
+    at once (see the module docstring).  Otherwise levels are enumerated by
+    cardinality and stop at the first empty one (complexes are closed under
+    subsets) or at max_card when given; membership comes from the table, or
+    from the generators dividing m when there is none.
+    """
+    d = m.bit_count()
+    if table is not None and max_card is None:
+        if d >= NUMPY_WALK_MIN_DEGREE:
+            return _gather_levels(table, m, d)
+        return _walk_levels(table, m, d)
+    if table is None:
+        divisors = [g for g in I.gens if monomial_divides(g, m)]
+
+        def contains(u: int) -> bool:
+            return any(monomial_divides(g, u) for g in divisors)
+
+    else:
+        contains = table.__getitem__
     bits = [1 << (v - 1) for v in monomial_vars(m)]
-    cap = len(bits) if max_card is None else min(max_card, len(bits))
+    cap = d if max_card is None else min(max_card, d)
     levels: list[list[int]] = []
     for c in range(cap + 1):
         level = []
@@ -169,7 +279,7 @@ def _face_levels(
             face = 0
             for b in combo:
                 face |= b
-            if I.contains(m & ~face):
+            if contains(m & ~face):
                 level.append(face)
         if not level:
             break
@@ -184,7 +294,7 @@ def _boundary_rank(prev_level: list[int], level: list[int], p: int) -> int:
     A = np.zeros((len(prev_level), len(level)), dtype=np.int64)
     for col, face in enumerate(level):
         for j, v in enumerate(monomial_vars(face)):
-            A[index[face ^ (1 << (v - 1))], col] = 1 if j % 2 == 0 else p - 1
+            A[index[face ^ (1 << (v - 1))], col] = 1 if j % 2 == 0 else -1
     return gf_rank(A, p)
 
 
@@ -225,6 +335,13 @@ class BettiTable:
     def projective_dimension(self) -> int:
         return max(i for (i, _) in self.entries)
 
+    def is_linear(self) -> bool:
+        """Every Betti number sits in degree d + i; False for mixed degrees."""
+        d = self.gen_degree
+        return d is not None and all(
+            monomial_degree(m) == d + i for (i, m) in self.entries
+        )
+
     def to_json(self) -> str:
         items = sorted(
             ((i, monomial_vars(m), v) for (i, m), v in self.entries.items()),
@@ -261,14 +378,17 @@ def multigraded_betti(
     """Full multigraded Betti table of a nonzero squarefree monomial ideal."""
     if I.is_zero:
         raise ValueError("the zero ideal has no Betti table")
+    if characteristic >= MAX_CHARACTERISTIC:
+        raise ValueError(f"characteristic {characteristic} is not below 2^64")
     if not _is_prime(characteristic):
         raise ValueError(f"characteristic {characteristic} is not prime")
     if len(I.gens) > generator_cap:
         raise ValueError(f"{len(I.gens)} generators exceed the cap {generator_cap}")
     entries: dict[tuple[int, int], int] = {}
+    table = _membership_table(I)
     for m in lcm_lattice(I.gens):
         _check_deadline(deadline)
-        levels = _face_levels(I, m)
+        levels = _face_levels(I, m, table)
         for i, dim in enumerate(_homology_dims(levels, characteristic)):
             if dim:
                 entries[(i, m)] = dim
@@ -285,7 +405,10 @@ def first_syzygy_betti(
     I: MonomialIdeal, m: int, characteristic: int = DEFAULT_CHARACTERISTIC
 ) -> int:
     """b_{1,m}(I) alone, via the cardinality <= 2 part of K^m(I)."""
-    levels = _face_levels(I, m, max_card=2)
+    return _first_syzygy(_face_levels(I, m, max_card=2), characteristic)
+
+
+def _first_syzygy(levels: list[list[int]], characteristic: int) -> int:
     if len(levels) < 2:
         return 0
     r1 = _boundary_rank(levels[0], levels[1], characteristic)
@@ -316,9 +439,8 @@ def has_linear_resolution(
     """All Betti numbers sit in degrees d + i; vacuously true for the zero ideal."""
     if I.is_zero:
         return True
-    d = I.pure_degree()
-    table = multigraded_betti(I, characteristic, deadline=deadline)
-    return all(monomial_degree(m) == d + i for (i, m) in table.entries)
+    I.pure_degree()  # raises on mixed generator degrees
+    return multigraded_betti(I, characteristic, deadline=deadline).is_linear()
 
 
 # ---------------------------------------------------------------------------
@@ -337,11 +459,12 @@ def is_linearly_related_homological(
     if I.is_zero or len(I.gens) == 1:
         return True
     d = I.pure_degree()
+    table = _membership_table(I)
     for m in lcm_lattice(I.gens):
         _check_deadline(deadline)
         if monomial_degree(m) <= d + 1:
             continue
-        if first_syzygy_betti(I, m, characteristic):
+        if _first_syzygy(_face_levels(I, m, table, max_card=2), characteristic):
             return False
     return True
 

@@ -658,9 +658,12 @@ def _run_five_way_nonforest(G: Graph, ctx: CheckContext, deadline: float | None)
     if is_forest(G) or not G.edges:
         return [_rep("five-way-nonforest", _gid(G), VACUOUS)]
     I2 = sqfree_power_via_matchings(G, 2)
+    search = linear_quotients_order(I2, ctx.node_budget, deadline=deadline)
+    if search.status == "inconclusive":
+        return [_rep("five-way-nonforest", _gid(G), INCONCLUSIVE, {"nodes": search.nodes}, t0)]
     pattern = {
-        "linear_quotients": linear_quotients_order(I2, ctx.node_budget).found,
-        "linear_resolution": has_linear_resolution(I2, ctx.characteristic),
+        "linear_quotients": search.found,
+        "linear_resolution": has_linear_resolution(I2, ctx.characteristic, deadline=deadline),
         "linearly_related": is_linearly_related_combinatorial(I2),
         "nu0_le_2": restricted_matching_number(G) <= 2,
     }

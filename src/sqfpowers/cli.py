@@ -22,11 +22,11 @@ from .betti import (
     DEFAULT_CHARACTERISTIC,
     BettiTable,
     betti_diagram_text,
-    has_linear_resolution,
     is_linearly_related_combinatorial,
     is_linearly_related_homological,
     linear_quotients_order,
     multigraded_betti,
+    render_betti_diagram,
 )
 from .checks import (
     CHECKS,
@@ -191,7 +191,8 @@ def cmd_power(args: argparse.Namespace) -> int:
     return 0
 
 
-def _betti_payload(I: MonomialIdeal, characteristic: int) -> dict:
+def _betti_payload(I: MonomialIdeal, characteristic: int) -> tuple[dict, str]:
+    """The betti payload and the diagram text, both from one table."""
     if I.is_zero:
         return {
             "zero": True,
@@ -204,7 +205,7 @@ def _betti_payload(I: MonomialIdeal, characteristic: int) -> dict:
             "projective_dimension": None,
             "linear_resolution": True,
             "linearly_related": True,
-        }
+        }, betti_diagram_text(I)
     table: BettiTable = multigraded_betti(I, characteristic)
     return {
         "zero": False,
@@ -217,15 +218,16 @@ def _betti_payload(I: MonomialIdeal, characteristic: int) -> dict:
         "graded": sorted([i, j, v] for (i, j), v in table.graded().items()),
         "regularity": table.regularity(),
         "projective_dimension": table.projective_dimension(),
-        "linear_resolution": has_linear_resolution(I, characteristic),
+        "linear_resolution": table.is_linear(),
         "linearly_related": is_linearly_related_combinatorial(I),
-    }
+    }, render_betti_diagram(table)
 
 
 def cmd_betti(args: argparse.Namespace) -> int:
     _, I = _ideal_for_algebra(args)
-    payload = {"command": "betti", **_betti_payload(I, args.char)}
-    lines = [betti_diagram_text(I, args.char)]
+    fields, diagram = _betti_payload(I, args.char)
+    payload = {"command": "betti", **fields}
+    lines = [diagram]
     lines.append("")
     lines.append(f"regularity: {payload['regularity']}")
     lines.append(f"projective dimension: {payload['projective_dimension']}")

@@ -6,11 +6,13 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 import oracles
 from sqfpowers.betti import (
     DEFAULT_CHARACTERISTIC,
+    NUMPY_WALK_MIN_DEGREE,
+    TABLE_MAX_VARS,
     BettiTable,
     BudgetExceeded,
     betti_diagram_text,
@@ -27,8 +29,11 @@ from sqfpowers.betti import (
     projective_dimension,
     regularity,
     render_betti_diagram,
+    _face_levels,
     _gf_rank_dense,
     _gf_rank_sparse,
+    _is_prime,
+    _membership_table,
 )
 from sqfpowers.edge_ideals import edge_ideal, sqfree_power_via_matchings
 from sqfpowers.families import all_graphs, random_squarefree_ideals
@@ -85,20 +90,42 @@ def test_gf_rank_small_knowns():
     assert gf_rank(M, 32003) == 2
 
 
+def _random_matrix(rng, rows, cols):
+    return np.array(
+        [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)],
+        dtype=np.int64,
+    ).reshape(rows, cols)
+
+
 def test_gf_rank_against_reference():
     rng = random.Random(42)
-    for p in (2, 3, 32003):
+    # above 2^32 a product of two residues no longer fits in int64
+    for p in (2, 3, 32003, 4294967311):
         for _ in range(25):
             rows = rng.randint(1, 8)
             cols = rng.randint(1, 8)
-            M = np.array(
-                [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)],
-                dtype=np.int64,
-            )
-            want = _reference_gf_rank(M.tolist(), p)
-            assert _gf_rank_dense(M, p) == want
-            assert _gf_rank_sparse(M, p) == want
-            assert gf_rank(M, p) == want
+            M = _random_matrix(rng, rows, cols)
+            # random matrices are nearly always of full rank, which a wrong
+            # nonzero entry keeps; a product of two factors has rank at most
+            # the inner size, so a miscomputed entry changes it
+            inner = rng.randint(0, min(rows, cols))
+            L = _random_matrix(rng, rows, inner) @ _random_matrix(rng, inner, cols)
+            for A in (M, L):
+                want = _reference_gf_rank(A.tolist(), p)
+                assert _gf_rank_dense(A, p) == want
+                assert _gf_rank_sparse(A, p) == want
+                assert gf_rank(A, p) == want
+
+
+def test_is_prime_against_trial_division():
+    def trial_division(p):
+        return p >= 2 and all(p % d for d in range(2, int(p**0.5) + 1))
+
+    assert all(_is_prime(p) == trial_division(p) for p in range(10**5))
+    assert _is_prime(2**61 - 1)
+    assert _is_prime(4294967311)
+    # strong pseudoprime to every base up to 23
+    assert not _is_prime(3825123056546413051)
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +184,51 @@ def test_multigraded_betti_matches_taylor_oracle_property(I):
     want = oracles.taylor_betti_table(I)
     assert multigraded_betti(I).entries == want
     assert multigraded_betti(I, characteristic=2).entries == want
+
+
+def test_large_characteristic_matches_default():
+    P = sqfree_power_via_matchings(cycle_graph(7), 2)
+    want = multigraded_betti(P).entries
+    for p in (4294967311, 2**61 - 1):
+        assert multigraded_betti(P, characteristic=p).entries == want
+
+
+def _sorted_levels(levels):
+    return [sorted(level) for level in levels]
+
+
+# lcm lattice with degrees on both sides of NUMPY_WALK_MIN_DEGREE
+BOTH_WALKS = MonomialIdeal.from_supports(
+    12, [(1, 2, 3), (3, 4, 5), (6, 7, 8), (9, 10, 11), (11, 12, 1)]
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(squarefree_ideals_st(max_n=12, max_gens=6))
+@example(BOTH_WALKS)
+def test_table_faces_match_generator_scan(I):
+    # the table walks (Python below NUMPY_WALK_MIN_DEGREE, numpy from there)
+    # and the max_card enumeration against the scan used above TABLE_MAX_VARS
+    if I.is_zero:
+        return
+    table = _membership_table(I)
+    for m in lcm_lattice(I.gens) + [(1 << I.n) - 1]:
+        scan = _face_levels(I, m)
+        assert _sorted_levels(_face_levels(I, m, table)) == _sorted_levels(scan)
+        assert _face_levels(I, m, table, max_card=2) == _face_levels(I, m, max_card=2)
+
+
+def test_table_faces_cover_both_walks():
+    degrees = {monomial_degree(m) for m in lcm_lattice(BOTH_WALKS.gens)}
+    assert min(degrees) < NUMPY_WALK_MIN_DEGREE <= max(degrees)
+
+
+def test_scan_above_table_limit_matches_taylor_oracle():
+    # edge ideal of a 9-cycle spread over 26 variables: no membership table
+    cycle = [1, 4, 8, 12, 16, 20, 23, 25, 26]
+    I = MonomialIdeal.from_supports(26, [(cycle[i - 1], cycle[i]) for i in range(9)])
+    assert I.n > TABLE_MAX_VARS and _membership_table(I) is None
+    assert multigraded_betti(I).entries == oracles.taylor_betti_table(I)
 
 
 def test_variable_ideal_is_koszul():
@@ -229,6 +301,8 @@ def test_input_validation():
         multigraded_betti(I, characteristic=4)
     with pytest.raises(ValueError):
         multigraded_betti(I, characteristic=1)
+    with pytest.raises(ValueError):
+        multigraded_betti(I, characteristic=2**89 - 1)  # prime, above 2^64
     with pytest.raises(ValueError):
         multigraded_betti(I, generator_cap=1)
     with pytest.raises(BudgetExceeded):

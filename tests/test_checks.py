@@ -151,6 +151,13 @@ def test_zero_time_budget_is_inconclusive_not_failing():
     assert theorem_failures(reports) == []
 
 
+def test_five_way_nonforest_budget_exhaustion_is_inconclusive():
+    ctx = CheckContext(node_budget=1)
+    reports = run_check_on_instance("five-way-nonforest", cycle_graph(5), ctx)
+    assert [r.outcome for r in reports] == [INCONCLUSIVE]
+    assert set(reports[0].witness) == {"nodes"}
+
+
 def test_scope_filtering():
     graphs = [path_graph(4), cycle_graph(4)]  # one tree, one cycle
     tree_reports = run_checks(["tree-criterion-agreement"], graphs)

@@ -203,6 +203,32 @@ def test_betti_from_ideal_file(tmp_path, monkeypatch):
     assert code == 2 and "GRAPH argument or --ideal" in err
 
 
+def test_betti_large_characteristic():
+    _, want, _ = run(["betti", "c7", "-k", "2"])
+    code, out, err = run(["betti", "c7", "-k", "2", "--char", str(2**61 - 1)])
+    assert code == 0, err
+    assert out == want
+    code, _, err = run(["betti", "c7", "-k", "2", "--char", str(2**89 - 1)])
+    assert code == 2 and "below 2^64" in err
+
+
+def test_betti_builds_one_table(monkeypatch):
+    real = sqfpowers.betti.multigraded_betti
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr("sqfpowers.betti.multigraded_betti", counted)
+    monkeypatch.setattr("sqfpowers.cli.multigraded_betti", counted)
+    for argv in (["betti", "c7", "-k", "2"], ["betti", "c7", "-k", "2", "--json"]):
+        calls.clear()
+        code, _, err = run(argv)
+        assert code == 0, err
+        assert len(calls) == 1, argv
+
+
 # ---------------------------------------------------------------------------
 # linrel / linquot
 
