@@ -96,6 +96,14 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+def _check_characteristic(characteristic: int) -> None:
+    """Reject a characteristic that is not a prime below MAX_CHARACTERISTIC."""
+    if characteristic >= MAX_CHARACTERISTIC:
+        raise ValueError(f"characteristic {characteristic} is not below 2^64")
+    if not _is_prime(characteristic):
+        raise ValueError(f"characteristic {characteristic} is not prime")
+
+
 # ---------------------------------------------------------------------------
 # rank over GF(p)
 
@@ -378,10 +386,7 @@ def multigraded_betti(
     """Full multigraded Betti table of a nonzero squarefree monomial ideal."""
     if I.is_zero:
         raise ValueError("the zero ideal has no Betti table")
-    if characteristic >= MAX_CHARACTERISTIC:
-        raise ValueError(f"characteristic {characteristic} is not below 2^64")
-    if not _is_prime(characteristic):
-        raise ValueError(f"characteristic {characteristic} is not prime")
+    _check_characteristic(characteristic)
     if len(I.gens) > generator_cap:
         raise ValueError(f"{len(I.gens)} generators exceed the cap {generator_cap}")
     entries: dict[tuple[int, int], int] = {}
@@ -405,6 +410,7 @@ def first_syzygy_betti(
     I: MonomialIdeal, m: int, characteristic: int = DEFAULT_CHARACTERISTIC
 ) -> int:
     """b_{1,m}(I) alone, via the cardinality <= 2 part of K^m(I)."""
+    _check_characteristic(characteristic)
     return _first_syzygy(_face_levels(I, m, max_card=2), characteristic)
 
 
@@ -456,6 +462,7 @@ def is_linearly_related_homological(
     Homological route: reduced homology of the small part of each upper-Koszul
     complex.  Vacuously true for the zero ideal.
     """
+    _check_characteristic(characteristic)
     if I.is_zero or len(I.gens) == 1:
         return True
     d = I.pure_degree()

@@ -68,41 +68,122 @@ def is_matching(G: Graph, edges: Iterable[Edge]) -> bool:
     return True
 
 
-def _nu(adj: tuple[int, ...], avail: int, memo: dict[int, int]) -> int:
-    """Matching number of the subgraph on the vertices in `avail`."""
-    cached = memo.get(avail)
-    if cached is not None:
-        return cached
+def _nu(adj: tuple[int, ...], avail: int) -> int:
+    """Matching number of the subgraph on the vertices in `avail`.
+
+    Edmonds' blossom algorithm, O(n^3): a greedy matching is grown by one
+    augmenting path per exposed vertex that has one.  Each search builds an
+    alternating tree from the exposed root; an edge joining two outer
+    vertices closes an odd cycle (a blossom), which is contracted by giving
+    its vertices a common base.  A vertex with no augmenting path never gets
+    one later, so every vertex is searched at most once.
+    """
+    mate = [0] * (avail.bit_length() + 1)  # 0: exposed (vertices are 1-based)
+    size = 0
     rest = avail
-    v = 0
-    nb = 0
-    while rest:
+    while rest:  # greedy start; a lower exposed neighbour would have taken v
         low = rest & -rest
-        v = low.bit_length()
-        nb = adj[v] & avail
-        if nb:
-            break
         rest ^= low
-    else:
-        memo[avail] = 0
-        return 0
-    vbit = 1 << (v - 1)
-    best = _nu(adj, avail ^ vbit, memo)  # leave v unmatched
-    while nb:
-        wbit = nb & -nb
-        nb ^= wbit
-        best = max(best, 1 + _nu(adj, avail ^ vbit ^ wbit, memo))
-    memo[avail] = best
-    return best
+        v = low.bit_length()
+        nb = adj[v] & rest
+        if nb:
+            w = nb & -nb
+            rest ^= w
+            u = w.bit_length()
+            mate[v], mate[u] = u, v
+            size += 1
+    most = avail.bit_count() // 2
+    rest = avail
+    while rest and size < most:
+        low = rest & -rest
+        rest ^= low
+        root = low.bit_length()
+        if not mate[root] and _augment(adj, avail, mate, root):
+            size += 1
+    return size
+
+
+def _augment(adj: tuple[int, ...], avail: int, mate: list[int], root: int) -> bool:
+    """Search for an augmenting path from the exposed `root`; flip it if found."""
+    parent = [0] * len(mate)  # tree parent of each inner vertex
+    base = list(range(len(mate)))  # base of the blossom holding each vertex
+    outer = 1 << (root - 1)
+    queue = [root]
+    for v in queue:
+        nb = adj[v] & avail
+        while nb:
+            low = nb & -nb
+            nb ^= low
+            w = low.bit_length()
+            if base[v] == base[w] or mate[v] == w:
+                continue
+            if w == root or (mate[w] and parent[mate[w]]):
+                # w is outer too: contract the blossom the edge vw closes
+                b = _common_base(base, mate, parent, v, w)
+                blossom = _mark_path(base, mate, parent, v, b, w)
+                blossom |= _mark_path(base, mate, parent, w, b, v)
+                rest = avail
+                while rest:
+                    bit = rest & -rest
+                    rest ^= bit
+                    u = bit.bit_length()
+                    if blossom >> (base[u] - 1) & 1:
+                        base[u] = b
+                        if not outer & bit:
+                            outer |= bit
+                            queue.append(u)
+            elif not parent[w]:
+                parent[w] = v
+                if not mate[w]:
+                    while w:  # flip the path root ... v w
+                        v = parent[w]
+                        nxt = mate[v]
+                        mate[v], mate[w] = w, v
+                        w = nxt
+                    return True
+                u = mate[w]
+                outer |= 1 << (u - 1)
+                queue.append(u)
+    return False
+
+
+def _common_base(base: list[int], mate: list[int], parent: list[int], a: int, b: int) -> int:
+    """Base of the nearest common ancestor of two outer vertices."""
+    seen = 0
+    while True:
+        a = base[a]
+        seen |= 1 << (a - 1)
+        if not mate[a]:
+            break
+        a = parent[mate[a]]
+    while True:
+        b = base[b]
+        if seen >> (b - 1) & 1:
+            return b
+        b = parent[mate[b]]
+
+
+def _mark_path(base: list[int], mate: list[int], parent: list[int], v: int, b: int, child: int) -> int:
+    """Reroute the tree path from v down to the base b through the blossom.
+
+    Returns the mask of blossom bases met on the way.
+    """
+    blossom = 0
+    while base[v] != b:
+        blossom |= 1 << (base[v] - 1) | 1 << (base[mate[v]] - 1)
+        parent[v] = child
+        child = mate[v]
+        v = parent[mate[v]]
+    return blossom
 
 
 def matching_number(G: Graph) -> int:
-    return _nu(G.adjacency, G.vertex_mask, {})
+    return _nu(G.adjacency, G.vertex_mask)
 
 
 def matching_number_within(G: Graph, vertices: Iterable[int]) -> int:
     """Matching number of the subgraph induced on the given vertices."""
-    return _nu(G.adjacency, vertices_to_mask(vertices), {})
+    return _nu(G.adjacency, vertices_to_mask(vertices))
 
 
 def _closed_edge_mask(G: Graph, e: Edge) -> int:
@@ -220,15 +301,14 @@ def greedy_matching_extension(G: Graph, V: Iterable[int]) -> list[Edge]:
     if not is_equimatchable(G):
         raise ValueError("graph is not equimatchable")
     adj = G.adjacency
-    memo: dict[int, int] = {}
     covered = vertices_to_mask(V)
-    target = _nu(adj, G.vertex_mask, memo)
-    current = _nu(adj, covered, memo)
+    target = _nu(adj, G.vertex_mask)
+    current = _nu(adj, covered)
     picked: list[Edge] = []
     while current < target:
         for e in G.edge_list:
             trial = covered | edge_mask(e)
-            if _nu(adj, trial, memo) == current + 1:
+            if _nu(adj, trial) == current + 1:
                 picked.append(e)
                 covered = trial
                 current += 1

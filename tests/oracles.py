@@ -33,7 +33,7 @@ def _pairwise_disjoint(edges: tuple[Edge, ...]) -> bool:
 def brute_matching_number(G: Graph) -> int:
     best = 0
     edges = sorted(G.edges)
-    for size in range(1, len(edges) + 1):
+    for size in range(1, G.n // 2 + 1):  # more edges than n/2 always share a vertex
         if any(
             _pairwise_disjoint(M) for M in itertools.combinations(edges, size)
         ):
@@ -44,7 +44,7 @@ def brute_matching_number(G: Graph) -> int:
 def brute_induced_matching_number(G: Graph) -> int:
     best = 0
     edges = sorted(G.edges)
-    for size in range(1, len(edges) + 1):
+    for size in range(1, G.n // 2 + 1):  # more edges than n/2 always share a vertex
         for M in itertools.combinations(edges, size):
             if not _pairwise_disjoint(M):
                 continue
@@ -65,7 +65,7 @@ def _is_gap_pair(G: Graph, e: Edge, f: Edge) -> bool:
 def brute_restricted_matching_number(G: Graph) -> int:
     best = 0
     edges = sorted(G.edges)
-    for size in range(1, len(edges) + 1):
+    for size in range(1, G.n // 2 + 1):  # more edges than n/2 always share a vertex
         for M in itertools.combinations(edges, size):
             if not _pairwise_disjoint(M):
                 continue

@@ -309,6 +309,17 @@ def test_input_validation():
         multigraded_betti(I, deadline=time.monotonic() - 1)
 
 
+def test_every_homological_route_rejects_a_bad_characteristic():
+    I = sqfree_power_via_matchings(cycle_graph(7), 2)
+    m = I.gens[0] | I.gens[1]
+    for bad in (4, 1, 2**89 - 1):
+        with pytest.raises(ValueError):
+            first_syzygy_betti(I, m, characteristic=bad)
+        with pytest.raises(ValueError):
+            is_linearly_related_homological(I, characteristic=bad)
+    assert is_linearly_related_homological(I)
+
+
 def test_regularity_knowns():
     assert regularity(edge_ideal(path_graph(3))) == 2
     assert regularity(edge_ideal(cycle_graph(7))) == 3

@@ -254,6 +254,15 @@ def test_linrel_methods():
     )
 
 
+def test_linrel_homological_rejects_a_bad_characteristic():
+    for bad in ("4", "1"):
+        code, out, err = run(["linrel", "c7", "-k", "2", "--method", "homological", "--char", bad])
+        assert code == 2 and out == "" and "error:" in err, bad
+    code, out, err = run(["linrel", "c7", "-k", "2", "--method", "homological"])
+    assert code == 0, err
+    assert out == "linearly related: True\n"
+
+
 def test_linquot_statuses():
     payload = run_json(["linquot", "c7", "-k", "3"])
     assert payload["status"] == "found"

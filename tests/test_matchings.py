@@ -2,6 +2,7 @@
 
 import random
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 
@@ -12,6 +13,8 @@ from sqfpowers.graphs import (
     builtin_graph,
     complete_graph,
     cycle_graph,
+    disjoint_union,
+    induced_subgraph,
     path_graph,
     star_graph,
     to_graph6,
@@ -75,6 +78,85 @@ def test_matching_number_within():
     assert matching_number_within(G, [1, 2, 3]) == 1
     assert matching_number_within(G, [1, 3, 5]) == 0
     assert matching_number_within(G, []) == 0
+
+
+# ---------------------------------------------------------------------------
+# the blossom kernel against networkx
+
+# (n, edges, nu).  In the two joined and nested entries the labels are chosen
+# so that the greedy start leaves one augmenting path, which a search from
+# either end finds only by contracting a blossom.  Each graph is also tried
+# under random relabellings.
+BLOSSOM_GRAPHS = {
+    "petersen": (10, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 1), (1, 6), (2, 7), (3, 8),
+                      (4, 9), (5, 10), (6, 8), (8, 10), (10, 7), (7, 9), (9, 6)], 5),
+    # 5-cycles 1-3-4-5-6 and 7-8-9-10-11 joined by the edge 3-7, with the
+    # exposed ends 13-2-1 and 11-12-14
+    "two_5_cycles_joined_by_a_path": (14, [(1, 3), (3, 4), (4, 5), (5, 6), (6, 1), (7, 8), (8, 9),
+                                           (9, 10), (10, 11), (11, 7), (3, 7), (1, 2), (2, 13),
+                                           (11, 12), (12, 14)], 7),
+    # from 19: the blossom at 4 (4-5-6-8-7) must be contracted before 7-12
+    # closes the blossom at 1 around it; from 20: the blossom 13-14-15-16-17
+    "blossom_inside_a_blossom": (20, [(1, 2), (1, 3), (3, 4), (4, 5), (5, 6), (4, 7), (7, 8), (6, 8),
+                                      (1, 9), (9, 10), (10, 11), (11, 12), (7, 12), (9, 13), (13, 14),
+                                      (14, 15), (15, 16), (16, 17), (17, 13), (17, 18), (18, 20),
+                                      (19, 2)], 10),
+    # 5-cycle 1-3-4-6-5 with the pendant path 1-2-7 and the pendant edge 3-8
+    "5_cycle_with_pendants": (8, [(1, 2), (1, 3), (1, 5), (3, 4), (4, 6), (5, 6), (2, 7), (3, 8)], 4),
+    "7_cycle_with_pendants": (10, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 1), (1, 8),
+                                   (3, 9), (5, 10)], 4),
+}
+
+
+def _nx_matching_number(G):
+    H = nx.Graph()
+    H.add_nodes_from(G.vertices)
+    H.add_edges_from(G.edges)
+    return len(nx.max_weight_matching(H, maxcardinality=True))
+
+
+def _gnp(n, p, rng):
+    return Graph.from_edges(
+        n, [(u, v) for u in range(1, n) for v in range(u + 1, n + 1) if rng.random() < p]
+    )
+
+
+def _relabel(G, rng):
+    image = list(G.vertices)
+    rng.shuffle(image)
+    return Graph.from_edges(G.n, [(image[u - 1], image[v - 1]) for u, v in G.edges])
+
+
+def _seeded_gnp_graphs():
+    rng = random.Random(20261018)
+    graphs = [_gnp(40, 0.2, random.Random(1)), _gnp(64, 0.1, random.Random(2))]
+    for n in range(2, 65, 2):
+        for p in (1.5 / n, 0.1, 0.3):
+            graphs.append(_gnp(n - rng.randrange(2), p, rng))
+    return graphs
+
+
+@pytest.mark.parametrize("name", sorted(BLOSSOM_GRAPHS))
+def test_matching_number_on_blossom_graphs(name):
+    n, edges, nu = BLOSSOM_GRAPHS[name]
+    G = Graph.from_edges(n, edges)
+    rng = random.Random(name)
+    for H in [G] + [_relabel(G, rng) for _ in range(20)]:
+        assert matching_number(H) == nu == _nx_matching_number(H), to_graph6(H)
+
+
+def test_matching_number_matches_networkx_on_random_graphs():
+    # the first graph is G(40, 0.2), on which the former subset recursion ran for minutes
+    for G in _seeded_gnp_graphs():
+        assert matching_number(G) == _nx_matching_number(G), to_graph6(G)
+
+
+def test_matching_number_within_matches_induced_subgraph():
+    rng = random.Random(7)
+    for G in _seeded_gnp_graphs():
+        for _ in range(3):
+            W = [v for v in G.vertices if rng.random() < 0.6]
+            assert matching_number_within(G, W) == matching_number(induced_subgraph(G, W))
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +328,23 @@ def test_greedy_extension_postcondition():
                 size += 1
                 assert matching_number_within(G, covered) == size
         assert matching_number_within(G, G.vertices) == nu
+
+
+def test_greedy_extension_raises_nu_by_one_per_edge_on_larger_graphs():
+    rng = random.Random(3)
+    k35 = Graph.from_edges(8, [(u, v) for u in range(1, 4) for v in range(4, 9)])
+    c7_k5 = disjoint_union(cycle_graph(7), complete_graph(5))
+    for G in (complete_graph(9), c7_k5, k35, _relabel(k35, rng)):
+        assert is_equimatchable(G)
+        nu = matching_number(G)
+        for _ in range(5):
+            covered = {v for v in G.vertices if rng.random() < 0.4}
+            size = matching_number_within(G, covered)
+            for e in greedy_matching_extension(G, covered):
+                covered.update(e)
+                size += 1
+                assert matching_number_within(G, covered) == size
+            assert size == nu
 
 
 def test_greedy_extension_rejects_non_equimatchable():
