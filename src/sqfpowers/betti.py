@@ -18,9 +18,12 @@ build no table: faces are enumerated by cardinality, stopping at the first
 empty level (complexes are closed under subsets), and each candidate is
 tested against the generators that divide m.
 
-Boundary ranks are taken over GF(p), p = 32003 by default, with one dense
-elimination kernel that computes in int64 while (p - 1)^2 fits and in Python
-integers above; the characteristic is recorded in every table because Betti
+Boundary ranks are taken over GF(p), p = 32003 by default, by one sparse
+kernel: each face mask becomes a signed column {row: +-1}, and the columns
+are reduced by their lowest nonzero row in exact Python integers, so every p
+is exact.  The maps are reduced from the top level down, and a face that was
+a pivot row of the map above is skipped (clearing), because its column would
+reduce to zero.  The characteristic is recorded in every table because Betti
 numbers may depend on it.  Primality is decided by deterministic
 Miller-Rabin, and characteristics from 2^64 up are rejected.
 
@@ -35,7 +38,7 @@ import itertools
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -50,6 +53,8 @@ from .ideals import (
 
 DEFAULT_CHARACTERISTIC = 32003
 GENERATOR_CAP = 2000
+# read only by the benchmark's tracer, which counts gf_rank calls wider than
+# this; no rank path depends on it
 SPARSE_COLUMN_THRESHOLD = 5000
 TABLE_MAX_VARS = 24
 NUMPY_WALK_MIN_DEGREE = 10
@@ -107,81 +112,43 @@ def _check_characteristic(characteristic: int) -> None:
 # ---------------------------------------------------------------------------
 # rank over GF(p)
 
+def _reduce(columns: Iterable[dict[int, int]], p: int) -> set[int]:
+    """Low-pivot column reduction over GF(p); returns the pivot rows.
+
+    Each column maps row index -> entry and holds no entry divisible by p.
+    A column is reduced by the stored column whose lowest (largest) row
+    matches its own until it vanishes or its low row is new; stored columns
+    are scaled so that their low entry is 1.  The rank is the number of
+    pivot rows.  Python integers never wrap, so every p is exact.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for col in columns:
+        while col:
+            low = max(col)
+            pivot = pivots.get(low)
+            if pivot is None:
+                if col[low] != 1:
+                    inv = pow(col[low], p - 2, p)
+                    col = {r: v * inv % p for r, v in col.items()}
+                pivots[low] = col
+                break
+            f = col[low]
+            for r, v in pivot.items():
+                x = (col.get(r, 0) - f * v) % p
+                if x:
+                    col[r] = x
+                else:
+                    del col[r]
+    return set(pivots)
+
+
 def gf_rank(matrix: np.ndarray, p: int) -> int:
     """Rank of an integer matrix over GF(p)."""
-    if matrix.size == 0:
-        return 0
-    if matrix.shape[1] > SPARSE_COLUMN_THRESHOLD:
-        return _gf_rank_sparse(matrix, p)
-    return _gf_rank_dense(matrix, p)
-
-
-_INT64_MAX = int(np.iinfo(np.int64).max)
-
-
-def _gf_rank_dense(matrix: np.ndarray, p: int) -> int:
-    # a product of two residues must not wrap: int64 while (p - 1)^2 fits,
-    # exact Python integers (object dtype) above
-    dtype = np.int64 if (p - 1) ** 2 <= _INT64_MAX else object
-    A = np.mod(matrix.astype(dtype), p)
-    rows, cols = A.shape
-    rank = 0
-    for col in range(cols):
-        pivot = -1
-        for r in range(rank, rows):
-            if A[r, col]:
-                pivot = r
-                break
-        if pivot < 0:
-            continue
-        if pivot != rank:
-            A[[rank, pivot]] = A[[pivot, rank]]
-        inv = pow(int(A[rank, col]), p - 2, p)
-        A[rank, col:] = (A[rank, col:] * inv) % p
-        below = A[rank + 1 :, col]
-        nz = np.nonzero(below)[0]
-        if nz.size:
-            block = A[rank + 1 :, col:]
-            block[nz] = (block[nz] - np.outer(below[nz], A[rank, col:])) % p
-        rank += 1
-        if rank == rows:
-            break
-    return rank
-
-
-def _gf_rank_sparse(matrix: np.ndarray, p: int) -> int:
-    # dict-of-columns rows; pivot on the sparsest available row
-    rows = []
-    for r in range(matrix.shape[0]):
-        nz = np.nonzero(matrix[r])[0]
-        entries = {int(c): int(matrix[r, c]) % p for c in nz}
-        entries = {c: v for c, v in entries.items() if v}
-        if entries:
-            rows.append(entries)
-    rank = 0
-    while rows:
-        rows.sort(key=len)
-        piv_row = rows.pop(0)
-        if not piv_row:
-            continue
-        rank += 1
-        col = min(piv_row)
-        inv = pow(piv_row[col], p - 2, p)
-        piv = {c: (v * inv) % p for c, v in piv_row.items()}
-        nxt = []
-        for row in rows:
-            factor = row.get(col)
-            if factor:
-                for c, v in piv.items():
-                    new = (row.get(c, 0) - factor * v) % p
-                    if new:
-                        row[c] = new
-                    else:
-                        row.pop(c, None)
-            if row:
-                nxt.append(row)
-        rows = nxt
-    return rank
+    columns = (
+        {r: v % p for r, v in enumerate(column) if v % p}
+        for column in np.asarray(matrix).T.tolist()
+    )
+    return len(_reduce(columns, p))
 
 
 # ---------------------------------------------------------------------------
@@ -295,23 +262,39 @@ def _face_levels(
     return levels
 
 
-def _boundary_rank(prev_level: list[int], level: list[int], p: int) -> int:
-    if not prev_level or not level:
-        return 0
+def _boundary_columns(prev_level: list[int], level: list[int]) -> Iterator[dict[int, int]]:
+    """Columns of the boundary map from level to prev_level, one per face.
+
+    The face minus its j-th lowest variable gets the sign (-1)^j.
+    """
     index = {f: i for i, f in enumerate(prev_level)}
-    A = np.zeros((len(prev_level), len(level)), dtype=np.int64)
-    for col, face in enumerate(level):
-        for j, v in enumerate(monomial_vars(face)):
-            A[index[face ^ (1 << (v - 1))], col] = 1 if j % 2 == 0 else -1
-    return gf_rank(A, p)
+    for face in level:
+        col = {}
+        sign = 1
+        rest = face
+        while rest:
+            low = rest & -rest
+            col[index[face ^ low]] = sign
+            sign = -sign
+            rest ^= low
+        yield col
 
 
 def _homology_dims(levels: list[list[int]], p: int) -> list[int]:
-    """Reduced homology dimensions: entry i is dim of H-tilde_(i-1)."""
-    ranks = [0] * (len(levels) + 1)
-    for c in range(1, len(levels)):
-        ranks[c] = _boundary_rank(levels[c - 1], levels[c], p)
-    return [len(levels[i]) - ranks[i] - ranks[i + 1] for i in range(len(levels))]
+    """Reduced homology dimensions: entry i is dim of H-tilde_(i-1).
+
+    The boundary maps are reduced from the top level down.  A face whose
+    row was a pivot of the map above is the low entry of a reduced cycle
+    there; its own column would reduce to zero, so it is skipped (clearing).
+    """
+    dims = [len(level) for level in levels]
+    cleared: set[int] = set()
+    for c in range(len(levels) - 1, 0, -1):
+        faces = [f for i, f in enumerate(levels[c]) if i not in cleared]
+        cleared = _reduce(_boundary_columns(levels[c - 1], faces), p)
+        dims[c] -= len(cleared)
+        dims[c - 1] -= len(cleared)
+    return dims
 
 
 # ---------------------------------------------------------------------------
@@ -415,26 +398,31 @@ def first_syzygy_betti(
 
 
 def _first_syzygy(levels: list[list[int]], characteristic: int) -> int:
+    """b_{1,m} from the levels of cardinality <= 2: |L1| - r1 - r2."""
     if len(levels) < 2:
         return 0
-    r1 = _boundary_rank(levels[0], levels[1], characteristic)
-    r2 = _boundary_rank(levels[1], levels[2], characteristic) if len(levels) > 2 else 0
-    return len(levels[1]) - r1 - r2
+    return _homology_dims(levels, characteristic)[1]
 
 
-def regularity(I: MonomialIdeal, characteristic: int = DEFAULT_CHARACTERISTIC) -> int:
+def regularity(
+    I: MonomialIdeal,
+    characteristic: int = DEFAULT_CHARACTERISTIC,
+    deadline: float | None = None,
+) -> int:
     """Castelnuovo-Mumford regularity; the zero ideal has regularity 1."""
     if I.is_zero:
         return 1
-    return multigraded_betti(I, characteristic).regularity()
+    return multigraded_betti(I, characteristic, deadline=deadline).regularity()
 
 
 def projective_dimension(
-    I: MonomialIdeal, characteristic: int = DEFAULT_CHARACTERISTIC
+    I: MonomialIdeal,
+    characteristic: int = DEFAULT_CHARACTERISTIC,
+    deadline: float | None = None,
 ) -> int:
     if I.is_zero:
         raise ValueError("projective dimension of the zero ideal is undefined")
-    return multigraded_betti(I, characteristic).projective_dimension()
+    return multigraded_betti(I, characteristic, deadline=deadline).projective_dimension()
 
 
 def has_linear_resolution(

@@ -24,6 +24,7 @@ from typing import Callable, Iterable, Sequence
 from .betti import (
     DEFAULT_CHARACTERISTIC,
     BudgetExceeded,
+    _check_deadline,
     first_syzygy_betti,
     first_syzygy_witness,
     has_linear_resolution,
@@ -342,6 +343,7 @@ def _run_first_syzygy_degree_bound(G: Graph, ctx: CheckContext, deadline: float 
     for k in range(2, nu + 1):
         I = sqfree_power_via_matchings(G, k)
         for m in lcm_lattice(I.gens):
+            _check_deadline(deadline)
             if monomial_degree(m) >= 3 * k + 1:
                 if first_syzygy_betti(I, m, ctx.characteristic):
                     bad.append({"k": k, "m": list(monomial_vars(m))})
@@ -534,7 +536,9 @@ def _run_colon_regularity(G: Graph, ctx: CheckContext, deadline: float | None):
     nu = matching_number(G)
     bad = []
     for e in G.edge_list:
-        r = regularity(edge_ideal(colon_square_by_edge(G, e)), ctx.characteristic)
+        r = regularity(
+            edge_ideal(colon_square_by_edge(G, e)), ctx.characteristic, deadline
+        )
         if r > nu:
             bad.append({"edge": list(e), "reg": r})
     return [_rep("colon-regularity", _gid(G), not bad, {"violations": bad, "nu": nu}, t0)]
@@ -818,8 +822,12 @@ def _run_disjoint_regularity(ctx: CheckContext, deadline: float | None):
         shifted = MonomialIdeal(a + b, tuple(sorted((g << a for g in J.gens), key=monomial_vars)))
         lifted_I = MonomialIdeal(a + b, I.gens)
         total = ideal_sum(lifted_I, shifted)
-        lhs = regularity(total, ctx.characteristic)
-        rhs = regularity(I, ctx.characteristic) + regularity(J, ctx.characteristic) - 1
+        lhs = regularity(total, ctx.characteristic, deadline)
+        rhs = (
+            regularity(I, ctx.characteristic, deadline)
+            + regularity(J, ctx.characteristic, deadline)
+            - 1
+        )
         out.append(
             _rep(
                 "disjoint-regularity",
@@ -853,10 +861,10 @@ def _run_colon_reg_bound(ctx: CheckContext, deadline: float | None):
         u = monomial(rng.sample(range(1, n + 1), rng.randint(1, n)))
         colon = colon_by_monomial(I, u)
         with_u = ideal_sum(I, MonomialIdeal(n, (u,)))
-        lhs = regularity(I, ctx.characteristic)
+        lhs = regularity(I, ctx.characteristic, deadline)
         bound = max(
-            regularity(colon, ctx.characteristic) + monomial_degree(u),
-            regularity(with_u, ctx.characteristic),
+            regularity(colon, ctx.characteristic, deadline) + monomial_degree(u),
+            regularity(with_u, ctx.characteristic, deadline),
         )
         out.append(
             _rep(

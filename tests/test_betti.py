@@ -7,6 +7,7 @@ import time
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from sqfpowers.betti import (
@@ -30,8 +31,7 @@ from sqfpowers.betti import (
     regularity,
     render_betti_diagram,
     _face_levels,
-    _gf_rank_dense,
-    _gf_rank_sparse,
+    _homology_dims,
     _is_prime,
     _membership_table,
 )
@@ -53,7 +53,7 @@ from sqfpowers.ideals import (
     sqfree_power,
 )
 from sqfpowers.matchings import matching_number
-from strategies import squarefree_ideals_st
+from strategies import mixed_ideals_st, squarefree_ideals_st
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +99,7 @@ def _random_matrix(rng, rows, cols):
 
 def test_gf_rank_against_reference():
     rng = random.Random(42)
-    # above 2^32 a product of two residues no longer fits in int64
+    # from 4294967311 on a product of two residues overflows int64
     for p in (2, 3, 32003, 4294967311):
         for _ in range(25):
             rows = rng.randint(1, 8)
@@ -111,10 +111,35 @@ def test_gf_rank_against_reference():
             inner = rng.randint(0, min(rows, cols))
             L = _random_matrix(rng, rows, inner) @ _random_matrix(rng, inner, cols)
             for A in (M, L):
-                want = _reference_gf_rank(A.tolist(), p)
-                assert _gf_rank_dense(A, p) == want
-                assert _gf_rank_sparse(A, p) == want
-                assert gf_rank(A, p) == want
+                assert gf_rank(A, p) == _reference_gf_rank(A.tolist(), p)
+
+
+def _dense_boundary(prev_level, level):
+    rows = {f: i for i, f in enumerate(prev_level)}
+    A = [[0] * len(level) for _ in prev_level]
+    for col, face in enumerate(level):
+        for j, v in enumerate(monomial_vars(face)):
+            A[rows[face ^ (1 << (v - 1))]][col] = (-1) ** j
+    return A
+
+
+@settings(max_examples=60, deadline=None)
+@given(mixed_ideals_st(max_n=8), st.sampled_from([2, 3, 32003, 4294967311]))
+# x4 is in no generator, so K^(x1x2x3x4) is a cone: many pivots get cleared
+@example(MonomialIdeal.from_supports(4, [(1, 3), (2,)]), 3)
+def test_homology_dims_with_clearing_match_separate_ranks(I, p):
+    # every boundary matrix ranked on its own, densely, with no clearing
+    if I.is_zero:
+        return
+    table = _membership_table(I)
+    for m in lcm_lattice(I.gens) + [(1 << I.n) - 1]:
+        levels = _face_levels(I, m, table)
+        ranks = [0] * (len(levels) + 1)
+        for c in range(1, len(levels)):
+            A = _dense_boundary(levels[c - 1], levels[c])
+            ranks[c] = _reference_gf_rank(A, p)
+        want = [len(levels[i]) - ranks[i] - ranks[i + 1] for i in range(len(levels))]
+        assert _homology_dims(levels, p) == want
 
 
 def test_is_prime_against_trial_division():
@@ -191,6 +216,33 @@ def test_large_characteristic_matches_default():
     want = multigraded_betti(P).entries
     for p in (4294967311, 2**61 - 1):
         assert multigraded_betti(P, characteristic=p).entries == want
+
+
+# Stanley-Reisner ideal of the 6-vertex real projective plane: the ten
+# triangles that are not among its ten facets (every pair is an edge)
+RP2_FACETS = {
+    frozenset(map(int, f))
+    for f in ("123", "134", "145", "156", "162", "235", "346", "452", "563", "624")
+}
+RP2 = MonomialIdeal.from_supports(
+    6, [t for t in itertools.combinations(range(1, 7), 3) if frozenset(t) not in RP2_FACETS]
+)
+
+
+def test_rp2_table_depends_on_the_characteristic():
+    # Hochster: b_{i,x1...x6} = dim H~_{4-i}(RP^2), which is nonzero only
+    # mod 2 (H~_1 and H~_2 are GF(2)); it needs -1 = 1 in GF(2)
+    want = oracles.taylor_betti_table(RP2)
+    assert len(RP2.gens) == 10
+    for p in (3, 32003):
+        assert multigraded_betti(RP2, characteristic=p).entries == want
+    full = monomial(range(1, 7))
+    assert all(m != full for (_, m) in want)
+    assert multigraded_betti(RP2, characteristic=2).entries == {
+        **want,
+        (2, full): 1,
+        (3, full): 1,
+    }
 
 
 def _sorted_levels(levels):

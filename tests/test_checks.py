@@ -151,6 +151,17 @@ def test_zero_time_budget_is_inconclusive_not_failing():
     assert theorem_failures(reports) == []
 
 
+@pytest.mark.parametrize(
+    "name",
+    ["colon-regularity", "first-syzygy-degree-bound", "disjoint-regularity", "colon-reg-bound"],
+)
+def test_regularity_runners_honour_the_time_budget(name):
+    ctx = CheckContext(time_budget_s=-1.0)
+    instance = cycle_graph(7) if CHECKS[name].scope in GRAPH_SCOPES else None
+    reports = run_check_on_instance(name, instance, ctx)
+    assert {r.outcome for r in reports} == {INCONCLUSIVE}
+
+
 def test_five_way_nonforest_budget_exhaustion_is_inconclusive():
     ctx = CheckContext(node_budget=1)
     reports = run_check_on_instance("five-way-nonforest", cycle_graph(5), ctx)
