@@ -416,13 +416,11 @@ def regularity(
 
 
 def projective_dimension(
-    I: MonomialIdeal,
-    characteristic: int = DEFAULT_CHARACTERISTIC,
-    deadline: float | None = None,
+    I: MonomialIdeal, characteristic: int = DEFAULT_CHARACTERISTIC
 ) -> int:
     if I.is_zero:
         raise ValueError("projective dimension of the zero ideal is undefined")
-    return multigraded_betti(I, characteristic, deadline=deadline).projective_dimension()
+    return multigraded_betti(I, characteristic).projective_dimension()
 
 
 def has_linear_resolution(
