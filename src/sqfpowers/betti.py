@@ -571,6 +571,7 @@ class LinearQuotientsResult:
     status: str  # "found" | "none" | "inconclusive"
     order: tuple[int, ...] | None
     nodes: int
+    reason: str | None = None  # set only on a "none" certified without search
 
     @property
     def found(self) -> bool:
@@ -585,12 +586,35 @@ def linear_quotients_order(
     node_budget: int = 10_000_000,
     deadline: float | None = None,
 ) -> LinearQuotientsResult:
+    """Find a linear-quotients order of the generators, or certify there is none.
+
+    Linear quotients imply a linear resolution over every field, which implies
+    linearly related first syzygies (Herzog-Hibi, Monomial Ideals, Prop.
+    8.2.1).  So "none" is certified in one of two ways: the combinatorial
+    linear-relatedness test fails (nodes 0, reason "not linearly related"), or
+    the search of _search_linear_quotients is exhausted (reason None).  The
+    test runs under the same deadline as the search; running out of either
+    budget reports "inconclusive".
+    """
+    try:
+        related = is_linearly_related_combinatorial(I, deadline)
+    except BudgetExceeded:
+        return LinearQuotientsResult("inconclusive", None, 0)
+    if not related:
+        return LinearQuotientsResult("none", None, 0, "not linearly related")
+    return _search_linear_quotients(I, node_budget, deadline)
+
+
+def _search_linear_quotients(
+    I: MonomialIdeal, node_budget: int, deadline: float | None
+) -> LinearQuotientsResult:
     """Search for a linear-quotients order of the generators.
 
     Whether a generator can be appended depends only on the set already
     placed, never on its order, so the search memoizes failed prefix sets and
     backtracks chronologically.  Certified "none" requires exhausting the
-    search; running out of budget reports "inconclusive".
+    search; running out of budget reports "inconclusive".  The theorem checks
+    that compare linear quotients with linear relatedness call this directly.
     """
     if I.is_zero:
         return LinearQuotientsResult("found", (), 0)
@@ -646,6 +670,7 @@ def linear_quotients_order(
         return False
 
     try:
+        _check_deadline(deadline)
         ok = dfs(0)
     except BudgetExceeded:
         return LinearQuotientsResult("inconclusive", None, nodes)

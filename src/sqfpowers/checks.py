@@ -25,6 +25,7 @@ from .betti import (
     DEFAULT_CHARACTERISTIC,
     BudgetExceeded,
     _check_deadline,
+    _search_linear_quotients,
     first_syzygy_betti,
     first_syzygy_witness,
     has_linear_resolution,
@@ -461,7 +462,7 @@ def _run_top_power_linear_quotients(G: Graph, ctx: CheckContext, deadline: float
         return [_rep("top-power-linear-quotients", _gid(G), VACUOUS)]
     nu = matching_number(G)
     I = sqfree_power_via_matchings(G, nu)
-    result = linear_quotients_order(I, ctx.node_budget, deadline=deadline)
+    result = _search_linear_quotients(I, ctx.node_budget, deadline)
     if result.status == "inconclusive":
         return [
             _rep(
@@ -573,6 +574,7 @@ def _run_taylor_witness(G: Graph, ctx: CheckContext, deadline: float | None):
         if len(I.gens) < 2:
             continue
         for m in lcm_lattice(I.gens):
+            _check_deadline(deadline)
             report = first_syzygy_witness(I, m)
             if report.all_covered and first_syzygy_betti(I, m, ctx.characteristic):
                 bad.append({"k": k, "m": list(monomial_vars(m))})
@@ -668,7 +670,7 @@ def _run_five_way_nonforest(G: Graph, ctx: CheckContext, deadline: float | None)
     pattern = {
         "linear_quotients": search.found,
         "linear_resolution": has_linear_resolution(I2, ctx.characteristic, deadline=deadline),
-        "linearly_related": is_linearly_related_combinatorial(I2),
+        "linearly_related": is_linearly_related_combinatorial(I2, deadline=deadline),
         "nu0_le_2": restricted_matching_number(G) <= 2,
     }
     return [
@@ -746,7 +748,7 @@ def _run_forest_five_way(G: Graph, ctx: CheckContext, deadline: float | None):
     if G.n == 2:
         return [_rep("forest-five-way", _gid(G), VACUOUS)]
     I2 = sqfree_power_via_matchings(G, 2)
-    search = linear_quotients_order(I2, ctx.node_budget, deadline=deadline)
+    search = _search_linear_quotients(I2, ctx.node_budget, deadline)
     if search.status == "inconclusive":
         return [_rep("forest-five-way", _gid(G), INCONCLUSIVE, {"nodes": search.nodes}, t0)]
     conditions = {

@@ -277,6 +277,9 @@ def cmd_linquot(args: argparse.Namespace) -> int:
         ),
     }
     lines = [f"status: {result.status}", f"nodes explored: {result.nodes}"]
+    if result.reason is not None:
+        payload["reason"] = result.reason
+        lines.append(f"reason: {result.reason}")
     if result.status == "found":
         lines.append(
             "order: " + "; ".join(".".join(map(str, o)) for o in payload["order"])

@@ -34,6 +34,7 @@ from sqfpowers.betti import (
     _homology_dims,
     _is_prime,
     _membership_table,
+    _search_linear_quotients,
 )
 from sqfpowers.edge_ideals import edge_ideal, sqfree_power_via_matchings
 from sqfpowers.families import all_graphs, random_squarefree_ideals
@@ -492,6 +493,28 @@ def test_linear_quotients_budget():
     I = edge_ideal(complete_graph(5))
     res = linear_quotients_order(I, node_budget=0)
     assert res.status == "inconclusive" and res.order is None
+
+
+def test_linear_quotients_certificate_agrees_with_search():
+    # "none" certified by linear relatedness must be confirmed by the full
+    # search, and every ideal that passes the test is searched as before
+    certified = 0
+    for n in range(2, 7):
+        for G in all_graphs(n):
+            for k in range(1, matching_number(G) + 1):
+                P = sqfree_power_via_matchings(G, k)
+                res = linear_quotients_order(P)
+                search = _search_linear_quotients(P, 10_000_000, None)
+                assert search.status in ("found", "none"), (to_graph6(G), k)
+                if res.reason is None:
+                    assert res == search, (to_graph6(G), k)
+                else:
+                    assert (res.status, res.order, res.nodes, res.reason) == (
+                        "none", None, 0, "not linearly related"
+                    ), (to_graph6(G), k)
+                    assert search.status == "none", (to_graph6(G), k)
+                    certified += 1
+    assert certified > 0
 
 
 def test_linear_quotients_implies_linear_resolution():

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from sqfpowers import betti
 from sqfpowers.betti import BudgetExceeded
 from sqfpowers.checks import (
     CHECKS,
@@ -153,7 +154,14 @@ def test_zero_time_budget_is_inconclusive_not_failing():
 
 @pytest.mark.parametrize(
     "name",
-    ["colon-regularity", "first-syzygy-degree-bound", "disjoint-regularity", "colon-reg-bound"],
+    [
+        "colon-regularity",
+        "first-syzygy-degree-bound",
+        "disjoint-regularity",
+        "colon-reg-bound",
+        "taylor-witness",
+        "top-power-linear-quotients",
+    ],
 )
 def test_regularity_runners_honour_the_time_budget(name):
     ctx = CheckContext(time_budget_s=-1.0)
@@ -167,6 +175,26 @@ def test_five_way_nonforest_budget_exhaustion_is_inconclusive():
     reports = run_check_on_instance("five-way-nonforest", cycle_graph(5), ctx)
     assert [r.outcome for r in reports] == [INCONCLUSIVE]
     assert set(reports[0].witness) == {"nodes"}
+
+
+def test_theorem_checks_search_without_the_certificate(monkeypatch):
+    # forest-five-way and top-power-linear-quotients compare linear quotients
+    # with linear relatedness, so their search must not consult the latter
+    def boom(I, deadline=None):
+        raise RuntimeError("certificate consulted")
+
+    monkeypatch.setattr(betti, "is_linearly_related_combinatorial", boom)
+    ctx = CheckContext()
+    for name, G in (
+        ("top-power-linear-quotients", cycle_graph(7)),
+        ("forest-five-way", path_graph(6)),
+    ):
+        reports = run_check_on_instance(name, G, ctx)
+        assert [r.outcome for r in reports] == [PASS], (name, reports)
+    # the public search does consult it
+    reports = run_check_on_instance("five-way-nonforest", cycle_graph(5), ctx)
+    assert [r.outcome for r in reports] == [FAIL]
+    assert "certificate consulted" in reports[0].witness["error"]
 
 
 def test_scope_filtering():

@@ -281,6 +281,25 @@ def test_linquot_statuses():
     assert out.startswith("status: found\nnodes explored: 7\norder: 1.2.3.4.5.6; ")
 
 
+def test_linquot_certified_none():
+    # the square of this 7-vertex graph is not linearly related, so it has no
+    # linear quotients; the search alone runs past 10^7 nodes on it
+    payload = run_json(["linquot", "g6:FtK}?", "-k", "2"])
+    assert payload == {
+        "command": "linquot",
+        "status": "none",
+        "nodes": 0,
+        "order": None,
+        "reason": "not linearly related",
+    }
+    code, out, _ = run(["linquot", "g6:FtK}?", "-k", "2"])
+    assert code == 0
+    assert out == "status: none\nnodes explored: 0\nreason: not linearly related\n"
+    # only a certified "none" carries a reason
+    for k in ("2", "3"):
+        assert "reason" not in run_json(["linquot", "c7", "-k", k])
+
+
 # ---------------------------------------------------------------------------
 # lambda
 
