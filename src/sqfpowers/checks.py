@@ -2,10 +2,23 @@
 
 Every check pairs a mathematical statement with a runner that evaluates it on
 one instance and reports pass / fail / vacuous (hypotheses unmet) /
-inconclusive (budget exhausted).  Checks are data: the registry maps names to
-scope (graph, tree, forest, ideal collections, builtin fixtures), to kind
+inconclusive (budget exhausted).  A check is declared on its runner:
+``@check(name, kind, scope, statement)`` registers it in ``CHECKS`` with its
+scope (graph, tree, forest, ideal collections, builtin fixtures) and kind
 ("theorem" checks must never fail; "exploration" checks record findings
-without affecting exit codes), and to the runner.
+without affecting exit codes).  Declaration order is the registry order that
+``verify --list`` prints.
+
+A runner builds no reports.  It returns ``VACUOUS`` when the hypotheses are
+unmet, or yields one ``(label, verdict, witness)`` per report.  For graph
+scopes the label is a suffix of the graph's ``g6:`` name (``";k=2"``, or
+``""``); for collection scopes it is the whole instance name.  The verdict is
+a bool or an explicit outcome.  ``run_check_on_instance`` does the rest:
+instance names, per-report timing, pass / fail from a bool (a passing bool
+drops its witness, an explicit outcome keeps it), the time budget, checked
+before the runner starts and before every report, and the conversion of an
+exhausted budget into one inconclusive report and of a crash into one failing
+report.
 
 Reports serialize to ND-JSON lines {check, instance, outcome, witness?,
 millis} and instances are named re-runnably (graph6 strings, seeds).
@@ -19,7 +32,7 @@ import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .betti import (
     DEFAULT_CHARACTERISTIC,
@@ -58,6 +71,7 @@ from .graphs import (
     builtin_graph,
     complement,
     connected_components,
+    cycle_graph,
     induced_subgraph,
     is_chordal,
     is_forest,
@@ -75,6 +89,7 @@ from .ideals import (
     monomial_vars,
     ratliff_check,
     restrict,
+    sqfree_power,
 )
 from .matchings import (
     edge_mask,
@@ -92,6 +107,10 @@ PASS = "pass"
 FAIL = "fail"
 VACUOUS = "vacuous"
 INCONCLUSIVE = "inconclusive"
+
+# sizes of the builtin sweeps
+RANDOM_GRAPH_MAX_N = 12
+VERONESE_MAX_R = 6
 
 
 @dataclass(frozen=True)
@@ -135,8 +154,6 @@ class CheckContext:
     time_budget_s: float | None = None
     random_ideal_count: int = 500
     random_graph_count: int = 1000
-    random_graph_max_n: int = 12
-    veronese_max_r: int = 6
 
 
 @dataclass(frozen=True)
@@ -146,6 +163,21 @@ class Check:
     scope: str  # "graph" | "tree" | "forest" | "ideals" | "builtin"
     statement: str
     runner: Callable
+
+
+CHECKS: dict[str, Check] = {}
+
+GRAPH_SCOPES = {"graph", "tree", "forest"}
+
+
+def check(name: str, kind: str, scope: str, statement: str) -> Callable:
+    """Register the decorated runner in ``CHECKS`` as the check *name*."""
+
+    def register(runner: Callable) -> Callable:
+        CHECKS[name] = Check(name, kind, scope, statement, runner)
+        return runner
+
+    return register
 
 
 def _gid(G: Graph) -> str:
@@ -161,26 +193,6 @@ def _ms(t0: float) -> float:
     return (time.monotonic() - t0) * 1000.0
 
 
-def _rep(
-    name: str,
-    instance: str,
-    ok_or_outcome,
-    witness: dict | None = None,
-    t0: float | None = None,
-) -> CheckReport:
-    if isinstance(ok_or_outcome, bool):
-        outcome = PASS if ok_or_outcome else FAIL
-    else:
-        outcome = ok_or_outcome
-    return CheckReport(
-        check=name,
-        instance=instance,
-        outcome=outcome,
-        witness=witness if outcome != PASS else None,
-        millis=_ms(t0) if t0 is not None else 0.0,
-    )
-
-
 def _powers_upto_nu(G: Graph) -> list[tuple[int, MonomialIdeal]]:
     nu = matching_number(G)
     return [(k, sqfree_power_via_matchings(G, k)) for k in range(1, nu + 1)]
@@ -189,140 +201,175 @@ def _powers_upto_nu(G: Graph) -> list[tuple[int, MonomialIdeal]]:
 # ---------------------------------------------------------------------------
 # graph-scoped runners
 
+@check(
+    "lower-bound",
+    "theorem",
+    "graph",
+    "reg(I(G)^[k]) >= k + nu1(G) for 1 <= k <= nu1(G)",
+)
 def _run_lower_bound(G: Graph, ctx: CheckContext, deadline: float | None):
     nu1 = induced_matching_number(G)
     if nu1 == 0:
-        return [_rep("lower-bound", _gid(G), VACUOUS)]
-    out = []
+        return VACUOUS
     for k in range(1, nu1 + 1):
-        t0 = time.monotonic()
         I = sqfree_power_via_matchings(G, k)
         reg = multigraded_betti(I, ctx.characteristic, deadline=deadline).regularity()
-        ok = reg >= k + nu1
-        out.append(
-            _rep(
-                "lower-bound",
-                f"{_gid(G)};k={k}",
-                ok,
-                {"reg": reg, "k": k, "nu1": nu1},
-                t0,
-            )
-        )
-    return out
+        yield f";k={k}", reg >= k + nu1, {"reg": reg, "k": k, "nu1": nu1}
 
 
+@check(
+    "upper-bound-k2",
+    "theorem",
+    "graph",
+    "reg(I(G)^[2]) <= 2 + nu(G) when nu(G) >= 2",
+)
 def _run_upper_bound_k2(G: Graph, ctx: CheckContext, deadline: float | None):
-    t0 = time.monotonic()
     nu = matching_number(G)
     if nu < 2:
-        return [_rep("upper-bound-k2", _gid(G), VACUOUS)]
+        return VACUOUS
     I = sqfree_power_via_matchings(G, 2)
     reg = multigraded_betti(I, ctx.characteristic, deadline=deadline).regularity()
-    return [_rep("upper-bound-k2", _gid(G), reg <= 2 + nu, {"reg": reg, "nu": nu}, t0)]
+    yield "", reg <= 2 + nu, {"reg": reg, "nu": nu}
 
 
+@check(
+    "upper-question",
+    "exploration",
+    "graph",
+    "searched bound reg(I(G)^[k]) <= k + nu(G) for k <= nu(G); never asserted",
+)
 def _run_upper_question(G: Graph, ctx: CheckContext, deadline: float | None):
     if not G.edges:
-        return [_rep("upper-question", _gid(G), VACUOUS)]
+        return VACUOUS
     nu = matching_number(G)
-    out = []
     for k, I in _powers_upto_nu(G):
-        t0 = time.monotonic()
         reg = multigraded_betti(I, ctx.characteristic, deadline=deadline).regularity()
-        out.append(
-            _rep(
-                "upper-question",
-                f"{_gid(G)};k={k}",
-                reg <= k + nu,
-                {"reg": reg, "bound": k + nu},
-                t0,
-            )
-        )
-    return out
+        yield f";k={k}", reg <= k + nu, {"reg": reg, "bound": k + nu}
 
 
+@check(
+    "linrel-monotone",
+    "theorem",
+    "graph",
+    "once I(G)^[k] is linearly related, so is I(G)^[k+1] (k < nu)",
+)
 def _run_linrel_monotone(G: Graph, ctx: CheckContext, deadline: float | None):
-    t0 = time.monotonic()
     if not G.edges:
-        return [_rep("linrel-monotone", _gid(G), VACUOUS)]
+        return VACUOUS
     verdicts = [
         is_linearly_related_combinatorial(I, deadline=deadline)
         for _, I in _powers_upto_nu(G)
     ]
     ok = all(b for a, b in zip(verdicts, verdicts[1:]) if a)
-    return [_rep("linrel-monotone", _gid(G), ok, {"verdicts": verdicts}, t0)]
+    yield "", ok, {"verdicts": verdicts}
 
 
+@check(
+    "nu0-lambda",
+    "theorem",
+    "graph",
+    "the least k with all powers j >= k linearly related is >= nu0(G)",
+)
 def _run_nu0_lambda(G: Graph, ctx: CheckContext, deadline: float | None):
-    t0 = time.monotonic()
     if not G.edges:
-        return [_rep("nu0-lambda", _gid(G), VACUOUS)]
+        return VACUOUS
     lam = lambda_number(G)
     nu0 = restricted_matching_number(G)
-    return [_rep("nu0-lambda", _gid(G), lam >= nu0, {"lambda": lam, "nu0": nu0}, t0)]
+    yield "", lam >= nu0, {"lambda": lam, "nu0": nu0}
 
 
+@check(
+    "nu0-le-2-linrel",
+    "theorem",
+    "graph",
+    "nu0(G) <= 2 implies I(G)^[k] linearly related for all 2 <= k <= nu(G)",
+)
 def _run_nu0_le_2_linrel(G: Graph, ctx: CheckContext, deadline: float | None):
-    t0 = time.monotonic()
     if not G.edges or restricted_matching_number(G) > 2:
-        return [_rep("nu0-le-2-linrel", _gid(G), VACUOUS)]
+        return VACUOUS
     bad = []
     for k, I in _powers_upto_nu(G):
         if k >= 2 and not is_linearly_related_combinatorial(I, deadline=deadline):
             bad.append(k)
-    return [_rep("nu0-le-2-linrel", _gid(G), not bad, {"failing_k": bad}, t0)]
+    yield "", not bad, {"failing_k": bad}
 
 
-def _ratliff_reports(
-    name: str, G: Graph, pairs: Iterable[tuple[int, int]], t0: float
-) -> list[CheckReport]:
+def _ratliff_colons(G: Graph, pairs: Iterable[tuple[int, int]]):
+    """One verdict on I(G)^[k] : I(G)^[l] = I(G)^[k] over all the pairs."""
     I = edge_ideal(G)
-    bad = []
-    ran = False
-    for k, l in pairs:
-        ran = True
-        if ratliff_check(I, k, l) is False:
-            bad.append([k, l])
-    if not ran:
-        return [_rep(name, _gid(G), VACUOUS)]
-    return [_rep(name, _gid(G), not bad, {"failing_pairs": bad}, t0)]
+    bad = [[k, l] for k, l in pairs if ratliff_check(I, k, l) is False]
+    yield "", not bad, {"failing_pairs": bad}
 
 
+@check(
+    "ratliff-surprised",
+    "theorem",
+    "graph",
+    "I^[k] : I = I^[k] for every nonzero edge ideal and k >= 2",
+)
 def _run_ratliff_surprised(G: Graph, ctx: CheckContext, deadline: float | None):
-    t0 = time.monotonic()
-    if not G.edges:
-        return [_rep("ratliff-surprised", _gid(G), VACUOUS)]
     nu = matching_number(G)
-    return _ratliff_reports(
-        "ratliff-surprised", G, [(k, 1) for k in range(2, nu + 1)], t0
+    if nu < 2:
+        return VACUOUS
+    yield from _ratliff_colons(G, [(k, 1) for k in range(2, nu + 1)])
+
+
+@check(
+    "ratliff-easy",
+    "theorem",
+    "graph",
+    "I(G)^[k] : I(G)^[2] = I(G)^[k] for 2 < k <= nu(G), no isolated vertices",
+)
+def _run_ratliff_easy(G: Graph, ctx: CheckContext, deadline: float | None):
+    if not G.edges or any(G.adjacency[v] == 0 for v in G.vertices):
+        return VACUOUS
+    nu = matching_number(G)
+    if nu < 3:
+        return VACUOUS
+    yield from _ratliff_colons(G, [(k, 2) for k in range(3, nu + 1)])
+
+
+@check(
+    "ratliff-equimatchable",
+    "theorem",
+    "graph",
+    "equimatchable G: I(G)^[k] : I(G)^[l] = I(G)^[k] for 1 <= l < k <= nu(G)",
+)
+def _run_ratliff_equimatchable(G: Graph, ctx: CheckContext, deadline: float | None):
+    if not G.edges or not is_equimatchable(G):
+        return VACUOUS
+    nu = matching_number(G)
+    if nu < 2:
+        return VACUOUS
+    yield from _ratliff_colons(
+        G, [(k, l) for k in range(2, nu + 1) for l in range(1, k)]
     )
 
 
-def _run_ratliff_easy(G: Graph, ctx: CheckContext, deadline: float | None):
-    t0 = time.monotonic()
-    if not G.edges or any(G.adjacency[v] == 0 for v in G.vertices):
-        return [_rep("ratliff-easy", _gid(G), VACUOUS)]
-    nu = matching_number(G)
-    if nu < 3:
-        return [_rep("ratliff-easy", _gid(G), VACUOUS)]
-    return _ratliff_reports("ratliff-easy", G, [(k, 2) for k in range(3, nu + 1)], t0)
+@check(
+    "ratliff-random",
+    "theorem",
+    "ideals",
+    "I^[k] : I = I^[k] for random squarefree ideals, k in {2, 3}",
+)
+def _run_ratliff_random(ctx: CheckContext, deadline: float | None):
+    ideals = random_squarefree_ideals(
+        ctx.random_ideal_count, max_n=8, max_gens=8, seed=ctx.seed
+    )
+    for idx, I in enumerate(ideals):
+        bad = [k for k in (2, 3) if ratliff_check(I, k, 1) is False]
+        yield f"seed={ctx.seed};index={idx};{_iid(I)}", not bad, {"failing_k": bad}
 
 
-def _run_ratliff_equimatchable(G: Graph, ctx: CheckContext, deadline: float | None):
-    t0 = time.monotonic()
-    if not G.edges or not is_equimatchable(G):
-        return [_rep("ratliff-equimatchable", _gid(G), VACUOUS)]
-    nu = matching_number(G)
-    pairs = [(k, l) for k in range(2, nu + 1) for l in range(1, k)]
-    if not pairs:
-        return [_rep("ratliff-equimatchable", _gid(G), VACUOUS)]
-    return _ratliff_reports("ratliff-equimatchable", G, pairs, t0)
-
-
+@check(
+    "generator-unimodality",
+    "theorem",
+    "graph",
+    "generator counts of I(G)^[k], k = 1..nu(G), rise then fall",
+)
 def _run_generator_unimodality(G: Graph, ctx: CheckContext, deadline: float | None):
-    t0 = time.monotonic()
     if not G.edges:
-        return [_rep("generator-unimodality", _gid(G), VACUOUS)]
+        return VACUOUS
     counts = [len(I.gens) for _, I in _powers_upto_nu(G)]
     ok = True
     decreased = False
@@ -332,14 +379,19 @@ def _run_generator_unimodality(G: Graph, ctx: CheckContext, deadline: float | No
         elif b > a and decreased:
             ok = False
             break
-    return [_rep("generator-unimodality", _gid(G), ok, {"counts": counts}, t0)]
+    yield "", ok, {"counts": counts}
 
 
+@check(
+    "first-syzygy-degree-bound",
+    "theorem",
+    "graph",
+    "b_{1,m}(I(G)^[k]) = 0 for deg(m) >= 3k + 1, k >= 2",
+)
 def _run_first_syzygy_degree_bound(G: Graph, ctx: CheckContext, deadline: float | None):
-    t0 = time.monotonic()
     nu = matching_number(G)
     if nu < 2:
-        return [_rep("first-syzygy-degree-bound", _gid(G), VACUOUS)]
+        return VACUOUS
     bad = []
     for k in range(2, nu + 1):
         I = sqfree_power_via_matchings(G, k)
@@ -348,15 +400,19 @@ def _run_first_syzygy_degree_bound(G: Graph, ctx: CheckContext, deadline: float 
             if monomial_degree(m) >= 3 * k + 1:
                 if first_syzygy_betti(I, m, ctx.characteristic):
                     bad.append({"k": k, "m": list(monomial_vars(m))})
-    return [_rep("first-syzygy-degree-bound", _gid(G), not bad, {"violations": bad}, t0)]
+    yield "", not bad, {"violations": bad}
 
 
+@check(
+    "restriction-table",
+    "theorem",
+    "graph",
+    "Betti table of the restriction I^{<= m} equals the sub-table at divisors of m",
+)
 def _run_restriction_table(G: Graph, ctx: CheckContext, deadline: float | None):
-    t0 = time.monotonic()
     if not G.edges:
-        return [_rep("restriction-table", _gid(G), VACUOUS)]
+        return VACUOUS
     rng = random.Random((ctx.seed, to_graph6(G)).__repr__())
-    out = []
     for k, I in _powers_upto_nu(G):
         table = multigraded_betti(I, ctx.characteristic, deadline=deadline)
         lattice = lcm_lattice(I.gens)
@@ -378,23 +434,18 @@ def _run_restriction_table(G: Graph, ctx: CheckContext, deadline: float | None):
             }
             if sub_entries != expected:
                 bad.append(list(monomial_vars(m)))
-        out.append(
-            _rep(
-                "restriction-table",
-                f"{_gid(G)};k={k}",
-                not bad,
-                {"bad_multidegrees": bad},
-                t0,
-            )
-        )
-        t0 = time.monotonic()
-    return out
+        yield f";k={k}", not bad, {"bad_multidegrees": bad}
 
 
+@check(
+    "betti-induced-monotone",
+    "theorem",
+    "graph",
+    "b_{i,a}(I(G_W)^[k]) <= b_{i,a}(I(G)^[k]) for induced subgraphs G_W",
+)
 def _run_betti_induced_monotone(G: Graph, ctx: CheckContext, deadline: float | None):
-    t0 = time.monotonic()
     if not G.edges:
-        return [_rep("betti-induced-monotone", _gid(G), VACUOUS)]
+        return VACUOUS
     big_tables = {
         k: multigraded_betti(I, ctx.characteristic, deadline=deadline)
         for k, I in _powers_upto_nu(G)
@@ -418,92 +469,69 @@ def _run_betti_induced_monotone(G: Graph, ctx: CheckContext, deadline: float | N
                     lifted = monomial(source[x - 1] for x in monomial_vars(a))
                     if v > big_tables[k].entries.get((i, lifted), 0):
                         bad.append({"W": list(W), "k": k, "i": i, "a": list(monomial_vars(a))})
-    return [_rep("betti-induced-monotone", _gid(G), not bad, {"violations": bad}, t0)]
+    yield "", not bad, {"violations": bad}
 
 
+@check(
+    "froberg",
+    "theorem",
+    "graph",
+    "I(G) has a linear resolution iff the complement of G is chordal",
+)
 def _run_froberg(G: Graph, ctx: CheckContext, deadline: float | None):
-    t0 = time.monotonic()
     linear = has_linear_resolution(edge_ideal(G), ctx.characteristic, deadline=deadline)
     chordal = is_chordal(complement(G))
-    return [
-        _rep(
-            "froberg",
-            _gid(G),
-            linear == chordal,
-            {"linear_resolution": linear, "complement_chordal": chordal},
-            t0,
-        )
-    ]
+    yield "", linear == chordal, {"linear_resolution": linear, "complement_chordal": chordal}
 
 
+@check(
+    "linrel-oracle-agreement",
+    "theorem",
+    "graph",
+    "combinatorial and homological linear-relatedness verdicts agree",
+)
 def _run_linrel_oracle_agreement(G: Graph, ctx: CheckContext, deadline: float | None):
     if not G.edges:
-        return [_rep("linrel-oracle-agreement", _gid(G), VACUOUS)]
-    out = []
+        return VACUOUS
     for k, I in _powers_upto_nu(G):
-        t0 = time.monotonic()
         comb = is_linearly_related_combinatorial(I, deadline=deadline)
         homo = is_linearly_related_homological(I, ctx.characteristic, deadline=deadline)
-        out.append(
-            _rep(
-                "linrel-oracle-agreement",
-                f"{_gid(G)};k={k}",
-                comb == homo,
-                {"combinatorial": comb, "homological": homo},
-                t0,
-            )
-        )
-    return out
+        yield f";k={k}", comb == homo, {"combinatorial": comb, "homological": homo}
 
 
+@check(
+    "top-power-linear-quotients",
+    "theorem",
+    "graph",
+    "the top squarefree power I(G)^[nu] has linear quotients",
+)
 def _run_top_power_linear_quotients(G: Graph, ctx: CheckContext, deadline: float | None):
-    t0 = time.monotonic()
     if not G.edges:
-        return [_rep("top-power-linear-quotients", _gid(G), VACUOUS)]
+        return VACUOUS
     nu = matching_number(G)
     I = sqfree_power_via_matchings(G, nu)
     result = _search_linear_quotients(I, ctx.node_budget, deadline)
     if result.status == "inconclusive":
-        return [
-            _rep(
-                "top-power-linear-quotients",
-                _gid(G),
-                INCONCLUSIVE,
-                {"nodes": result.nodes},
-                t0,
-            )
-        ]
-    return [
-        _rep(
-            "top-power-linear-quotients",
-            _gid(G),
-            result.found,
-            {"status": result.status},
-            t0,
-        )
-    ]
+        yield "", INCONCLUSIVE, {"nodes": result.nodes}
+    else:
+        yield "", result.found, {"status": result.status}
 
 
+@check("matching-chain", "theorem", "graph", "nu1(G) <= nu0(G) <= nu(G)")
 def _run_matching_chain(G: Graph, ctx: CheckContext, deadline: float | None):
-    t0 = time.monotonic()
     nu1 = induced_matching_number(G)
     nu0 = restricted_matching_number(G)
     nu = matching_number(G)
-    return [
-        _rep(
-            "matching-chain",
-            _gid(G),
-            nu1 <= nu0 <= nu,
-            {"nu1": nu1, "nu0": nu0, "nu": nu},
-            t0,
-        )
-    ]
+    yield "", nu1 <= nu0 <= nu, {"nu1": nu1, "nu0": nu0, "nu": nu}
 
 
+@check(
+    "power-matching-agreement",
+    "theorem",
+    "graph",
+    "k-matching supports and ideal-side products generate the same power",
+)
 def _run_power_matching_agreement(G: Graph, ctx: CheckContext, deadline: float | None):
-    t0 = time.monotonic()
-    from .ideals import sqfree_power
-
     I = edge_ideal(G)
     nu = matching_number(G)
     bad = []
@@ -513,13 +541,18 @@ def _run_power_matching_agreement(G: Graph, ctx: CheckContext, deadline: float |
         if via_matchings != via_ideal:
             bad.append(k)
     ok = not bad and sqfree_power_via_matchings(G, nu + 1).is_zero
-    return [_rep("power-matching-agreement", _gid(G), ok, {"failing_k": bad}, t0)]
+    yield "", ok, {"failing_k": bad}
 
 
+@check(
+    "colon-formula",
+    "theorem",
+    "graph",
+    "I(G)^[2] : x_a x_b equals the edge ideal of the derived graph",
+)
 def _run_colon_formula(G: Graph, ctx: CheckContext, deadline: float | None):
-    t0 = time.monotonic()
     if not G.edges:
-        return [_rep("colon-formula", _gid(G), VACUOUS)]
+        return VACUOUS
     I2 = sqfree_power_via_matchings(G, 2)
     bad = []
     for e in G.edge_list:
@@ -527,13 +560,18 @@ def _run_colon_formula(G: Graph, ctx: CheckContext, deadline: float | None):
         via_graph = edge_ideal(colon_square_by_edge(G, e))
         if direct != via_graph:
             bad.append(list(e))
-    return [_rep("colon-formula", _gid(G), not bad, {"failing_edges": bad}, t0)]
+    yield "", not bad, {"failing_edges": bad}
 
 
+@check(
+    "colon-regularity",
+    "theorem",
+    "graph",
+    "reg(I(G)^[2] : x_a x_b) <= nu(G) for every edge ab",
+)
 def _run_colon_regularity(G: Graph, ctx: CheckContext, deadline: float | None):
-    t0 = time.monotonic()
     if not G.edges:
-        return [_rep("colon-regularity", _gid(G), VACUOUS)]
+        return VACUOUS
     nu = matching_number(G)
     bad = []
     for e in G.edge_list:
@@ -542,13 +580,18 @@ def _run_colon_regularity(G: Graph, ctx: CheckContext, deadline: float | None):
         )
         if r > nu:
             bad.append({"edge": list(e), "reg": r})
-    return [_rep("colon-regularity", _gid(G), not bad, {"violations": bad, "nu": nu}, t0)]
+    yield "", not bad, {"violations": bad, "nu": nu}
 
 
+@check(
+    "l-ideal-shape",
+    "theorem",
+    "graph",
+    "under the degree hypothesis the edge intersection ideal is generated in degree 2k+1 with the predicted shape",
+)
 def _run_l_ideal_shape(G: Graph, ctx: CheckContext, deadline: float | None):
-    t0 = time.monotonic()
     if not G.edges:
-        return [_rep("l-ideal-shape", _gid(G), VACUOUS)]
+        return VACUOUS
     nu = matching_number(G)
     bad = []
     ran = False
@@ -561,14 +604,19 @@ def _run_l_ideal_shape(G: Graph, ctx: CheckContext, deadline: float | None):
             if L != l_ideal_shape(G, e, k) or not is_generated_in_degree(L, 2 * k + 1):
                 bad.append({"edge": list(e), "k": k})
     if not ran:
-        return [_rep("l-ideal-shape", _gid(G), VACUOUS)]
-    return [_rep("l-ideal-shape", _gid(G), not bad, {"violations": bad}, t0)]
+        return VACUOUS
+    yield "", not bad, {"violations": bad}
 
 
+@check(
+    "taylor-witness",
+    "theorem",
+    "graph",
+    "witnessed pairs at m force b_{1,m} = 0",
+)
 def _run_taylor_witness(G: Graph, ctx: CheckContext, deadline: float | None):
-    t0 = time.monotonic()
     if not G.edges:
-        return [_rep("taylor-witness", _gid(G), VACUOUS)]
+        return VACUOUS
     bad = []
     for k, I in _powers_upto_nu(G):
         if len(I.gens) < 2:
@@ -578,13 +626,18 @@ def _run_taylor_witness(G: Graph, ctx: CheckContext, deadline: float | None):
             report = first_syzygy_witness(I, m)
             if report.all_covered and first_syzygy_betti(I, m, ctx.characteristic):
                 bad.append({"k": k, "m": list(monomial_vars(m))})
-    return [_rep("taylor-witness", _gid(G), not bad, {"violations": bad}, t0)]
+    yield "", not bad, {"violations": bad}
 
 
+@check(
+    "equimatchable-extension",
+    "theorem",
+    "graph",
+    "greedy extension raises the induced matching number stepwise to nu(G)",
+)
 def _run_equimatchable_extension(G: Graph, ctx: CheckContext, deadline: float | None):
-    t0 = time.monotonic()
     if not G.edges or not is_equimatchable(G):
-        return [_rep("equimatchable-extension", _gid(G), VACUOUS)]
+        return VACUOUS
     rng = random.Random((ctx.seed, to_graph6(G)).__repr__())
     vertex_sets = [set()]
     for _ in range(3):
@@ -606,14 +659,19 @@ def _run_equimatchable_extension(G: Graph, ctx: CheckContext, deadline: float | 
             level = nxt
         if not ok or level != nu:
             bad.append(sorted(V))
-    return [_rep("equimatchable-extension", _gid(G), not bad, {"failing_sets": bad}, t0)]
+    yield "", not bad, {"failing_sets": bad}
 
 
+@check(
+    "generated-by-variables",
+    "theorem",
+    "graph",
+    "(I^[2], e_1..e_{i-1}) : e_i = (I^[2] : e_i) + an ideal of variables",
+)
 def _run_generated_by_variables(G: Graph, ctx: CheckContext, deadline: float | None):
-    t0 = time.monotonic()
     I2 = sqfree_power_via_matchings(G, 2)
     if I2.is_zero:
-        return [_rep("generated-by-variables", _gid(G), VACUOUS)]
+        return VACUOUS
     edges = edge_ideal(G).gens
     bad = []
     for i in range(1, len(edges)):
@@ -629,22 +687,19 @@ def _run_generated_by_variables(G: Graph, ctx: CheckContext, deadline: float | N
         )
         if lhs != rhs:
             bad.append(list(monomial_vars(ei)))
-    return [_rep("generated-by-variables", _gid(G), not bad, {"failing_edges": bad}, t0)]
+    yield "", not bad, {"failing_edges": bad}
 
 
+@check(
+    "chordal-oracle",
+    "theorem",
+    "graph",
+    "MCS chordality agrees with brute-force chordless cycle search",
+)
 def _run_chordal_oracle(G: Graph, ctx: CheckContext, deadline: float | None):
-    t0 = time.monotonic()
     fast = is_chordal(G)
     brute = not _has_chordless_cycle(G)
-    return [
-        _rep(
-            "chordal-oracle",
-            _gid(G),
-            fast == brute,
-            {"mcs": fast, "brute": brute},
-            t0,
-        )
-    ]
+    yield "", fast == brute, {"mcs": fast, "brute": brute}
 
 
 def _has_chordless_cycle(G: Graph) -> bool:
@@ -659,98 +714,111 @@ def _has_chordless_cycle(G: Graph) -> bool:
     return False
 
 
+@check(
+    "five-way-nonforest",
+    "exploration",
+    "graph",
+    "records the truth pattern of the four ideal conditions on non-forests",
+)
 def _run_five_way_nonforest(G: Graph, ctx: CheckContext, deadline: float | None):
-    t0 = time.monotonic()
     if is_forest(G) or not G.edges:
-        return [_rep("five-way-nonforest", _gid(G), VACUOUS)]
+        return VACUOUS
     I2 = sqfree_power_via_matchings(G, 2)
     search = linear_quotients_order(I2, ctx.node_budget, deadline=deadline)
     if search.status == "inconclusive":
-        return [_rep("five-way-nonforest", _gid(G), INCONCLUSIVE, {"nodes": search.nodes}, t0)]
+        yield "", INCONCLUSIVE, {"nodes": search.nodes}
+        return
     pattern = {
         "linear_quotients": search.found,
         "linear_resolution": has_linear_resolution(I2, ctx.characteristic, deadline=deadline),
         "linearly_related": is_linearly_related_combinatorial(I2, deadline=deadline),
         "nu0_le_2": restricted_matching_number(G) <= 2,
     }
-    return [
-        CheckReport(
-            "five-way-nonforest", _gid(G), PASS, {"pattern": pattern}, _ms(t0)
-        )
-    ]
+    yield "", PASS, {"pattern": pattern}
 
 
+@check(
+    "char2-cross-check",
+    "exploration",
+    "graph",
+    "graded Betti tables over GF(2) compared against the default characteristic",
+)
 def _run_char2_cross_check(G: Graph, ctx: CheckContext, deadline: float | None):
     if not G.edges:
-        return [_rep("char2-cross-check", _gid(G), VACUOUS)]
-    out = []
+        return VACUOUS
     for k, I in _powers_upto_nu(G):
-        t0 = time.monotonic()
         base = multigraded_betti(I, ctx.characteristic, deadline=deadline).graded()
         char2 = multigraded_betti(I, 2, deadline=deadline).graded()
-        out.append(
-            _rep(
-                "char2-cross-check",
-                f"{_gid(G)};k={k}",
-                base == char2,
-                {"default_char": sorted(map(list, base.items())), "char2": sorted(map(list, char2.items()))},
-                t0,
-            )
-        )
-    return out
+        yield f";k={k}", base == char2, {
+            "default_char": sorted(map(list, base.items())),
+            "char2": sorted(map(list, char2.items())),
+        }
 
 
 # ---------------------------------------------------------------------------
 # tree- and forest-scoped runners
 
+@check(
+    "tree-criterion-agreement",
+    "theorem",
+    "tree",
+    "vertex-deletion criterion matches brute-force perfect matching on trees",
+)
 def _run_tree_criterion_agreement(G: Graph, ctx: CheckContext, deadline: float | None):
-    t0 = time.monotonic()
     if not is_tree(G):
-        return [_rep("tree-criterion-agreement", _gid(G), VACUOUS)]
+        return VACUOUS
     crit = tree_perfect_matching_criterion(G)
     brute = has_perfect_matching(G)
-    return [
-        _rep(
-            "tree-criterion-agreement",
-            _gid(G),
-            crit == brute,
-            {"criterion": crit, "brute": brute},
-            t0,
-        )
-    ]
+    yield "", crit == brute, {"criterion": crit, "brute": brute}
 
 
+@check(
+    "tree-perfect-linres",
+    "theorem",
+    "tree",
+    "trees with a perfect matching: I^[nu0] has a linear resolution",
+)
 def _run_tree_perfect_linres(G: Graph, ctx: CheckContext, deadline: float | None):
-    t0 = time.monotonic()
     if not is_tree(G) or not has_perfect_matching(G):
-        return [_rep("tree-perfect-linres", _gid(G), VACUOUS)]
+        return VACUOUS
     nu0 = restricted_matching_number(G)
     I = sqfree_power_via_matchings(G, nu0)
     ok = has_linear_resolution(I, ctx.characteristic, deadline=deadline)
-    return [_rep("tree-perfect-linres", _gid(G), ok, {"nu0": nu0}, t0)]
+    yield "", ok, {"nu0": nu0}
 
 
+@check(
+    "nu0-perfect-tree",
+    "theorem",
+    "tree",
+    "trees with a perfect matching and n > 2 have nu0 = nu - 1",
+)
 def _run_nu0_perfect_tree(G: Graph, ctx: CheckContext, deadline: float | None):
-    t0 = time.monotonic()
     if not is_tree(G) or G.n <= 2 or not has_perfect_matching(G):
-        return [_rep("nu0-perfect-tree", _gid(G), VACUOUS)]
+        return VACUOUS
     nu0 = restricted_matching_number(G)
     nu = matching_number(G)
-    return [_rep("nu0-perfect-tree", _gid(G), nu0 == nu - 1, {"nu0": nu0, "nu": nu}, t0)]
+    yield "", nu0 == nu - 1, {"nu0": nu0, "nu": nu}
 
 
+@check(
+    "forest-five-way",
+    "theorem",
+    "forest",
+    "for forests (no isolated vertices, not a single edge) the five second-power conditions coincide",
+)
 def _run_forest_five_way(G: Graph, ctx: CheckContext, deadline: float | None):
-    t0 = time.monotonic()
     if not is_forest(G) or not G.edges:
-        return [_rep("forest-five-way", _gid(G), VACUOUS)]
+        return VACUOUS
     if any(G.adjacency[v] == 0 for v in G.vertices):
-        return [_rep("forest-five-way", _gid(G), VACUOUS)]
+        return VACUOUS
     if G.n == 2:
-        return [_rep("forest-five-way", _gid(G), VACUOUS)]
+        return VACUOUS
     I2 = sqfree_power_via_matchings(G, 2)
     search = _search_linear_quotients(I2, ctx.node_budget, deadline)
     if search.status == "inconclusive":
-        return [_rep("forest-five-way", _gid(G), INCONCLUSIVE, {"nodes": search.nodes}, t0)]
+        yield "", INCONCLUSIVE, {"nodes": search.nodes}
+        return
     conditions = {
         "linear_quotients": search.found,
         "linear_resolution": has_linear_resolution(I2, ctx.characteristic, deadline=deadline),
@@ -759,39 +827,21 @@ def _run_forest_five_way(G: Graph, ctx: CheckContext, deadline: float | None):
         "template_match": classify_forest(G).matched,
     }
     values = set(conditions.values())
-    return [_rep("forest-five-way", _gid(G), len(values) == 1, {"conditions": conditions}, t0)]
+    yield "", len(values) == 1, {"conditions": conditions}
 
 
 # ---------------------------------------------------------------------------
 # ideal-collection and builtin runners
 
-def _run_ratliff_random(ctx: CheckContext, deadline: float | None):
-    out = []
-    ideals = random_squarefree_ideals(
-        ctx.random_ideal_count, max_n=8, max_gens=8, seed=ctx.seed
-    )
-    for idx, I in enumerate(ideals):
-        t0 = time.monotonic()
-        bad = [k for k in (2, 3) if ratliff_check(I, k, 1) is False]
-        out.append(
-            _rep(
-                "ratliff-random",
-                f"seed={ctx.seed};index={idx};{_iid(I)}",
-                not bad,
-                {"failing_k": bad},
-                t0,
-            )
-        )
-    return out
-
-
+@check(
+    "ratliff-powers-exploration",
+    "exploration",
+    "ideals",
+    "records I^[k] : I^[l] != I^[k] findings for l >= 2 on random ideals",
+)
 def _run_ratliff_powers_exploration(ctx: CheckContext, deadline: float | None):
-    from .ideals import sqfree_power
-
-    out = []
     ideals = random_squarefree_ideals(100, max_n=8, max_gens=6, seed=ctx.seed)
     for idx, I in enumerate(ideals):
-        t0 = time.monotonic()
         findings = []
         for k in range(3, 5):
             if sqfree_power(I, k).is_zero:
@@ -800,23 +850,22 @@ def _run_ratliff_powers_exploration(ctx: CheckContext, deadline: float | None):
                 verdict = ratliff_check(I, k, l)
                 if verdict is False:
                     findings.append([k, l])
-        out.append(
-            _rep(
-                "ratliff-powers-exploration",
-                f"seed={ctx.seed};index={idx};{_iid(I)}",
-                not findings,
-                {"colon_not_equal": findings},
-                t0,
-            )
+        yield (
+            f"seed={ctx.seed};index={idx};{_iid(I)}",
+            not findings,
+            {"colon_not_equal": findings},
         )
-    return out
 
 
+@check(
+    "disjoint-regularity",
+    "theorem",
+    "ideals",
+    "reg(I + J) = reg(I) + reg(J) - 1 for ideals in disjoint variables",
+)
 def _run_disjoint_regularity(ctx: CheckContext, deadline: float | None):
     rng = random.Random(ctx.seed ^ 0xD15701)
-    out = []
     for idx in range(50):
-        t0 = time.monotonic()
         a = rng.randint(2, 4)
         b = rng.randint(2, 4)
         I = _random_nonzero_ideal(rng, a)
@@ -830,16 +879,11 @@ def _run_disjoint_regularity(ctx: CheckContext, deadline: float | None):
             + regularity(J, ctx.characteristic, deadline)
             - 1
         )
-        out.append(
-            _rep(
-                "disjoint-regularity",
-                f"seed={ctx.seed};index={idx};{_iid(lifted_I)};{_iid(shifted)}",
-                lhs == rhs,
-                {"reg_sum": lhs, "expected": rhs},
-                t0,
-            )
+        yield (
+            f"seed={ctx.seed};index={idx};{_iid(lifted_I)};{_iid(shifted)}",
+            lhs == rhs,
+            {"reg_sum": lhs, "expected": rhs},
         )
-    return out
 
 
 def _random_nonzero_ideal(rng: random.Random, n: int) -> MonomialIdeal:
@@ -853,11 +897,15 @@ def _random_nonzero_ideal(rng: random.Random, n: int) -> MonomialIdeal:
             return I
 
 
+@check(
+    "colon-reg-bound",
+    "theorem",
+    "ideals",
+    "reg(I) <= max(reg(I : u) + deg(u), reg(I + (u)))",
+)
 def _run_colon_reg_bound(ctx: CheckContext, deadline: float | None):
     rng = random.Random(ctx.seed ^ 0xC0107)
-    out = []
     for idx in range(100):
-        t0 = time.monotonic()
         n = rng.randint(2, 6)
         I = _random_nonzero_ideal(rng, n)
         u = monomial(rng.sample(range(1, n + 1), rng.randint(1, n)))
@@ -868,24 +916,23 @@ def _run_colon_reg_bound(ctx: CheckContext, deadline: float | None):
             regularity(colon, ctx.characteristic, deadline) + monomial_degree(u),
             regularity(with_u, ctx.characteristic, deadline),
         )
-        out.append(
-            _rep(
-                "colon-reg-bound",
-                f"seed={ctx.seed};index={idx};{_iid(I)};u={'.'.join(map(str, monomial_vars(u)))}",
-                lhs <= bound,
-                {"reg": lhs, "bound": bound},
-                t0,
-            )
+        yield (
+            f"seed={ctx.seed};index={idx};{_iid(I)};u={'.'.join(map(str, monomial_vars(u)))}",
+            lhs <= bound,
+            {"reg": lhs, "bound": bound},
         )
-    return out
 
 
+@check(
+    "veronese-doubling",
+    "theorem",
+    "builtin",
+    "powers of r disjoint edges double the degrees of squarefree Veronese tables",
+)
 def _run_veronese_doubling(ctx: CheckContext, deadline: float | None):
-    out = []
-    for r in range(1, ctx.veronese_max_r + 1):
+    for r in range(1, VERONESE_MAX_R + 1):
         G = disjoint_edges_graph(r)
         for k in range(1, r + 1):
-            t0 = time.monotonic()
             I = sqfree_power_via_matchings(G, k)
             J = MonomialIdeal.from_supports(
                 r, itertools.combinations(range(1, r + 1), k)
@@ -895,22 +942,20 @@ def _run_veronese_doubling(ctx: CheckContext, deadline: float | None):
             doubled = {(i, 2 * j): v for (i, j), v in TJ.items()}
             corner = TI.get((r - k, 2 * r), 0)
             ok = doubled == TI and corner != 0
-            out.append(
-                _rep(
-                    "veronese-doubling",
-                    f"builtin:disjoint-edges;r={r};k={k}",
-                    ok,
-                    {"doubled": sorted(map(list, doubled.items())), "table": sorted(map(list, TI.items())), "corner": corner},
-                    t0,
-                )
-            )
-    return out
+            yield f"builtin:disjoint-edges;r={r};k={k}", ok, {
+                "doubled": sorted(map(list, doubled.items())),
+                "table": sorted(map(list, TI.items())),
+                "corner": corner,
+            }
 
 
+@check(
+    "figure-diagrams",
+    "theorem",
+    "builtin",
+    "the three pinned Betti diagrams and associated facts reproduce exactly",
+)
 def _run_figure_diagrams(ctx: CheckContext, deadline: float | None):
-    from .graphs import cycle_graph
-
-    out = []
     expectations: list[tuple[str, Graph, int, dict[tuple[int, int], int]]] = [
         (
             "fig1",
@@ -932,20 +977,12 @@ def _run_figure_diagrams(ctx: CheckContext, deadline: float | None):
         ),
     ]
     for name, G, k, expected in expectations:
-        t0 = time.monotonic()
         graded = multigraded_betti(
             sqfree_power_via_matchings(G, k), ctx.characteristic, deadline=deadline
         ).graded()
-        out.append(
-            _rep(
-                "figure-diagrams",
-                f"builtin:{name};k={k}",
-                graded == expected,
-                {"graded": sorted(map(list, graded.items()))},
-                t0,
-            )
-        )
-    t0 = time.monotonic()
+        yield f"builtin:{name};k={k}", graded == expected, {
+            "graded": sorted(map(list, graded.items()))
+        }
     c7 = cycle_graph(7)
     I2 = sqfree_power_via_matchings(c7, 2)
     facts = {
@@ -953,371 +990,83 @@ def _run_figure_diagrams(ctx: CheckContext, deadline: float | None):
         "linearly_related": is_linearly_related_homological(I2, ctx.characteristic),
         "linear_resolution": not has_linear_resolution(I2, ctx.characteristic),
     }
-    out.append(
-        _rep("figure-diagrams", "builtin:c7;invariants", all(facts.values()), {"facts": facts}, t0)
-    )
-    return out
+    yield "builtin:c7;invariants", all(facts.values()), {"facts": facts}
 
 
+@check(
+    "lambda-counterexamples",
+    "theorem",
+    "builtin",
+    "both bundled counterexample graphs have lambda = 4 > nu0 = 3",
+)
 def _run_lambda_counterexamples(ctx: CheckContext, deadline: float | None):
-    out = []
     for name in ("fig1", "fig2"):
-        t0 = time.monotonic()
         G = builtin_graph(name)
         lam = lambda_number(G)
         nu0 = restricted_matching_number(G)
         ok = lam == 4 and nu0 == 3 and lam > nu0
-        out.append(
-            _rep(
-                "lambda-counterexamples",
-                f"builtin:{name}",
-                ok,
-                {"lambda": lam, "nu0": nu0},
-                t0,
-            )
-        )
-    return out
+        yield f"builtin:{name}", ok, {"lambda": lam, "nu0": nu0}
 
 
+@check(
+    "matching-chain-random",
+    "theorem",
+    "builtin",
+    "nu1 <= nu0 <= nu on seeded random graphs up to 12 vertices",
+)
 def _run_matching_chain_random(ctx: CheckContext, deadline: float | None):
-    t0 = time.monotonic()
     bad = []
-    for G in random_graphs(ctx.random_graph_count, ctx.random_graph_max_n, ctx.seed):
+    for G in random_graphs(ctx.random_graph_count, RANDOM_GRAPH_MAX_N, ctx.seed):
         nu1 = induced_matching_number(G)
         nu0 = restricted_matching_number(G)
         nu = matching_number(G)
         if not nu1 <= nu0 <= nu:
             bad.append(to_graph6(G))
-    return [
-        _rep(
-            "matching-chain-random",
-            f"random;seed={ctx.seed};count={ctx.random_graph_count};max_n={ctx.random_graph_max_n}",
-            not bad,
-            {"violations": bad},
-            t0,
-        )
-    ]
+    yield (
+        f"random;seed={ctx.seed};count={ctx.random_graph_count};max_n={RANDOM_GRAPH_MAX_N}",
+        not bad,
+        {"violations": bad},
+    )
 
 
 # ---------------------------------------------------------------------------
-# registry
+# execution
 
-def _check(name, kind, scope, statement, runner) -> Check:
-    return Check(name=name, kind=kind, scope=scope, statement=statement, runner=runner)
-
-
-CHECKS: dict[str, Check] = {
-    c.name: c
-    for c in [
-        _check(
-            "lower-bound",
-            "theorem",
-            "graph",
-            "reg(I(G)^[k]) >= k + nu1(G) for 1 <= k <= nu1(G)",
-            _run_lower_bound,
-        ),
-        _check(
-            "upper-bound-k2",
-            "theorem",
-            "graph",
-            "reg(I(G)^[2]) <= 2 + nu(G) when nu(G) >= 2",
-            _run_upper_bound_k2,
-        ),
-        _check(
-            "upper-question",
-            "exploration",
-            "graph",
-            "searched bound reg(I(G)^[k]) <= k + nu(G) for k <= nu(G); never asserted",
-            _run_upper_question,
-        ),
-        _check(
-            "linrel-monotone",
-            "theorem",
-            "graph",
-            "once I(G)^[k] is linearly related, so is I(G)^[k+1] (k < nu)",
-            _run_linrel_monotone,
-        ),
-        _check(
-            "nu0-lambda",
-            "theorem",
-            "graph",
-            "the least k with all powers j >= k linearly related is >= nu0(G)",
-            _run_nu0_lambda,
-        ),
-        _check(
-            "nu0-le-2-linrel",
-            "theorem",
-            "graph",
-            "nu0(G) <= 2 implies I(G)^[k] linearly related for all 2 <= k <= nu(G)",
-            _run_nu0_le_2_linrel,
-        ),
-        _check(
-            "ratliff-surprised",
-            "theorem",
-            "graph",
-            "I^[k] : I = I^[k] for every nonzero edge ideal and k >= 2",
-            _run_ratliff_surprised,
-        ),
-        _check(
-            "ratliff-easy",
-            "theorem",
-            "graph",
-            "I(G)^[k] : I(G)^[2] = I(G)^[k] for 2 < k <= nu(G), no isolated vertices",
-            _run_ratliff_easy,
-        ),
-        _check(
-            "ratliff-equimatchable",
-            "theorem",
-            "graph",
-            "equimatchable G: I(G)^[k] : I(G)^[l] = I(G)^[k] for 1 <= l < k <= nu(G)",
-            _run_ratliff_equimatchable,
-        ),
-        _check(
-            "ratliff-random",
-            "theorem",
-            "ideals",
-            "I^[k] : I = I^[k] for random squarefree ideals, k in {2, 3}",
-            _run_ratliff_random,
-        ),
-        _check(
-            "generator-unimodality",
-            "theorem",
-            "graph",
-            "generator counts of I(G)^[k], k = 1..nu(G), rise then fall",
-            _run_generator_unimodality,
-        ),
-        _check(
-            "first-syzygy-degree-bound",
-            "theorem",
-            "graph",
-            "b_{1,m}(I(G)^[k]) = 0 for deg(m) >= 3k + 1, k >= 2",
-            _run_first_syzygy_degree_bound,
-        ),
-        _check(
-            "restriction-table",
-            "theorem",
-            "graph",
-            "Betti table of the restriction I^{<= m} equals the sub-table at divisors of m",
-            _run_restriction_table,
-        ),
-        _check(
-            "betti-induced-monotone",
-            "theorem",
-            "graph",
-            "b_{i,a}(I(G_W)^[k]) <= b_{i,a}(I(G)^[k]) for induced subgraphs G_W",
-            _run_betti_induced_monotone,
-        ),
-        _check(
-            "froberg",
-            "theorem",
-            "graph",
-            "I(G) has a linear resolution iff the complement of G is chordal",
-            _run_froberg,
-        ),
-        _check(
-            "linrel-oracle-agreement",
-            "theorem",
-            "graph",
-            "combinatorial and homological linear-relatedness verdicts agree",
-            _run_linrel_oracle_agreement,
-        ),
-        _check(
-            "top-power-linear-quotients",
-            "theorem",
-            "graph",
-            "the top squarefree power I(G)^[nu] has linear quotients",
-            _run_top_power_linear_quotients,
-        ),
-        _check(
-            "matching-chain",
-            "theorem",
-            "graph",
-            "nu1(G) <= nu0(G) <= nu(G)",
-            _run_matching_chain,
-        ),
-        _check(
-            "power-matching-agreement",
-            "theorem",
-            "graph",
-            "k-matching supports and ideal-side products generate the same power",
-            _run_power_matching_agreement,
-        ),
-        _check(
-            "colon-formula",
-            "theorem",
-            "graph",
-            "I(G)^[2] : x_a x_b equals the edge ideal of the derived graph",
-            _run_colon_formula,
-        ),
-        _check(
-            "colon-regularity",
-            "theorem",
-            "graph",
-            "reg(I(G)^[2] : x_a x_b) <= nu(G) for every edge ab",
-            _run_colon_regularity,
-        ),
-        _check(
-            "l-ideal-shape",
-            "theorem",
-            "graph",
-            "under the degree hypothesis the edge intersection ideal is generated in degree 2k+1 with the predicted shape",
-            _run_l_ideal_shape,
-        ),
-        _check(
-            "taylor-witness",
-            "theorem",
-            "graph",
-            "witnessed pairs at m force b_{1,m} = 0",
-            _run_taylor_witness,
-        ),
-        _check(
-            "equimatchable-extension",
-            "theorem",
-            "graph",
-            "greedy extension raises the induced matching number stepwise to nu(G)",
-            _run_equimatchable_extension,
-        ),
-        _check(
-            "generated-by-variables",
-            "theorem",
-            "graph",
-            "(I^[2], e_1..e_{i-1}) : e_i = (I^[2] : e_i) + an ideal of variables",
-            _run_generated_by_variables,
-        ),
-        _check(
-            "chordal-oracle",
-            "theorem",
-            "graph",
-            "MCS chordality agrees with brute-force chordless cycle search",
-            _run_chordal_oracle,
-        ),
-        _check(
-            "five-way-nonforest",
-            "exploration",
-            "graph",
-            "records the truth pattern of the four ideal conditions on non-forests",
-            _run_five_way_nonforest,
-        ),
-        _check(
-            "char2-cross-check",
-            "exploration",
-            "graph",
-            "graded Betti tables over GF(2) compared against the default characteristic",
-            _run_char2_cross_check,
-        ),
-        _check(
-            "tree-criterion-agreement",
-            "theorem",
-            "tree",
-            "vertex-deletion criterion matches brute-force perfect matching on trees",
-            _run_tree_criterion_agreement,
-        ),
-        _check(
-            "tree-perfect-linres",
-            "theorem",
-            "tree",
-            "trees with a perfect matching: I^[nu0] has a linear resolution",
-            _run_tree_perfect_linres,
-        ),
-        _check(
-            "nu0-perfect-tree",
-            "theorem",
-            "tree",
-            "trees with a perfect matching and n > 2 have nu0 = nu - 1",
-            _run_nu0_perfect_tree,
-        ),
-        _check(
-            "forest-five-way",
-            "theorem",
-            "forest",
-            "for forests (no isolated vertices, not a single edge) the five second-power conditions coincide",
-            _run_forest_five_way,
-        ),
-        _check(
-            "ratliff-powers-exploration",
-            "exploration",
-            "ideals",
-            "records I^[k] : I^[l] != I^[k] findings for l >= 2 on random ideals",
-            _run_ratliff_powers_exploration,
-        ),
-        _check(
-            "disjoint-regularity",
-            "theorem",
-            "ideals",
-            "reg(I + J) = reg(I) + reg(J) - 1 for ideals in disjoint variables",
-            _run_disjoint_regularity,
-        ),
-        _check(
-            "colon-reg-bound",
-            "theorem",
-            "ideals",
-            "reg(I) <= max(reg(I : u) + deg(u), reg(I + (u)))",
-            _run_colon_reg_bound,
-        ),
-        _check(
-            "veronese-doubling",
-            "theorem",
-            "builtin",
-            "powers of r disjoint edges double the degrees of squarefree Veronese tables",
-            _run_veronese_doubling,
-        ),
-        _check(
-            "figure-diagrams",
-            "theorem",
-            "builtin",
-            "the three pinned Betti diagrams and associated facts reproduce exactly",
-            _run_figure_diagrams,
-        ),
-        _check(
-            "lambda-counterexamples",
-            "theorem",
-            "builtin",
-            "both bundled counterexample graphs have lambda = 4 > nu0 = 3",
-            _run_lambda_counterexamples,
-        ),
-        _check(
-            "matching-chain-random",
-            "theorem",
-            "builtin",
-            "nu1 <= nu0 <= nu on seeded random graphs up to 12 vertices",
-            _run_matching_chain_random,
-        ),
-    ]
-}
-
-GRAPH_SCOPES = {"graph", "tree", "forest"}
-
-
-def ratliff_suite(
-    G: Graph, mode: str, ctx: CheckContext | None = None
-) -> list[CheckReport]:
-    """Run one of the colon-identity checks on a single graph."""
-    ctx = ctx or CheckContext()
-    names = {
-        "surprised": "ratliff-surprised",
-        "easy": "ratliff-easy",
-        "equimatchable": "ratliff-equimatchable",
-    }
-    if mode not in names:
-        raise ValueError(f"unknown mode {mode!r}; choose from {sorted(names)}")
-    return run_check_on_instance(names[mode], G, ctx)
+def _verdicts(items: Iterable) -> Iterator[tuple[str, bool | str, dict | None]]:
+    """A runner's items, or one vacuous item when the runner returns VACUOUS."""
+    if (yield from items) == VACUOUS:
+        yield "", VACUOUS, None
 
 
 def run_check_on_instance(
     name: str, instance: Graph | None, ctx: CheckContext
 ) -> list[CheckReport]:
-    """Run one check on one instance, converting crashes into reports."""
+    """Run one check on one instance and turn its runner's items into reports.
+
+    The time budget is checked before the runner starts and before each
+    report.  An exhausted budget or a crash replaces the instance's reports by
+    one inconclusive or failing report.
+    """
     check = CHECKS[name]
     deadline = (
         time.monotonic() + ctx.time_budget_s if ctx.time_budget_s is not None else None
     )
     label = _gid(instance) if instance is not None else f"collection:seed={ctx.seed}"
-    t0 = time.monotonic()
+    t0 = start = time.monotonic()
+    reports = []
     try:
+        _check_deadline(deadline)
         if check.scope in GRAPH_SCOPES:
             assert instance is not None
-            return check.runner(instance, ctx, deadline)
-        return check.runner(ctx, deadline)
+            prefix, items = label, check.runner(instance, ctx, deadline)
+        else:
+            prefix, items = "", check.runner(ctx, deadline)
+        for suffix, verdict, witness in _verdicts(items):
+            _check_deadline(deadline)
+            if isinstance(verdict, bool):
+                verdict, witness = (PASS, None) if verdict else (FAIL, witness)
+            reports.append(CheckReport(name, prefix + suffix, verdict, witness, _ms(start)))
+            start = time.monotonic()
     except BudgetExceeded as exc:
         return [CheckReport(name, label, INCONCLUSIVE, {"reason": str(exc)}, _ms(t0))]
     except Exception as exc:  # implementation bug signal, surfaced as failure
@@ -1330,6 +1079,7 @@ def run_check_on_instance(
                 _ms(t0),
             )
         ]
+    return reports
 
 
 def _tasks_for(

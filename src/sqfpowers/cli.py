@@ -136,6 +136,13 @@ def _power_ideal(args: argparse.Namespace) -> tuple[Graph, MonomialIdeal]:
     return G, sqfree_power_via_matchings(G, args.k)
 
 
+def _time_budget(args: argparse.Namespace) -> float | None:
+    """The --time-budget in seconds; 0 is a budget that is already spent."""
+    if args.time_budget is not None and not args.time_budget >= 0:
+        raise InputError(f"--time-budget must be >= 0 seconds, got {args.time_budget}")
+    return args.time_budget
+
+
 def _ideal_for_algebra(args: argparse.Namespace) -> tuple[Graph | None, MonomialIdeal]:
     """Shared input handling for betti/linrel/linquot: a graph power or an ideal file."""
     if args.ideal is not None:
@@ -264,7 +271,8 @@ def cmd_linrel(args: argparse.Namespace) -> int:
 
 def cmd_linquot(args: argparse.Namespace) -> int:
     _, I = _ideal_for_algebra(args)
-    deadline = time.monotonic() + args.time_budget if args.time_budget else None
+    budget = _time_budget(args)
+    deadline = time.monotonic() + budget if budget is not None else None
     result = linear_quotients_order(I, args.node_budget, deadline=deadline)
     payload = {
         "command": "linquot",
@@ -442,7 +450,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         characteristic=args.char,
         seed=args.seed,
         node_budget=args.node_budget,
-        time_budget_s=args.time_budget,
+        time_budget_s=_time_budget(args),
         random_ideal_count=args.random_ideals,
         random_graph_count=args.random_graphs,
     )

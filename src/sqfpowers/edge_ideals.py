@@ -25,10 +25,6 @@ from .ideals import MonomialIdeal, intersect, minimalize, monomial
 from .matchings import edge_mask, enumerate_matchings, matching_number
 
 
-def edge_monomial(e: Edge) -> int:
-    return edge_mask(e)
-
-
 def edge_ideal(G: Graph) -> MonomialIdeal:
     return MonomialIdeal.from_supports(G.n, G.edge_list)
 

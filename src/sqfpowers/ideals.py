@@ -10,7 +10,7 @@ the mask 0 (the monomial 1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .graphs import MAX_VERTICES
 
@@ -39,15 +39,6 @@ def monomial_degree(mask: int) -> int:
 
 def monomial_divides(u: int, v: int) -> bool:
     return u & ~v == 0
-
-
-def monomial_lcm(u: int, v: int) -> int:
-    return u | v
-
-
-def monomial_colon(u: int, v: int) -> int:
-    """The squarefree monomial u : v = u / gcd(u, v)."""
-    return u & ~v
 
 
 def monomial_str(mask: int) -> str:
@@ -162,8 +153,8 @@ def sqfree_power(I: MonomialIdeal, k: int) -> MonomialIdeal:
 
 
 def colon_by_monomial(I: MonomialIdeal, v: int) -> MonomialIdeal:
-    """The colon ideal I : v for a squarefree monomial v."""
-    return minimalize(I.n, (monomial_colon(g, v) for g in I.gens))
+    """The colon ideal I : v for a squarefree monomial v; g : v = g / gcd(g, v)."""
+    return minimalize(I.n, (g & ~v for g in I.gens))
 
 
 def intersect(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
@@ -206,11 +197,6 @@ def ratliff_check(I: MonomialIdeal, k: int, l: int) -> bool | None:
         return None
     Ik = sqfree_power(I, k)
     return colon_ideal(Ik, Il) == Ik
-
-
-def all_squarefree_monomials(n: int) -> Iterator[int]:
-    """Every squarefree monomial mask over n variables, including 1."""
-    yield from range(1 << n)
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,6 @@ from sqfpowers.ideals import (
     MonomialIdeal,
     monomial,
     monomial_degree,
-    monomial_lcm,
     monomial_vars,
     sqfree_power,
 )

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from sqfpowers import betti
+from sqfpowers import betti, checks
 from sqfpowers.betti import BudgetExceeded
 from sqfpowers.checks import (
     CHECKS,
@@ -16,7 +16,6 @@ from sqfpowers.checks import (
     Check,
     CheckContext,
     CheckReport,
-    ratliff_suite,
     run_check_on_instance,
     run_checks,
     summarize,
@@ -152,17 +151,7 @@ def test_zero_time_budget_is_inconclusive_not_failing():
     assert theorem_failures(reports) == []
 
 
-@pytest.mark.parametrize(
-    "name",
-    [
-        "colon-regularity",
-        "first-syzygy-degree-bound",
-        "disjoint-regularity",
-        "colon-reg-bound",
-        "taylor-witness",
-        "top-power-linear-quotients",
-    ],
-)
+@pytest.mark.parametrize("name", sorted(CHECKS))
 def test_regularity_runners_honour_the_time_budget(name):
     ctx = CheckContext(time_budget_s=-1.0)
     instance = cycle_graph(7) if CHECKS[name].scope in GRAPH_SCOPES else None
@@ -197,6 +186,35 @@ def test_theorem_checks_search_without_the_certificate(monkeypatch):
     assert "certificate consulted" in reports[0].witness["error"]
 
 
+def test_five_way_nonforest_pass_keeps_its_pattern():
+    # the one check whose passing report carries a witness
+    reports = run_check_on_instance("five-way-nonforest", cycle_graph(5), CheckContext())
+    pattern = {
+        "linear_quotients": True,
+        "linear_resolution": True,
+        "linearly_related": True,
+        "nu0_le_2": True,
+    }
+    assert [(r.instance, r.outcome, r.witness) for r in reports] == [
+        ("g6:Dhc", PASS, {"pattern": pattern})
+    ]
+
+
+def test_vacuous_and_passing_reports_carry_no_witness():
+    ctx = CheckContext(random_ideal_count=20, random_graph_count=20)
+    reports = run_checks(None, resolve_family("exhaustive-4"), ctx)
+    assert {r.outcome for r in reports} == {PASS, VACUOUS}
+    assert {r.check for r in reports if r.witness is not None} == {"five-way-nonforest"}
+
+
+def test_failing_verdict_keeps_its_witness(monkeypatch):
+    monkeypatch.setattr(checks, "restricted_matching_number", lambda G: 99)
+    reports = run_check_on_instance("matching-chain", cycle_graph(7), CheckContext())
+    assert [(r.instance, r.outcome, r.witness) for r in reports] == [
+        ("g6:FhCKG", FAIL, {"nu1": 2, "nu0": 99, "nu": 3})
+    ]
+
+
 def test_scope_filtering():
     graphs = [path_graph(4), cycle_graph(4)]  # one tree, one cycle
     tree_reports = run_checks(["tree-criterion-agreement"], graphs)
@@ -220,13 +238,11 @@ def test_summarize_counts():
     }
 
 
-def test_ratliff_suite_modes():
+def test_ratliff_checks_on_c7():
     G = cycle_graph(7)
-    for mode in ("surprised", "easy", "equimatchable"):
-        reports = ratliff_suite(G, mode)
-        assert reports and all(r.outcome in (PASS, VACUOUS) for r in reports)
-    with pytest.raises(ValueError):
-        ratliff_suite(G, "bogus")
+    for name in ("ratliff-surprised", "ratliff-easy", "ratliff-equimatchable"):
+        reports = run_check_on_instance(name, G, CheckContext())
+        assert [(r.instance, r.outcome) for r in reports] == [("g6:FhCKG", PASS)]
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,8 @@ SCHEMA = json.loads(
     resources.files("sqfpowers").joinpath("schemas/output.schema.json").read_text()
 )
 
+GOLDEN = Path(__file__).parent / "golden"
+
 P2 = "g6:A_"
 P4 = "g6:Ch"
 P6 = "g6:EhCG"
@@ -300,6 +302,22 @@ def test_linquot_certified_none():
         assert "reason" not in run_json(["linquot", "c7", "-k", k])
 
 
+def test_zero_time_budget_is_spent():
+    # 0 seconds is a budget that has run out, not the absence of a budget
+    payload = run_json(["linquot", "c7", "-k", "2", "--time-budget", "0"])
+    assert payload["status"] == "inconclusive" and payload["order"] is None
+    payload = run_json(
+        ["verify", "nu0-lambda", "--family", "exhaustive-4", "--time-budget", "0"]
+    )
+    assert payload["summary"] == {"nu0-lambda": {"inconclusive": 18}}
+
+
+@pytest.mark.parametrize("budget", ["-1", "-0.5", "nan"])
+def test_linquot_rejects_a_bad_time_budget(budget):
+    code, out, err = run(["linquot", "c7", "-k", "2", "--time-budget", budget])
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
 # ---------------------------------------------------------------------------
 # lambda
 
@@ -435,6 +453,20 @@ def test_verify_list():
     assert {row["name"] for row in payload["registry"]} == set(CHECKS)
 
 
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (["verify", "--list"], "verify_list.txt"),
+        (["verify", "--list", "--json"], "verify_list.json"),
+    ],
+)
+def test_verify_list_golden(argv, golden):
+    # registry order, kinds, scopes and statements are part of the output
+    code, out, err = run(argv)
+    assert code == 0 and err == ""
+    assert out == (GOLDEN / golden).read_text()
+
+
 def test_verify_text_run():
     code, out, err = run(["verify", "matching-chain", "--family", "exhaustive-4"])
     assert code == 0 and err == ""
@@ -487,6 +519,7 @@ def test_verify_json_and_ndjson_roundtrip(tmp_path):
         ["verify", "matching-chain"],  # no --family
         ["verify", "all", "--family", "bogus-family"],
         ["verify", ",", "--family", "exhaustive-3"],  # empty name list
+        ["verify", "all", "--family", "exhaustive-3", "--time-budget", "-1"],
     ],
 )
 def test_verify_bad_input(argv):

@@ -7,7 +7,6 @@ from sqfpowers.edge_ideals import (
     classify_forest,
     colon_square_by_edge,
     edge_ideal,
-    edge_monomial,
     is_generated_in_degree,
     l_degree_hypothesis,
     l_ideal,
@@ -32,7 +31,7 @@ from sqfpowers.ideals import (
     monomial,
     sqfree_power,
 )
-from sqfpowers.matchings import matching_number, restricted_matching_number
+from sqfpowers.matchings import edge_mask, matching_number, restricted_matching_number
 
 
 # ---------------------------------------------------------------------------
@@ -42,7 +41,7 @@ def test_edge_ideal_generators():
     G = path_graph(3)
     I = edge_ideal(G)
     assert I.gens == (monomial([1, 2]), monomial([2, 3]))
-    assert edge_monomial((2, 1)) == monomial([1, 2])
+    assert edge_mask((2, 1)) == monomial([1, 2])
     assert edge_ideal(Graph.from_edges(3, [])).is_zero
 
 
@@ -86,7 +85,7 @@ def test_colon_square_formula_exhaustively():
             for e in G.edge_list:
                 H = colon_square_by_edge(G, e)
                 lhs = edge_ideal(H)
-                rhs = colon_ideal(I2, MonomialIdeal(G.n, (edge_monomial(e),)))
+                rhs = colon_ideal(I2, MonomialIdeal(G.n, (edge_mask(e),)))
                 assert lhs == rhs, (to_graph6(G), e)
 
 
@@ -95,7 +94,7 @@ def test_colon_regularity_bounded_by_matching_number():
         nu = matching_number(G)
         I2 = sqfree_power_via_matchings(G, 2)
         for e in G.edge_list:
-            Q = colon_ideal(I2, MonomialIdeal(G.n, (edge_monomial(e),)))
+            Q = colon_ideal(I2, MonomialIdeal(G.n, (edge_mask(e),)))
             assert regularity(Q) <= nu, (to_graph6(G), e)
 
 

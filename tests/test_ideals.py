@@ -11,7 +11,6 @@ from sqfpowers.families import all_graphs, random_squarefree_ideals
 from sqfpowers.graphs import to_graph6
 from sqfpowers.ideals import (
     MonomialIdeal,
-    all_squarefree_monomials,
     colon_by_monomial,
     colon_ideal,
     format_ideal,
@@ -19,10 +18,8 @@ from sqfpowers.ideals import (
     intersect,
     minimalize,
     monomial,
-    monomial_colon,
     monomial_degree,
     monomial_divides,
-    monomial_lcm,
     monomial_str,
     monomial_vars,
     parse_ideal,
@@ -50,9 +47,8 @@ def test_monomial_mask_roundtrip():
 
 def test_monomial_arithmetic():
     a, b = monomial([1, 2]), monomial([2, 3])
-    assert monomial_lcm(a, b) == monomial([1, 2, 3])
-    assert monomial_colon(a, b) == monomial([1])
-    assert monomial_colon(b, a) == monomial([3])
+    assert colon_by_monomial(MonomialIdeal(3, (a,)), b).gens == (monomial([1]),)
+    assert colon_by_monomial(MonomialIdeal(3, (b,)), a).gens == (monomial([3]),)
     assert monomial_divides(monomial([2]), a)
     assert not monomial_divides(a, b)
     assert monomial_divides(0, a)
@@ -127,7 +123,7 @@ def test_sqfree_power_matches_membership_oracle():
         for k in range(1, 4):
             P = sqfree_power(I, k)
             want = oracles.brute_sqfree_power_members(I, k)
-            got = {m for m in all_squarefree_monomials(I.n) if P.contains(m)}
+            got = {m for m in range(1 << I.n) if P.contains(m)}
             assert got == want, (I, k)
 
 
@@ -137,7 +133,7 @@ def test_sqfree_power_membership_property(I):
     for k in (2, 3):
         P = sqfree_power(I, k)
         want = oracles.brute_sqfree_power_members(I, k)
-        assert {m for m in all_squarefree_monomials(I.n) if P.contains(m)} == want
+        assert {m for m in range(1 << I.n) if P.contains(m)} == want
 
 
 def test_power_supports_equal_matching_supports_exhaustively():
@@ -163,7 +159,7 @@ def test_power_supports_equal_matching_supports_exhaustively():
 # colon and intersection
 
 def _brute_members(I):
-    return {m for m in all_squarefree_monomials(I.n) if I.contains(m)}
+    return {m for m in range(1 << I.n) if I.contains(m)}
 
 
 def test_colon_intersect_sum_match_brute_membership():
@@ -178,7 +174,7 @@ def test_colon_intersect_sum_match_brute_membership():
             K = colon_ideal(I, J)
             want = {
                 m
-                for m in all_squarefree_monomials(I.n)
+                for m in range(1 << I.n)
                 if all(I.contains(m | g) for g in J.gens)
             }
             assert _brute_members(K) == want
