@@ -8,15 +8,14 @@ the (i-1)-st reduced homology of the complex
 
 Membership in I is read from a table.  For I.n <= TABLE_MAX_VARS one byte per
 squarefree monomial on the n variables (2^n bytes) is set on the generators
-and then closed upwards, one numpy pass per variable; the table is built once
-per ideal and shared by every multidegree.  The faces of K^m are then the
-complements m ^ T of the monomials T in I that divide m.  When deg(m) is
-below NUMPY_WALK_MIN_DEGREE the submasks T are walked in plain Python and
-bucketed by cardinality; from there on one vectorised numpy gather over all
-2^deg(m) submasks is cheaper.  Ideals on more than TABLE_MAX_VARS variables
-build no table: faces are enumerated by cardinality, stopping at the first
-empty level (complexes are closed under subsets), and each candidate is
-tested against the generators that divide m.
+and then closed upwards on one Python integer, one shift-and-or per variable;
+the table is built once per ideal and shared by every multidegree.  The faces
+of K^m are then the complements m ^ T of the monomials T in I that divide m,
+found by one plain-Python walk over the submasks T of m and bucketed by
+cardinality.  Ideals on more than TABLE_MAX_VARS variables build no table:
+faces are enumerated by cardinality, stopping at the first empty level
+(complexes are closed under subsets), and each candidate is tested against
+the generators that divide m.
 
 Boundary ranks are taken over GF(p), p = 32003 by default, by one sparse
 kernel: each face mask becomes a signed column {row: +-1}, and the columns
@@ -40,8 +39,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
-import numpy as np
-
 from .ideals import (
     MonomialIdeal,
     monomial,
@@ -57,7 +54,6 @@ GENERATOR_CAP = 2000
 # this; no rank path depends on it
 SPARSE_COLUMN_THRESHOLD = 5000
 TABLE_MAX_VARS = 24
-NUMPY_WALK_MIN_DEGREE = 10
 MAX_CHARACTERISTIC = 1 << 64
 
 
@@ -142,11 +138,11 @@ def _reduce(columns: Iterable[dict[int, int]], p: int) -> set[int]:
     return set(pivots)
 
 
-def gf_rank(matrix: np.ndarray, p: int) -> int:
-    """Rank of an integer matrix over GF(p)."""
+def gf_rank(matrix: Sequence[Sequence[int]], p: int) -> int:
+    """Rank over GF(p) of a matrix given as a sequence of integer rows."""
     columns = (
-        {r: v % p for r, v in enumerate(column) if v % p}
-        for column in np.asarray(matrix).T.tolist()
+        {r: x for r, v in enumerate(column) if (x := int(v) % p)}
+        for column in zip(*matrix)
     )
     return len(_reduce(columns, p))
 
@@ -168,7 +164,7 @@ def lcm_lattice(gens: Sequence[int]) -> list[int]:
     return sorted(lattice, key=lambda m: (monomial_degree(m), monomial_vars(m)))
 
 
-def _membership_table(I: MonomialIdeal) -> bytearray | None:
+def _membership_table(I: MonomialIdeal) -> bytes | None:
     """Byte u is 1 exactly when the squarefree monomial u lies in I.
 
     None above TABLE_MAX_VARS variables: 2^n bytes (16 MiB at 24) is too
@@ -176,18 +172,22 @@ def _membership_table(I: MonomialIdeal) -> bytearray | None:
     """
     if I.n > TABLE_MAX_VARS:
         return None
-    table = bytearray(1 << I.n)
-    flags = np.frombuffer(table, dtype=np.uint8)
-    flags[list(I.gens)] = 1
+    size = 1 << I.n
+    flags = bytearray(size)
+    for g in I.gens:
+        flags[g] = 1
+    x = int.from_bytes(flags, "little")
     for v in range(I.n):
-        # upward closure along x_{v+1}: u + x_{v+1} is in I when u is
-        pairs = flags.reshape(-1, 2, 1 << v)
-        pairs[:, 1, :] |= pairs[:, 0, :]
-    return table
+        # upward closure along x_{v+1}: u + x_{v+1} is in I when u is; the
+        # mask marks the bytes u whose bit v is 0
+        half = 1 << v
+        mask = (b"\x01" * half + bytes(half)) * (size >> (v + 1))
+        x |= (x & int.from_bytes(mask, "little")) << (8 << v)
+    return x.to_bytes(size, "little")
 
 
-def _walk_levels(table: bytearray, m: int, d: int) -> list[list[int]]:
-    """Faces m ^ T of K^m for the members T of I dividing m, walked in Python."""
+def _walk_levels(table: bytes, m: int, d: int) -> list[list[int]]:
+    """Faces m ^ T of K^m for the members T of I dividing m, by cardinality."""
     levels: list[list[int]] = [[] for _ in range(d + 1)]
     sub = m
     while True:
@@ -201,41 +201,22 @@ def _walk_levels(table: bytearray, m: int, d: int) -> list[list[int]]:
     return levels
 
 
-def _gather_levels(table: bytearray, m: int, d: int) -> list[list[int]]:
-    """The same faces from one numpy gather over all 2^d submasks of m."""
-    subs = np.zeros(1, dtype=np.int64)
-    cards = np.zeros(1, dtype=np.int64)
-    for v in monomial_vars(m):
-        subs = np.concatenate((subs, subs | (1 << (v - 1))))
-        cards = np.concatenate((cards, cards + 1))
-    hit = np.frombuffer(table, dtype=np.uint8)[subs].astype(bool)
-    if not hit.any():
-        return []
-    sizes = d - cards[hit]
-    order = np.argsort(sizes, kind="stable")
-    faces = (m ^ subs[hit])[order]
-    bounds = np.cumsum(np.bincount(sizes))[:-1]
-    return [level.tolist() for level in np.split(faces, bounds)]
-
-
 def _face_levels(
     I: MonomialIdeal,
     m: int,
-    table: bytearray | None = None,
+    table: bytes | None = None,
     max_card: int | None = None,
 ) -> list[list[int]]:
     """Faces of K^m(I) grouped by cardinality.
 
-    With a membership table and no max_card every submask of m is tested
-    at once (see the module docstring).  Otherwise levels are enumerated by
+    With a membership table and no max_card every submask of m is walked
+    (see the module docstring).  Otherwise levels are enumerated by
     cardinality and stop at the first empty one (complexes are closed under
     subsets) or at max_card when given; membership comes from the table, or
     from the generators dividing m when there is none.
     """
     d = m.bit_count()
     if table is not None and max_card is None:
-        if d >= NUMPY_WALK_MIN_DEGREE:
-            return _gather_levels(table, m, d)
         return _walk_levels(table, m, d)
     if table is None:
         divisors = [g for g in I.gens if monomial_divides(g, m)]

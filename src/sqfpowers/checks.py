@@ -1044,8 +1044,9 @@ def run_check_on_instance(
     """Run one check on one instance and turn its runner's items into reports.
 
     The time budget is checked before the runner starts and before each
-    report.  An exhausted budget or a crash replaces the instance's reports by
-    one inconclusive or failing report.
+    report.  An exhausted budget keeps the reports already finished and adds
+    one inconclusive report; a crash replaces the instance's reports by one
+    failing report.
     """
     check = CHECKS[name]
     deadline = (
@@ -1068,7 +1069,9 @@ def run_check_on_instance(
             reports.append(CheckReport(name, prefix + suffix, verdict, witness, _ms(start)))
             start = time.monotonic()
     except BudgetExceeded as exc:
-        return [CheckReport(name, label, INCONCLUSIVE, {"reason": str(exc)}, _ms(t0))]
+        reports.append(
+            CheckReport(name, label, INCONCLUSIVE, {"reason": str(exc)}, _ms(start))
+        )
     except Exception as exc:  # implementation bug signal, surfaced as failure
         return [
             CheckReport(

@@ -21,6 +21,7 @@ from pathlib import Path
 from .betti import (
     DEFAULT_CHARACTERISTIC,
     BettiTable,
+    _check_characteristic,
     betti_diagram_text,
     is_linearly_related_combinatorial,
     is_linearly_related_homological,
@@ -433,6 +434,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
             for c in CHECKS.values():
                 print(f"{c.name:32s} [{c.kind}/{c.scope}] {c.statement}")
         return 0
+    _check_characteristic(args.char)
+    for flag, value, least in (
+        ("--random-ideals", args.random_ideals, 0),
+        ("--random-graphs", args.random_graphs, 0),
+        ("--jobs", args.jobs, 1),
+    ):
+        if value < least:
+            raise InputError(f"{flag} must be >= {least}, got {value}")
     if args.family is None:
         raise InputError("verify needs --family (or --list)")
     if args.checks == "all":

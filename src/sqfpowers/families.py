@@ -1,10 +1,14 @@
 """Instance families for the verification harness.
 
 Exhaustive families enumerate pairwise non-isomorphic graphs (n <= 8, via a
-minimum-over-permutations canonical edge code batched through numpy), trees
-(leaf extension deduplicated by center-rooted canonical forms), and forests
-without isolated vertices (multisets of trees).  Random families draw from a
-recorded 64-bit seed so every run is reproducible.
+minimum-over-permutations canonical edge code), trees (leaf extension
+deduplicated by center-rooted canonical forms), and forests without isolated
+vertices (multisets of trees).  Random families draw from a recorded 64-bit
+seed so every run is reproducible.
+
+The canonical codes are the only numpy user: they batch the permutations
+through numpy, which _perm_powers and all_graphs import when called, so
+loading this module does not load numpy.
 """
 
 from __future__ import annotations
@@ -14,12 +18,13 @@ import itertools
 import random
 import re
 from pathlib import Path
-from typing import Iterator, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .graphs import Graph, disjoint_union, is_tree, parse_graphs
 from .ideals import MonomialIdeal, minimalize, monomial
+
+if TYPE_CHECKING:
+    import numpy as np
 
 GRAPH_ENUM_CAP = 8
 DEFAULT_SEED = 0x5EED5EED5EED5EED
@@ -39,6 +44,8 @@ def _perm_powers(n: int) -> np.ndarray:
     Codes stay below 2^28 for n <= 8, so float64 arithmetic is exact and the
     min-over-permutations reduces to fast BLAS operations.
     """
+    import numpy as np
+
     slots = _edge_slots(n)
     index = {s: i for i, s in enumerate(slots)}
     perms = list(itertools.permutations(range(n)))
@@ -80,6 +87,8 @@ def all_graphs(n: int) -> tuple[Graph, ...]:
         raise ValueError(f"graph enumeration capped at n = {GRAPH_ENUM_CAP}")
     if n == 1:
         return (Graph.from_edges(1, []),)
+    import numpy as np
+
     slots = _edge_slots(n)
     index = {s: i for i, s in enumerate(slots)}
     powers = _perm_powers(n)

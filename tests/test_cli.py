@@ -25,6 +25,7 @@ import jsonschema
 import pytest
 
 import sqfpowers
+from sqfpowers.betti import BudgetExceeded
 from sqfpowers.checks import CHECKS, Check, CheckReport
 from sqfpowers.cli import main
 from sqfpowers.graphs import path_graph, to_graph6
@@ -520,6 +521,12 @@ def test_verify_json_and_ndjson_roundtrip(tmp_path):
         ["verify", "all", "--family", "bogus-family"],
         ["verify", ",", "--family", "exhaustive-3"],  # empty name list
         ["verify", "all", "--family", "exhaustive-3", "--time-budget", "-1"],
+        ["verify", "all", "--family", "exhaustive-3", "--char", "4"],
+        ["verify", "all", "--family", "exhaustive-3", "--char", "1"],
+        ["verify", "ratliff-random", "--family", "exhaustive-3", "--random-ideals", "-5"],
+        ["verify", "all", "--family", "exhaustive-3", "--random-graphs", "-5"],
+        ["verify", "all", "--family", "exhaustive-3", "--jobs", "0"],
+        ["verify", "all", "--family", "exhaustive-3", "--jobs", "-3"],
     ],
 )
 def test_verify_bad_input(argv):
@@ -548,6 +555,23 @@ def test_verify_failing_check_exits_1(monkeypatch):
     assert payload["theorem_failures"] == 3
     assert len(payload["failing"]) == 3
     assert all("synthetic defect" in f["witness"]["error"] for f in payload["failing"])
+
+
+def test_verify_budget_keeps_finished_reports(monkeypatch):
+    def two_then_out(ctx, deadline):
+        yield "first", True, None
+        yield "second", True, None
+        raise BudgetExceeded("time budget exhausted")
+
+    fake = Check("fake-budget", "theorem", "ideals", "runs out", two_then_out)
+    monkeypatch.setitem(CHECKS, "fake-budget", fake)
+
+    code, out, _ = run(["verify", "fake-budget", "--family", "exhaustive-2", "--json"])
+    assert code == 0
+    payload = json.loads(out)
+    jsonschema.validate(payload, SCHEMA)
+    assert payload["summary"] == {"fake-budget": {"pass": 2, "inconclusive": 1}}
+    assert payload["total_reports"] == 3
 
 
 def test_verify_all_small_exhaustive_passes():
@@ -612,11 +636,16 @@ def _run_entry_point(
     ahead of that on ``sys.path``, should hold no copy of its own.
     """
     wrapper = f"import sys; from {ep.module} import {ep.attr}; sys.exit({ep.attr}())"
+    return _run_fresh(["-c", wrapper, *argv], cwd)
+
+
+def _run_fresh(args: list[str], cwd: Path) -> subprocess.CompletedProcess:
+    """Run ``python ARGS`` in a fresh interpreter on the package under test."""
     src_root = str(Path(sqfpowers.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_root, env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-c", wrapper, *argv],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         timeout=120,
@@ -634,6 +663,15 @@ def test_console_script(tmp_path):
     proc = _run_entry_point(ep, ["invariants", "nosuchgraph"], tmp_path)
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == "" and proc.stderr.startswith("error:")
+
+
+def test_import_does_not_load_numpy(tmp_path):
+    # numpy is only for the canonical codes of the exhaustive families
+    for module in ("sqfpowers", "sqfpowers.cli"):
+        probe = f"import sys, {module}; print('numpy' in sys.modules)"
+        proc = _run_fresh(["-c", probe], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n", module
 
 
 @pytest.mark.skipif(
