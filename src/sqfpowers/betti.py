@@ -47,6 +47,7 @@ from .ideals import (
     monomial_str,
     monomial_vars,
 )
+from .memo import RequestMemo
 
 DEFAULT_CHARACTERISTIC = 32003
 GENERATOR_CAP = 2000
@@ -341,18 +342,35 @@ class BettiTable:
         )
 
 
+TABLES = RequestMemo()
+
+
 def multigraded_betti(
     I: MonomialIdeal,
     characteristic: int = DEFAULT_CHARACTERISTIC,
     generator_cap: int = GENERATOR_CAP,
     deadline: float | None = None,
 ) -> BettiTable:
-    """Full multigraded Betti table of a nonzero squarefree monomial ideal."""
+    """Full multigraded Betti table of a nonzero squarefree monomial ideal.
+
+    While a request holds ``TABLES`` open (see ``memo``), each (n, gens,
+    characteristic) is computed once and the same table is returned to every
+    caller, who must not change its entries.
+    """
     if I.is_zero:
         raise ValueError("the zero ideal has no Betti table")
-    _check_characteristic(characteristic)
     if len(I.gens) > generator_cap:
         raise ValueError(f"{len(I.gens)} generators exceed the cap {generator_cap}")
+    return TABLES.get(
+        (I.n, I.gens, characteristic),
+        lambda: _betti_table(I, characteristic, deadline),
+    )
+
+
+def _betti_table(
+    I: MonomialIdeal, characteristic: int, deadline: float | None
+) -> BettiTable:
+    _check_characteristic(characteristic)
     entries: dict[tuple[int, int], int] = {}
     table = _membership_table(I)
     for m in lcm_lattice(I.gens):

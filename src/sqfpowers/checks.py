@@ -20,6 +20,15 @@ before the runner starts and before every report, and the conversion of an
 exhausted budget into one inconclusive report and of a crash into one failing
 report.
 
+``run_checks`` makes one task of each collection check, then one of each
+graph with every check in scope of it, and runs them in a serial loop or a
+process pool.  Each process that runs tasks memoises the request's Betti
+tables and squarefree powers via matchings (see ``memo``), so a table or
+power shared by the checks of a graph, or by induced subgraphs that recur
+across graphs, is computed once per process.  The ideal-side
+``sqfree_power`` that ``power-matching-agreement`` compares against is not
+memoised.
+
 Reports serialize to ND-JSON lines {check, instance, outcome, witness?,
 millis} and instances are named re-runnably (graph6 strings, seeds).
 """
@@ -36,6 +45,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .betti import (
     DEFAULT_CHARACTERISTIC,
+    TABLES,
     BudgetExceeded,
     _check_deadline,
     _search_linear_quotients,
@@ -50,6 +60,7 @@ from .betti import (
     regularity,
 )
 from .edge_ideals import (
+    POWERS,
     classify_forest,
     colon_square_by_edge,
     edge_ideal,
@@ -102,6 +113,7 @@ from .matchings import (
     restricted_matching_number,
     tree_perfect_matching_criterion,
 )
+from .memo import opened
 
 PASS = "pass"
 FAIL = "fail"
@@ -1087,24 +1099,39 @@ def run_check_on_instance(
 
 def _tasks_for(
     names: Sequence[str], graphs: Sequence[Graph]
-) -> list[tuple[str, Graph | None]]:
-    tasks: list[tuple[str, Graph | None]] = []
-    for name in names:
-        check = CHECKS[name]
-        if check.scope == "graph":
-            tasks.extend((name, G) for G in graphs)
-        elif check.scope == "tree":
-            tasks.extend((name, G) for G in graphs if is_tree(G))
-        elif check.scope == "forest":
-            tasks.extend((name, G) for G in graphs if is_forest(G))
-        else:
-            tasks.append((name, None))
+) -> list[tuple[tuple[str, ...], Graph | None]]:
+    """Each collection check alone, then each graph with every check it is in scope of."""
+    tasks: list[tuple[tuple[str, ...], Graph | None]] = [
+        ((name,), None) for name in names if CHECKS[name].scope not in GRAPH_SCOPES
+    ]
+    graph_names = [name for name in names if CHECKS[name].scope in GRAPH_SCOPES]
+    for G in graphs:
+        in_scope = {"graph": True, "tree": is_tree(G), "forest": is_forest(G)}
+        own = tuple(name for name in graph_names if in_scope[CHECKS[name].scope])
+        if own:
+            tasks.append((own, G))
     return tasks
 
 
-def _worker(args: tuple[str, Graph | None, CheckContext]) -> list[CheckReport]:
-    name, instance, ctx = args
-    return run_check_on_instance(name, instance, ctx)
+def _run_task(
+    names: tuple[str, ...], instance: Graph | None, ctx: CheckContext
+) -> list[CheckReport]:
+    return [r for name in names for r in run_check_on_instance(name, instance, ctx)]
+
+
+def _worker(
+    args: tuple[tuple[str, ...], Graph | None, CheckContext]
+) -> list[CheckReport]:
+    return _run_task(*args)
+
+
+_MEMOS = (TABLES, POWERS)
+
+
+def _open_memos() -> None:
+    """Open the request's memos; the initializer of every pool worker."""
+    for memo in _MEMOS:
+        memo.open()
 
 
 def run_checks(
@@ -1115,8 +1142,10 @@ def run_checks(
 ) -> list[CheckReport]:
     """Run checks over a graph family; names=None runs the whole registry.
 
-    Reports come back sorted by (check, instance) so results are independent
-    of worker scheduling.
+    One task is a collection check, or one graph with all its checks; the
+    Betti tables and powers of the request are memoised in the process that
+    runs its tasks.  Reports come back sorted by (check, instance) so results
+    are independent of worker scheduling.
     """
     ctx = ctx or CheckContext()
     if names is None:
@@ -1127,14 +1156,13 @@ def run_checks(
     tasks = _tasks_for(names, graphs)
     reports: list[CheckReport] = []
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for batch in pool.map(
-                _worker, [(n, g, ctx) for n, g in tasks], chunksize=8
-            ):
+        with ProcessPoolExecutor(max_workers=jobs, initializer=_open_memos) as pool:
+            for batch in pool.map(_worker, [(n, g, ctx) for n, g in tasks]):
                 reports.extend(batch)
     else:
-        for name, instance in tasks:
-            reports.extend(run_check_on_instance(name, instance, ctx))
+        with opened(*_MEMOS):
+            for task_names, instance in tasks:
+                reports.extend(_run_task(task_names, instance, ctx))
     reports.sort(key=lambda r: (r.check, r.instance))
     return reports
 

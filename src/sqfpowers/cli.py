@@ -137,6 +137,12 @@ def _power_ideal(args: argparse.Namespace) -> tuple[Graph, MonomialIdeal]:
     return G, sqfree_power_via_matchings(G, args.k)
 
 
+def _node_budget(args: argparse.Namespace) -> int:
+    if args.node_budget < 0:
+        raise InputError(f"--node-budget must be >= 0, got {args.node_budget}")
+    return args.node_budget
+
+
 def _time_budget(args: argparse.Namespace) -> float | None:
     """The --time-budget in seconds; 0 is a budget that is already spent."""
     if args.time_budget is not None and not args.time_budget >= 0:
@@ -272,9 +278,10 @@ def cmd_linrel(args: argparse.Namespace) -> int:
 
 def cmd_linquot(args: argparse.Namespace) -> int:
     _, I = _ideal_for_algebra(args)
+    node_budget = _node_budget(args)
     budget = _time_budget(args)
     deadline = time.monotonic() + budget if budget is not None else None
-    result = linear_quotients_order(I, args.node_budget, deadline=deadline)
+    result = linear_quotients_order(I, node_budget, deadline=deadline)
     payload = {
         "command": "linquot",
         "status": result.status,
@@ -458,7 +465,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     ctx = CheckContext(
         characteristic=args.char,
         seed=args.seed,
-        node_budget=args.node_budget,
+        node_budget=_node_budget(args),
         time_budget_s=_time_budget(args),
         random_ideal_count=args.random_ideals,
         random_graph_count=args.random_graphs,

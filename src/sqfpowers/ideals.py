@@ -59,18 +59,34 @@ class MonomialIdeal:
     gens: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not 0 <= self.n <= MAX_VERTICES:
-            raise ValueError(f"variable count {self.n} outside 0..{MAX_VERTICES}")
-        full = (1 << self.n) - 1
-        for g in self.gens:
-            if g & ~full:
-                raise ValueError(f"generator {monomial_str(g)} uses variables beyond n={self.n}")
+        self._check_variables()
         if self.gens != _sorted_gens(self.gens):
             raise ValueError("generators must be sorted and duplicate-free")
         for i, g in enumerate(self.gens):
             for h in self.gens[i + 1 :]:
                 if monomial_divides(g, h) or monomial_divides(h, g):
                     raise ValueError("generators must form an antichain")
+
+    def _check_variables(self) -> None:
+        if not 0 <= self.n <= MAX_VERTICES:
+            raise ValueError(f"variable count {self.n} outside 0..{MAX_VERTICES}")
+        full = (1 << self.n) - 1
+        for g in self.gens:
+            if g & ~full:
+                raise ValueError(f"generator {monomial_str(g)} uses variables beyond n={self.n}")
+
+    @classmethod
+    def _trusted(cls, n: int, gens: tuple[int, ...]) -> "MonomialIdeal":
+        """An ideal from gens that are already a sorted antichain.
+
+        Only n and the variables are checked, in O(g); the public constructor
+        also re-checks the order and the antichain, in O(g^2).
+        """
+        ideal = object.__new__(cls)
+        object.__setattr__(ideal, "n", n)
+        object.__setattr__(ideal, "gens", gens)
+        ideal._check_variables()
+        return ideal
 
     @staticmethod
     def zero(n: int) -> "MonomialIdeal":
@@ -119,7 +135,7 @@ def minimalize(n: int, masks: Iterable[int]) -> MonomialIdeal:
     for m in by_degree:
         if not any(monomial_divides(g, m) for g in kept):
             kept.append(m)
-    return MonomialIdeal(n, _sorted_gens(kept))
+    return MonomialIdeal._trusted(n, _sorted_gens(kept))
 
 
 def sqfree_power(I: MonomialIdeal, k: int) -> MonomialIdeal:
@@ -185,7 +201,9 @@ def ideal_sum(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
 
 def restrict(I: MonomialIdeal, m: int) -> MonomialIdeal:
     """Subideal generated by the generators dividing the monomial m."""
-    return MonomialIdeal(I.n, _sorted_gens(g for g in I.gens if monomial_divides(g, m)))
+    return MonomialIdeal._trusted(
+        I.n, tuple(g for g in I.gens if monomial_divides(g, m))
+    )
 
 
 def ratliff_check(I: MonomialIdeal, k: int, l: int) -> bool | None:

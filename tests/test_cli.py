@@ -319,6 +319,12 @@ def test_linquot_rejects_a_bad_time_budget(budget):
     assert code == 2 and out == "" and err.startswith("error:")
 
 
+@pytest.mark.parametrize("budget", ["-1", "-5"])
+def test_linquot_rejects_a_negative_node_budget(budget):
+    code, out, err = run(["linquot", "c7", "-k", "2", "--node-budget", budget])
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
 # ---------------------------------------------------------------------------
 # lambda
 
@@ -527,6 +533,9 @@ def test_verify_json_and_ndjson_roundtrip(tmp_path):
         ["verify", "all", "--family", "exhaustive-3", "--random-graphs", "-5"],
         ["verify", "all", "--family", "exhaustive-3", "--jobs", "0"],
         ["verify", "all", "--family", "exhaustive-3", "--jobs", "-3"],
+        ["verify", "all", "--family", "exhaustive-3", "--node-budget", "-5"],
+        ["verify", "top-power-linear-quotients", "--family", "exhaustive-4",
+         "--node-budget", "-1"],
     ],
 )
 def test_verify_bad_input(argv):

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from sqfpowers.edge_ideals import edge_ideal
@@ -93,6 +94,29 @@ def test_minimalize_matches_oracle():
     masks = [monomial(s) for s in [(1, 2), (2,), (1, 2, 3), (3, 4), (4, 3)]]
     I = minimalize(4, masks)
     assert set(I.gens) == oracles._minimal_masks(masks)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 9).flatmap(
+        lambda n: st.tuples(
+            st.just(n), st.lists(st.integers(0, (1 << n) - 1), max_size=14)
+        )
+    )
+)
+def test_trusted_construction_equals_a_validated_ideal(case):
+    # minimalize and restrict skip the order and antichain checks of the
+    # public constructor; their results must pass those checks anyway
+    n, masks = case
+    I = minimalize(n, masks)
+    assert I == MonomialIdeal(n, I.gens)
+    assert set(I.gens) == oracles._minimal_masks(masks)
+    for m in masks[:3] + [(1 << n) - 1]:
+        R = restrict(I, m)
+        assert R == MonomialIdeal(n, tuple(sorted(R.gens, key=monomial_vars)))
+        assert set(R.gens) == {g for g in I.gens if monomial_divides(g, m)}
+    with pytest.raises(ValueError):
+        minimalize(n, [1 << n])
 
 
 def test_contains():
