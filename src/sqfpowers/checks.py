@@ -39,7 +39,6 @@ import itertools
 import json
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -1156,6 +1155,9 @@ def run_checks(
     tasks = _tasks_for(names, graphs)
     reports: list[CheckReport] = []
     if jobs > 1:
+        # Imported here: it loads multiprocessing, and only a pool needs it.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs, initializer=_open_memos) as pool:
             for batch in pool.map(_worker, [(n, g, ctx) for n, g in tasks]):
                 reports.extend(batch)

@@ -1,14 +1,15 @@
 """Instance families for the verification harness.
 
-Exhaustive families enumerate pairwise non-isomorphic graphs (n <= 8, via a
-minimum-over-permutations canonical edge code), trees (leaf extension
-deduplicated by center-rooted canonical forms), and forests without isolated
-vertices (multisets of trees).  Random families draw from a recorded 64-bit
-seed so every run is reproducible.
+Exhaustive families list pairwise non-isomorphic graphs (n <= 8) from the
+bundled table ``data/graphs.txt``: the least edge code over all relabelings of
+each isomorphism class, in increasing order, read for one n on its first use.
+Trees come from leaf extension deduplicated by center-rooted canonical forms,
+and forests without isolated vertices from multisets of trees.  Random
+families draw from a recorded 64-bit seed so every run is reproducible.
 
-The canonical codes are the only numpy user: they batch the permutations
-through numpy, which _perm_powers and all_graphs import when called, so
-loading this module does not load numpy.
+``canonical_code`` is the only numpy user: it batches the permutations through
+numpy, which ``_perm_powers`` imports when called, so resolving a family does
+not load numpy.
 """
 
 from __future__ import annotations
@@ -85,26 +86,23 @@ def all_graphs(n: int) -> tuple[Graph, ...]:
         raise ValueError("n must be >= 1")
     if n > GRAPH_ENUM_CAP:
         raise ValueError(f"graph enumeration capped at n = {GRAPH_ENUM_CAP}")
-    if n == 1:
-        return (Graph.from_edges(1, []),)
-    import numpy as np
+    return tuple(_graph_from_code(n, code) for code in _table_codes(n))
 
-    slots = _edge_slots(n)
-    index = {s: i for i, s in enumerate(slots)}
-    powers = _perm_powers(n)
-    new_cols = [index[(v - 1, n - 1)] for v in range(1, n)]
-    new_block = powers[:, new_cols]  # (n!, n-1)
-    subsets = np.array(
-        [[(s >> b) & 1 for s in range(1 << (n - 1))] for b in range(n - 1)],
-        dtype=np.float64,
-    )  # (n-1, 2^(n-1))
-    codes: set[int] = set()
-    for G in all_graphs(n - 1):
-        cols = [index[(u - 1, v - 1)] for u, v in G.edge_list]
-        base = powers[:, cols].sum(axis=1) if cols else np.zeros(len(powers))
-        all_codes = base[:, None] + new_block @ subsets
-        codes.update(int(c) for c in all_codes.min(axis=0))
-    return tuple(_graph_from_code(n, c) for c in sorted(codes))
+
+def _table_codes(n: int) -> list[int]:
+    """The edge codes listed under ``n N`` in the bundled graph table."""
+    from importlib import resources
+
+    header = f"n {n}\n"
+    table = resources.files(__package__).joinpath("data/graphs.txt")
+    with table.open("r", encoding="ascii") as lines:
+        for line in lines:
+            if line == header:
+                break
+        return [
+            int(line, 16)
+            for line in itertools.takewhile(lambda l: not l.startswith("n "), lines)
+        ]
 
 
 def all_graphs_up_to(n: int) -> list[Graph]:
@@ -268,6 +266,14 @@ FAMILY_HELP = (
 )
 
 
+def _family_size(spec: str, value: str, least: int) -> int:
+    """A size parameter of *spec*; below *least* the family would be empty."""
+    size = int(value)
+    if size < least:
+        raise ValueError(f"family {spec!r} is empty: {value} is below {least}")
+    return size
+
+
 def resolve_family(spec: str, seed: int = DEFAULT_SEED) -> list[Graph]:
     """Materialize a family spec into a list of graphs."""
     if spec == "builtin":
@@ -276,16 +282,19 @@ def resolve_family(spec: str, seed: int = DEFAULT_SEED) -> list[Graph]:
         return [builtin_graph(name) for name in BUILTIN_GRAPH_NAMES]
     m = re.fullmatch(r"exhaustive-(\d+)", spec)
     if m:
-        return all_graphs_up_to(int(m.group(1)))
+        return all_graphs_up_to(_family_size(spec, m.group(1), 1))
     m = re.fullmatch(r"trees-(\d+)", spec)
     if m:
-        return all_trees_up_to(int(m.group(1)))
+        return all_trees_up_to(_family_size(spec, m.group(1), 1))
     m = re.fullmatch(r"forests-(\d+)", spec)
     if m:
-        return all_forests_up_to(int(m.group(1)))
+        # the smallest forest without isolated vertices is one edge
+        return all_forests_up_to(_family_size(spec, m.group(1), 2))
     m = re.fullmatch(r"random-(\d+)-(\d+)", spec)
     if m:
-        return random_graphs(int(m.group(2)), int(m.group(1)), seed)
+        # random_graphs draws each vertex count from 2..N
+        max_n = _family_size(spec, m.group(1), 2)
+        return random_graphs(_family_size(spec, m.group(2), 1), max_n, seed)
     path = spec[len("graph6:") :] if spec.startswith("graph6:") else spec
     file = Path(path)
     if file.exists():

@@ -5,15 +5,20 @@ algorithms and data structures than the package: exhaustive edge-subset
 search for the matching invariants, the Taylor complex over the rationals for
 multigraded Betti numbers, permutation search for linear quotients, and
 induced-subset search for chordless cycles.  Slow but obviously correct.
+
+The one exception is ``generated_graphs``, the numpy generator that produced
+the package's bundled graph table; it stays here to cross-check that table.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import defaultdict
 from fractions import Fraction
 
 from sqfpowers import Graph, MonomialIdeal
+from sqfpowers.families import _edge_slots, _graph_from_code, _perm_powers
 
 Edge = tuple[int, int]
 
@@ -115,6 +120,38 @@ def brute_has_chordless_cycle(G: Graph) -> bool:
             if len(reach) == size:
                 return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# the exhaustive graph families by vertex extension
+
+@functools.lru_cache(maxsize=None)
+def generated_graphs(n: int) -> tuple[Graph, ...]:
+    """Non-isomorphic graphs on n <= 8 vertices, generated by vertex extension.
+
+    Every graph on n - 1 vertices is joined to a new vertex n in all 2^(n-1)
+    ways, and each result is reduced to its least edge code over all n!
+    relabelings at once, as one matrix product per graph.  The distinct codes,
+    in increasing order, give the representatives.
+    """
+    import numpy as np
+
+    if n == 1:
+        return (Graph.from_edges(1, []),)
+    index = {s: i for i, s in enumerate(_edge_slots(n))}
+    powers = _perm_powers(n)
+    new_block = powers[:, [index[(v - 1, n - 1)] for v in range(1, n)]]
+    subsets = np.array(
+        [[(s >> b) & 1 for s in range(1 << (n - 1))] for b in range(n - 1)],
+        dtype=np.float64,
+    )  # (n-1, 2^(n-1))
+    codes: set[int] = set()
+    for G in generated_graphs(n - 1):
+        cols = [index[(u - 1, v - 1)] for u, v in G.edge_list]
+        base = powers[:, cols].sum(axis=1) if cols else np.zeros(len(powers))
+        all_codes = base[:, None] + new_block @ subsets
+        codes.update(int(c) for c in all_codes.min(axis=0))
+    return tuple(_graph_from_code(n, c) for c in sorted(codes))
 
 
 # ---------------------------------------------------------------------------

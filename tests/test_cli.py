@@ -536,6 +536,10 @@ def test_verify_json_and_ndjson_roundtrip(tmp_path):
         ["verify", "all", "--family", "exhaustive-3", "--node-budget", "-5"],
         ["verify", "top-power-linear-quotients", "--family", "exhaustive-4",
          "--node-budget", "-1"],
+        ["verify", "nu0-lambda", "--family", "exhaustive-0"],
+        ["verify", "nu0-lambda", "--family", "trees-0"],
+        ["verify", "nu0-lambda", "--family", "forests-1"],
+        ["verify", "nu0-lambda", "--family", "random-3-0"],
     ],
 )
 def test_verify_bad_input(argv):
@@ -674,13 +678,36 @@ def test_console_script(tmp_path):
     assert proc.stdout == "" and proc.stderr.startswith("error:")
 
 
+def _modules_after(code: str, tmp_path: Path) -> set[str]:
+    """The names in sys.modules after a fresh interpreter runs *code*."""
+    probe = f"{code}\nimport sys; print(' '.join(sys.modules), file=sys.stderr)"
+    proc = _run_fresh(["-c", probe], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stderr.split())
+
+
 def test_import_does_not_load_numpy(tmp_path):
-    # numpy is only for the canonical codes of the exhaustive families
+    # numpy is only for canonical_code, and the process pool only for
+    # verify --jobs N with N > 1; neither may load on the way to a result.
     for module in ("sqfpowers", "sqfpowers.cli"):
-        probe = f"import sys, {module}; print('numpy' in sys.modules)"
-        proc = _run_fresh(["-c", probe], tmp_path)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "False\n", module
+        assert "numpy" not in _modules_after(f"import {module}", tmp_path), module
+    call = "import sqfpowers.cli\nif sqfpowers.cli.main({!r}): raise SystemExit(1)"
+    for argv in (
+        ["invariants", "c7"],
+        ["betti", "c7", "-k", "2", "--json"],
+        ["linquot", "c7", "-k", "2"],
+        ["verify", "nu0-lambda", "--family", "exhaustive-7", "--jobs", "1"],
+    ):
+        loaded = _modules_after(call.format(argv), tmp_path)
+        assert "concurrent.futures" not in loaded, argv
+        assert "numpy" not in loaded, argv
+    # bench/tracer.py wraps functions of these modules and looks them up in
+    # sys.modules after importing sqfpowers.cli; loading any of them lazily
+    # must land together with a change to the tracer.
+    traced = {"cli", "families", "checks", "betti", "ideals", "edge_ideals",
+              "matchings"}
+    loaded = _modules_after("import sqfpowers.cli", tmp_path)
+    assert {f"sqfpowers.{name}" for name in traced} <= loaded
 
 
 @pytest.mark.skipif(

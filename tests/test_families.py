@@ -1,13 +1,17 @@
 """Instance families: exhaustive enumeration, canonical forms, random draws."""
 
+import itertools
 import random
+from importlib import resources
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqfpowers.families import (
     DEFAULT_SEED,
+    _perm_powers,
     all_forests,
     all_forests_up_to,
     all_graphs,
@@ -35,6 +39,7 @@ from sqfpowers.graphs import (
     star_graph,
     to_graph6,
 )
+from oracles import generated_graphs
 from strategies import graphs_st
 
 # counts of non-isomorphic graphs, trees, forests (no isolated vertices)
@@ -50,6 +55,46 @@ def test_graph_counts():
     for n, count in GRAPH_COUNTS.items():
         assert len(all_graphs(n)) == count, n
     assert len(all_graphs_up_to(5)) == sum(GRAPH_COUNTS[n] for n in range(1, 6))
+
+
+def _edge_code(G: Graph) -> int:
+    """Bit k set for the k-th vertex pair of itertools.combinations order."""
+    slots = itertools.combinations(range(G.n), 2)
+    index = {s: k for k, s in enumerate(slots)}
+    return sum(1 << index[(u - 1, v - 1)] for u, v in G.edge_list)
+
+
+def test_graph_table_matches_generator():
+    for n in range(1, 8):
+        assert all_graphs(n) == generated_graphs(n), n
+
+
+def test_graph_table_is_complete_at_eight():
+    # Distinct least codes are distinct isomorphism classes, and there are
+    # 12346 classes (A000088), so the table lists every graph on 8 vertices.
+    codes = [_edge_code(G) for G in all_graphs(8)]
+    assert len(codes) == GRAPH_COUNTS[8]
+    assert all(a < b for a, b in zip(codes, codes[1:]))
+    powers = _perm_powers(8)  # (8!, 28): 2^(image of each pair)
+    bits = np.arange(28)[:, None]
+    for start in range(0, len(codes), 128):  # 128 columns: a 41 MB product
+        chunk = np.array(codes[start : start + 128])
+        indicators = ((chunk[None, :] >> bits) & 1).astype(np.float64)
+        least = (powers @ indicators).min(axis=0)
+        assert np.array_equal(least, chunk), start
+
+
+def test_graph_table_is_package_data():
+    text = resources.files("sqfpowers").joinpath("data/graphs.txt").read_text()
+    counts: dict[int, int] = {}
+    n = 0
+    for line in text.splitlines():
+        if line.startswith("n "):
+            n = int(line[2:])
+            counts[n] = 0
+        elif not line.startswith("#"):
+            counts[n] += 1
+    assert counts == GRAPH_COUNTS
 
 
 def test_graph_enumeration_validates():
@@ -174,3 +219,11 @@ def test_resolve_family_forms(tmp_path):
         resolve_family("no-such-family")
     with pytest.raises(ValueError):
         resolve_family("exhaustive-9")
+
+
+@pytest.mark.parametrize(
+    "spec", ["exhaustive-0", "trees-0", "forests-1", "random-3-0", "random-1-5"]
+)
+def test_resolve_family_rejects_empty_families(spec):
+    with pytest.raises(ValueError, match="is empty"):
+        resolve_family(spec)
