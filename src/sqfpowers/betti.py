@@ -28,7 +28,9 @@ Miller-Rabin, and characteristics from 2^64 up are rejected.
 
 Nonzero Betti numbers occur only at lattice multidegrees, so tables store a
 sparse map (i, m) -> b_{i,m} and derive regularity, projective dimension,
-linearity of the resolution, and the coarse graded table from it.
+linearity of the resolution, and the coarse graded table from it.  The
+homological test of linear relatedness reads the b_{1,m} of the same table;
+no separate first-syzygy complex is built.
 """
 
 from __future__ import annotations
@@ -203,40 +205,29 @@ def _walk_levels(table: bytes, m: int, d: int) -> list[list[int]]:
 
 
 def _face_levels(
-    I: MonomialIdeal,
-    m: int,
-    table: bytes | None = None,
-    max_card: int | None = None,
+    I: MonomialIdeal, m: int, table: bytes | None = None
 ) -> list[list[int]]:
     """Faces of K^m(I) grouped by cardinality.
 
-    With a membership table and no max_card every submask of m is walked
-    (see the module docstring).  Otherwise levels are enumerated by
-    cardinality and stop at the first empty one (complexes are closed under
-    subsets) or at max_card when given; membership comes from the table, or
-    from the generators dividing m when there is none.
+    With a membership table every submask of m is walked (see the module
+    docstring).  Without one, levels are enumerated by cardinality and stop
+    at the first empty one (complexes are closed under subsets); membership
+    comes from the generators dividing m.
     """
     d = m.bit_count()
-    if table is not None and max_card is None:
+    if table is not None:
         return _walk_levels(table, m, d)
-    if table is None:
-        divisors = [g for g in I.gens if monomial_divides(g, m)]
-
-        def contains(u: int) -> bool:
-            return any(monomial_divides(g, u) for g in divisors)
-
-    else:
-        contains = table.__getitem__
+    divisors = [g for g in I.gens if monomial_divides(g, m)]
     bits = [1 << (v - 1) for v in monomial_vars(m)]
-    cap = d if max_card is None else min(max_card, d)
     levels: list[list[int]] = []
-    for c in range(cap + 1):
+    for c in range(d + 1):
         level = []
         for combo in itertools.combinations(bits, c):
             face = 0
             for b in combo:
                 face |= b
-            if contains(m & ~face):
+            rest = m & ~face
+            if any(monomial_divides(g, rest) for g in divisors):
                 level.append(face)
         if not level:
             break
@@ -388,21 +379,6 @@ def _betti_table(
     )
 
 
-def first_syzygy_betti(
-    I: MonomialIdeal, m: int, characteristic: int = DEFAULT_CHARACTERISTIC
-) -> int:
-    """b_{1,m}(I) alone, via the cardinality <= 2 part of K^m(I)."""
-    _check_characteristic(characteristic)
-    return _first_syzygy(_face_levels(I, m, max_card=2), characteristic)
-
-
-def _first_syzygy(levels: list[list[int]], characteristic: int) -> int:
-    """b_{1,m} from the levels of cardinality <= 2: |L1| - r1 - r2."""
-    if len(levels) < 2:
-        return 0
-    return _homology_dims(levels, characteristic)[1]
-
-
 def regularity(
     I: MonomialIdeal,
     characteristic: int = DEFAULT_CHARACTERISTIC,
@@ -444,21 +420,15 @@ def is_linearly_related_homological(
 ) -> bool:
     """First syzygies all linear: b_{1,m} = 0 whenever deg(m) != d + 1.
 
-    Homological route: reduced homology of the small part of each upper-Koszul
-    complex.  Vacuously true for the zero ideal.
+    Homological route: the (1, m) entries of the multigraded Betti table.
+    Vacuously true for the zero ideal.
     """
     _check_characteristic(characteristic)
     if I.is_zero or len(I.gens) == 1:
         return True
     d = I.pure_degree()
-    table = _membership_table(I)
-    for m in lcm_lattice(I.gens):
-        _check_deadline(deadline)
-        if monomial_degree(m) <= d + 1:
-            continue
-        if _first_syzygy(_face_levels(I, m, table, max_card=2), characteristic):
-            return False
-    return True
+    table = multigraded_betti(I, characteristic, deadline=deadline)
+    return all(monomial_degree(m) == d + 1 for (i, m) in table.entries if i == 1)
 
 
 def is_linearly_related_combinatorial(
@@ -546,23 +516,27 @@ def first_syzygy_witness(I: MonomialIdeal, m: int) -> SyzygyWitnessReport:
 # ---------------------------------------------------------------------------
 # linear quotients
 
-def is_linear_quotients_order(gens: Sequence[int]) -> bool:
-    """Whether the given generator sequence has linear quotients.
+def _colon_is_linear(placed: Sequence[int], u: int) -> bool:
+    """Whether the colon (placed) : u is generated by variables.
 
-    The colon of the first j-1 generators by the j-th is generated by
-    variables exactly when every earlier generator u_l admits an earlier u_l'
-    with u_l' : u_j a single variable dividing u_l : u_j.
+    It is exactly when every placed t with t : u != 1 admits a placed t' with
+    t' : u a single variable dividing t : u.
     """
-    for j in range(1, len(gens)):
-        w = 0
-        for l in range(j):
-            q = gens[l] & ~gens[j]
-            if q.bit_count() == 1:
-                w |= q
-        for l in range(j):
-            if gens[l] & ~gens[j] and not gens[l] & w:
-                return False
+    not_u = ~u
+    w = 0
+    for t in placed:
+        q = t & not_u
+        if q.bit_count() == 1:
+            w |= q
+    for t in placed:
+        if t & not_u and not t & w:
+            return False
     return True
+
+
+def is_linear_quotients_order(gens: Sequence[int]) -> bool:
+    """Whether the given generator sequence has linear quotients."""
+    return all(_colon_is_linear(gens[:j], gens[j]) for j in range(1, len(gens)))
 
 
 @dataclass(frozen=True)
@@ -629,24 +603,12 @@ def _search_linear_quotients(
     ]
     heuristic = sorted(range(g), key=lambda i: (-linear_mates[i], monomial_vars(gens[i])))
     failed: set[int] = set()
-    order: list[int] = []
+    placed: list[int] = []  # the generators of the current prefix, in order
     nodes = 0
-
-    def addable(j: int) -> bool:
-        gj = gens[j]
-        w = 0
-        for i in order:
-            q = gens[i] & ~gj
-            if q.bit_count() == 1:
-                w |= q
-        for i in order:
-            if gens[i] & ~gj and not gens[i] & w:
-                return False
-        return True
 
     def dfs(chosen: int) -> bool:
         nonlocal nodes
-        if len(order) == g:
+        if len(placed) == g:
             return True
         if chosen in failed:
             return False
@@ -659,11 +621,11 @@ def _search_linear_quotients(
                 raise BudgetExceeded("node budget exhausted")
             if nodes % 4096 == 0:
                 _check_deadline(deadline)
-            if addable(j):
-                order.append(j)
+            if _colon_is_linear(placed, gens[j]):
+                placed.append(gens[j])
                 if dfs(chosen | bit):
                     return True
-                order.pop()
+                placed.pop()
         if len(failed) < _FAILED_SET_CAP:
             failed.add(chosen)
         return False
@@ -674,7 +636,7 @@ def _search_linear_quotients(
     except BudgetExceeded:
         return LinearQuotientsResult("inconclusive", None, nodes)
     if ok:
-        return LinearQuotientsResult("found", tuple(gens[i] for i in order), nodes)
+        return LinearQuotientsResult("found", tuple(placed), nodes)
     return LinearQuotientsResult("none", None, nodes)
 
 

@@ -25,9 +25,11 @@ graph with every check in scope of it, and runs them in a serial loop or a
 process pool.  Each process that runs tasks memoises the request's Betti
 tables and squarefree powers via matchings (see ``memo``), so a table or
 power shared by the checks of a graph, or by induced subgraphs that recur
-across graphs, is computed once per process.  The ideal-side
-``sqfree_power`` that ``power-matching-agreement`` compares against is not
-memoised.
+across graphs, is computed once per process.  The checks about first
+syzygies (``first-syzygy-degree-bound``, ``taylor-witness`` and the
+homological side of ``linrel-oracle-agreement``) read b_{1,m} from these
+tables.  The ideal-side ``sqfree_power`` that ``power-matching-agreement``
+compares against is not memoised.
 
 Reports serialize to ND-JSON lines {check, instance, outcome, witness?,
 millis} and instances are named re-runnably (graph6 strings, seeds).
@@ -48,7 +50,6 @@ from .betti import (
     BudgetExceeded,
     _check_deadline,
     _search_linear_quotients,
-    first_syzygy_betti,
     first_syzygy_witness,
     has_linear_resolution,
     is_linearly_related_combinatorial,
@@ -406,11 +407,12 @@ def _run_first_syzygy_degree_bound(G: Graph, ctx: CheckContext, deadline: float 
     bad = []
     for k in range(2, nu + 1):
         I = sqfree_power_via_matchings(G, k)
-        for m in lcm_lattice(I.gens):
-            _check_deadline(deadline)
-            if monomial_degree(m) >= 3 * k + 1:
-                if first_syzygy_betti(I, m, ctx.characteristic):
-                    bad.append({"k": k, "m": list(monomial_vars(m))})
+        table = multigraded_betti(I, ctx.characteristic, deadline=deadline)
+        bad.extend(
+            {"k": k, "m": list(monomial_vars(m))}
+            for (i, m) in table.entries
+            if i == 1 and monomial_degree(m) >= 3 * k + 1
+        )
     yield "", not bad, {"violations": bad}
 
 
@@ -630,12 +632,13 @@ def _run_taylor_witness(G: Graph, ctx: CheckContext, deadline: float | None):
         return VACUOUS
     bad = []
     for k, I in _powers_upto_nu(G):
-        if len(I.gens) < 2:
-            continue
-        for m in lcm_lattice(I.gens):
+        # a covered witness can only be wrong where b_{1,m} != 0
+        table = multigraded_betti(I, ctx.characteristic, deadline=deadline)
+        for i, m in table.entries:
+            if i != 1:
+                continue
             _check_deadline(deadline)
-            report = first_syzygy_witness(I, m)
-            if report.all_covered and first_syzygy_betti(I, m, ctx.characteristic):
+            if first_syzygy_witness(I, m).all_covered:
                 bad.append({"k": k, "m": list(monomial_vars(m))})
     yield "", not bad, {"violations": bad}
 

@@ -437,9 +437,15 @@ def to_graph6(G: Graph) -> str:
 
 
 def parse_graphs(text: str) -> list[Graph]:
-    """Parse a graph file: either graph6 lines or a single edge list."""
+    """Parse a graph file: either graph6 lines or a single edge list.
+
+    A text with no line other than blanks and comments holds no graph and is
+    rejected; an edge list with only an "n 0" header is the empty graph.
+    """
     stripped = [ln for ln in text.splitlines() if ln.strip() and not ln.strip().startswith("#")]
-    if stripped and all(_looks_like_graph6(ln.strip()) for ln in stripped):
+    if not stripped:
+        raise ValueError("no graph: the text is empty or holds only comments")
+    if all(_looks_like_graph6(ln.strip()) for ln in stripped):
         return [parse_graph6(ln) for ln in stripped]
     return [parse_edge_list(text)]
 

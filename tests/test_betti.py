@@ -12,11 +12,11 @@ from hypothesis import strategies as st
 import oracles
 from sqfpowers.betti import (
     DEFAULT_CHARACTERISTIC,
+    GENERATOR_CAP,
     TABLE_MAX_VARS,
     BettiTable,
     BudgetExceeded,
     betti_diagram_text,
-    first_syzygy_betti,
     first_syzygy_witness,
     gf_rank,
     has_linear_resolution,
@@ -263,15 +263,13 @@ BOTH_WALKS = MonomialIdeal.from_supports(
 @given(squarefree_ideals_st(max_n=12, max_gens=6))
 @example(BOTH_WALKS)
 def test_table_faces_match_generator_scan(I):
-    # the table walk and the max_card enumeration against the scan used
-    # above TABLE_MAX_VARS
+    # the table walk against the scan used above TABLE_MAX_VARS
     if I.is_zero:
         return
     table = _membership_table(I)
     for m in lcm_lattice(I.gens) + [(1 << I.n) - 1]:
         scan = _face_levels(I, m)
         assert _sorted_levels(_face_levels(I, m, table)) == _sorted_levels(scan)
-        assert _face_levels(I, m, table, max_card=2) == _face_levels(I, m, max_card=2)
 
 
 def test_scan_above_table_limit_matches_taylor_oracle():
@@ -362,13 +360,17 @@ def test_input_validation():
 
 def test_every_homological_route_rejects_a_bad_characteristic():
     I = sqfree_power_via_matchings(cycle_graph(7), 2)
-    m = I.gens[0] | I.gens[1]
     for bad in (4, 1, 2**89 - 1):
-        with pytest.raises(ValueError):
-            first_syzygy_betti(I, m, characteristic=bad)
         with pytest.raises(ValueError):
             is_linearly_related_homological(I, characteristic=bad)
     assert is_linearly_related_homological(I)
+    # the route reads the Betti table, so it keeps the table's budget and cap
+    with pytest.raises(BudgetExceeded):
+        is_linearly_related_homological(I, deadline=time.monotonic() - 1)
+    big = MonomialIdeal.from_supports(14, itertools.combinations(range(1, 15), 5))
+    assert len(big.gens) == 2002 > GENERATOR_CAP
+    with pytest.raises(ValueError):
+        is_linearly_related_homological(big)
 
 
 def test_regularity_knowns():
@@ -411,16 +413,17 @@ def test_linrel_routes_agree_property(I):
     assert is_linearly_related_combinatorial(I) == is_linearly_related_homological(I)
 
 
-def test_first_syzygy_betti_equals_table_slice():
-    for I in (
-        edge_ideal(cycle_graph(7)),
-        sqfree_power_via_matchings(cycle_graph(7), 2),
-        edge_ideal(builtin_graph("fig1")),
-        sqfree_power_via_matchings(builtin_graph("fig2"), 2),
-    ):
-        table = multigraded_betti(I)
-        for m in lcm_lattice(I.gens):
-            assert first_syzygy_betti(I, m) == table.entries.get((1, m), 0)
+@settings(max_examples=50, deadline=None)
+@given(squarefree_ideals_st(max_n=7, max_gens=8))
+def test_homological_linrel_matches_taylor_oracle(I):
+    # linearly related: no first syzygy of the Taylor resolution off degree d + 1
+    d = I.pure_degree()
+    expected = all(
+        monomial_degree(m) == d + 1
+        for (i, m) in oracles.taylor_betti_table(I)
+        if i == 1
+    )
+    assert is_linearly_related_homological(I) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -440,10 +443,11 @@ def test_witness_soundness():
     for I in random_squarefree_ideals(60, max_n=7, max_gens=7, seed=5):
         if I.is_zero:
             continue
+        entries = multigraded_betti(I).entries
         for m in lcm_lattice(I.gens):
             report = first_syzygy_witness(I, m)
             if report.pairs and report.all_covered:
-                assert first_syzygy_betti(I, m) == 0, (I, monomial_vars(m))
+                assert (1, m) not in entries, (I, monomial_vars(m))
 
 
 # ---------------------------------------------------------------------------

@@ -547,6 +547,18 @@ def test_verify_bad_input(argv):
     assert code == 2 and out == "" and err.startswith("error:")
 
 
+@pytest.mark.parametrize("text", ["", "# no graphs here\n\n"])
+def test_a_family_file_without_a_graph_is_rejected(tmp_path, text):
+    empty = tmp_path / "EMPTY.g6"
+    empty.write_text(text)
+    for argv in (
+        ["verify", "nu0-lambda", "--family", str(empty)],
+        ["invariants", str(empty)],
+    ):
+        code, out, err = run(argv)
+        assert code == 2 and out == "" and err.startswith("error:"), argv
+
+
 def test_verify_failing_check_exits_1(monkeypatch):
     def boom(G, ctx, deadline):
         raise RuntimeError("synthetic defect")

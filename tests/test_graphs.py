@@ -349,6 +349,13 @@ def test_parse_graphs_dispatch():
     assert parse_graphs("n 3\n1 2\n") == [parse_edge_list("n 3\n1 2\n")]
     # digit-only lines are treated as an edge list even with no header
     assert parse_graphs("1 2\n") == [Graph.from_edges(2, [(1, 2)])]
+    assert parse_graphs("n 0\n") == [Graph.from_edges(0, [])]
+
+
+@pytest.mark.parametrize("text", ["", "\n  \n", "# only a comment\n", "  # indented\n\n"])
+def test_parse_graphs_rejects_a_text_without_a_graph(text):
+    with pytest.raises(ValueError):
+        parse_graphs(text)
 
 
 # ---------------------------------------------------------------------------

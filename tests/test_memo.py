@@ -5,9 +5,9 @@ import time
 
 import pytest
 
-from sqfpowers import betti, edge_ideals
+from sqfpowers import betti, checks, edge_ideals
 from sqfpowers.betti import TABLES, BudgetExceeded, multigraded_betti
-from sqfpowers.checks import CHECKS, PASS, Check, run_checks
+from sqfpowers.checks import CHECKS, PASS, Check, CheckContext, run_check_on_instance, run_checks
 from sqfpowers.edge_ideals import POWERS, edge_ideal, sqfree_power_via_matchings
 from sqfpowers.graphs import Graph, cycle_graph, path_graph
 from sqfpowers.ideals import MonomialIdeal, monomial
@@ -54,6 +54,18 @@ def test_a_request_computes_each_table_and_power_once(monkeypatch, kernels):
     for _ in range(2):
         multigraded_betti(sqfree_power_via_matchings(G, 1))
     assert tables[0] == 4 and powers[0] == 4
+
+
+def test_first_syzygy_checks_read_one_table_per_power(monkeypatch):
+    # every b_{1,m} these checks need comes from the memoised Betti tables,
+    # so the only lcm lattices built are those of the three powers of C7
+    lattices = [_count_calls(monkeypatch, m, "lcm_lattice") for m in (betti, checks)]
+    ctx = CheckContext()
+    with opened(TABLES, POWERS):
+        for name in ("first-syzygy-degree-bound", "taylor-witness", "linrel-oracle-agreement"):
+            reports = run_check_on_instance(name, cycle_graph(7), ctx)
+            assert [r.outcome for r in reports] == [PASS] * len(reports), name
+    assert sum(calls[0] for calls in lattices) == 3
 
 
 def test_only_a_finished_table_is_stored(kernels):
