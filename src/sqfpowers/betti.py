@@ -9,13 +9,21 @@ the (i-1)-st reduced homology of the complex
 Membership in I is read from a table.  For I.n <= TABLE_MAX_VARS one byte per
 squarefree monomial on the n variables (2^n bytes) is set on the generators
 and then closed upwards on one Python integer, one shift-and-or per variable;
-the table is built once per ideal and shared by every multidegree.  The faces
-of K^m are then the complements m ^ T of the monomials T in I that divide m,
-found by one plain-Python walk over the submasks T of m and bucketed by
-cardinality.  Ideals on more than TABLE_MAX_VARS variables build no table:
-faces are enumerated by cardinality, stopping at the first empty level
-(complexes are closed under subsets), and each candidate is tested against
-the generators that divide m.
+the table is built once per ideal and shared by every multidegree.  Ideals on
+more than TABLE_MAX_VARS variables build no table: membership of a divisor of
+m is decided by the generators that divide m.  Either way, the same walk
+finds the faces.
+
+The walk grows the faces of K^m one cardinality at a time: F + b is tried for
+each variable b of m above the highest variable of F, and kept when m minus
+F + b lies in I.  K^m is closed under subsets, so every face is reached from
+its prefix, and the work is (faces) x deg(m), not 2^deg(m).  The homology is
+taken relative to the star of v, the lowest variable of m: the star is a
+cone, so H-tilde(K^m) = H(K^m, star v).  So only faces avoiding v are walked,
+a face F is kept when F + v is not a face (one membership lookup), and boundary
+entries on faces of the star are dropped.  If v is not a vertex the star is
+empty and every face is kept; m = 1 (the unit ideal) has no variable, and its
+complex is the empty face alone.
 
 Boundary ranks are taken over GF(p), p = 32003 by default, by one sparse
 kernel: each face mask becomes a signed column {row: +-1}, and the columns
@@ -35,7 +43,6 @@ no separate first-syzygy complex is built.
 
 from __future__ import annotations
 
-import itertools
 import json
 import time
 from dataclasses import dataclass, field
@@ -153,8 +160,21 @@ def gf_rank(matrix: Sequence[Sequence[int]], p: int) -> int:
 # ---------------------------------------------------------------------------
 # upper-Koszul complexes
 
+LATTICES = RequestMemo()
+
+
 def lcm_lattice(gens: Sequence[int]) -> list[int]:
-    """All joins of nonempty generator subsets, sorted by degree then support."""
+    """All joins of nonempty generator subsets, sorted by degree then support.
+
+    While a request holds ``LATTICES`` open (see ``memo``), the lattice of
+    each generator tuple is built once and the same list is returned to every
+    caller, who must not change it.
+    """
+    gens = tuple(gens)
+    return LATTICES.get(gens, lambda: _lattice_joins(gens))
+
+
+def _lattice_joins(gens: tuple[int, ...]) -> list[int]:
     lattice = set(gens)
     work = list(gens)
     while work:
@@ -189,56 +209,56 @@ def _membership_table(I: MonomialIdeal) -> bytes | None:
     return x.to_bytes(size, "little")
 
 
-def _walk_levels(table: bytes, m: int, d: int) -> list[list[int]]:
-    """Faces m ^ T of K^m for the members T of I dividing m, by cardinality."""
-    levels: list[list[int]] = [[] for _ in range(d + 1)]
-    sub = m
-    while True:
-        if table[sub]:
-            levels[d - sub.bit_count()].append(m ^ sub)
-        if not sub:
-            break
-        sub = (sub - 1) & m
-    while levels and not levels[-1]:
-        levels.pop()
-    return levels
+class _DividingGenerators:
+    """Membership in I of the divisors of m, for ideals with no table.
 
-
-def _face_levels(
-    I: MonomialIdeal, m: int, table: bytes | None = None
-) -> list[list[int]]:
-    """Faces of K^m(I) grouped by cardinality.
-
-    With a membership table every submask of m is walked (see the module
-    docstring).  Without one, levels are enumerated by cardinality and stop
-    at the first empty one (complexes are closed under subsets); membership
-    comes from the generators dividing m.
+    ``self[u]`` is True when a generator dividing m divides u; the walk asks
+    only about divisors u of m, so these generators decide it.
     """
-    d = m.bit_count()
-    if table is not None:
-        return _walk_levels(table, m, d)
-    divisors = [g for g in I.gens if monomial_divides(g, m)]
-    bits = [1 << (v - 1) for v in monomial_vars(m)]
-    levels: list[list[int]] = []
-    for c in range(d + 1):
-        level = []
-        for combo in itertools.combinations(bits, c):
-            face = 0
-            for b in combo:
-                face |= b
-            rest = m & ~face
-            if any(monomial_divides(g, rest) for g in divisors):
-                level.append(face)
-        if not level:
-            break
-        levels.append(level)
+
+    def __init__(self, gens: Sequence[int], m: int) -> None:
+        self.divisors = [g for g in gens if g & m == g]
+
+    def __getitem__(self, u: int) -> bool:
+        return any(g & u == g for g in self.divisors)
+
+
+def _face_levels(member: bytes | _DividingGenerators, m: int) -> list[list[int]]:
+    """Faces of K^m outside the star of its lowest variable v, by cardinality.
+
+    m lies in I.  ``member[u]`` says whether the divisor u of m lies in I:
+    the membership table, or ``_DividingGenerators``.  The faces avoiding v
+    are grown from their prefixes (see the module docstring); a face F is
+    kept when F + v is not a face.  m = 1 has no variable, and its complex is
+    the empty face.
+    """
+    v = m & -m
+    if not v:
+        return [[0]]
+    rest = m ^ v
+    levels = []
+    level = [0]
+    while level:
+        levels.append([f for f in level if not member[m ^ f ^ v]])
+        grown = []
+        for f in level:
+            top = f.bit_length()
+            above = rest >> top << top
+            mf = m ^ f
+            while above:
+                b = above & -above
+                above ^= b
+                if member[mf ^ b]:
+                    grown.append(f | b)
+        level = grown
     return levels
 
 
 def _boundary_columns(prev_level: list[int], level: list[int]) -> Iterator[dict[int, int]]:
     """Columns of the boundary map from level to prev_level, one per face.
 
-    The face minus its j-th lowest variable gets the sign (-1)^j.
+    The face minus its j-th lowest variable gets the sign (-1)^j; a face
+    missing from prev_level (it lies in the star) gets no entry.
     """
     index = {f: i for i, f in enumerate(prev_level)}
     for face in level:
@@ -247,14 +267,18 @@ def _boundary_columns(prev_level: list[int], level: list[int]) -> Iterator[dict[
         rest = face
         while rest:
             low = rest & -rest
-            col[index[face ^ low]] = sign
+            row = index.get(face ^ low)
+            if row is not None:
+                col[row] = sign
             sign = -sign
             rest ^= low
         yield col
 
 
 def _homology_dims(levels: list[list[int]], p: int) -> list[int]:
-    """Reduced homology dimensions: entry i is dim of H-tilde_(i-1).
+    """Homology dimensions of the levels' chain complex: entry i is dim H_(i-1).
+
+    For the levels of ``_face_levels`` this is H-tilde_(i-1)(K^m).
 
     The boundary maps are reduced from the top level down.  A face whose
     row was a pivot of the map above is the low entry of a reduced cycle
@@ -366,8 +390,8 @@ def _betti_table(
     table = _membership_table(I)
     for m in lcm_lattice(I.gens):
         _check_deadline(deadline)
-        levels = _face_levels(I, m, table)
-        for i, dim in enumerate(_homology_dims(levels, characteristic)):
+        member = table if table is not None else _DividingGenerators(I.gens, m)
+        for i, dim in enumerate(_homology_dims(_face_levels(member, m), characteristic)):
             if dim:
                 entries[(i, m)] = dim
     try:

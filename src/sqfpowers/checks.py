@@ -22,10 +22,10 @@ report.
 
 ``run_checks`` makes one task of each collection check, then one of each
 graph with every check in scope of it, and runs them in a serial loop or a
-process pool.  Each process that runs tasks memoises the request's Betti
-tables and squarefree powers via matchings (see ``memo``), so a table or
-power shared by the checks of a graph, or by induced subgraphs that recur
-across graphs, is computed once per process.  The checks about first
+process pool.  Each process that runs tasks memoises the request's lcm
+lattices, Betti tables and squarefree powers via matchings (see ``memo``), so
+a lattice, table or power shared by the checks of a graph, or by induced
+subgraphs that recur across graphs, is computed once per process.  The checks about first
 syzygies (``first-syzygy-degree-bound``, ``taylor-witness`` and the
 homological side of ``linrel-oracle-agreement``) read b_{1,m} from these
 tables.  The ideal-side ``sqfree_power`` that ``power-matching-agreement``
@@ -46,6 +46,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .betti import (
     DEFAULT_CHARACTERISTIC,
+    LATTICES,
     TABLES,
     BudgetExceeded,
     _check_deadline,
@@ -1127,7 +1128,7 @@ def _worker(
     return _run_task(*args)
 
 
-_MEMOS = (TABLES, POWERS)
+_MEMOS = (LATTICES, TABLES, POWERS)
 
 
 def _open_memos() -> None:
@@ -1145,8 +1146,8 @@ def run_checks(
     """Run checks over a graph family; names=None runs the whole registry.
 
     One task is a collection check, or one graph with all its checks; the
-    Betti tables and powers of the request are memoised in the process that
-    runs its tasks.  Reports come back sorted by (check, instance) so results
+    lattices, Betti tables and powers of the request are memoised in the
+    process that runs its tasks.  Reports come back sorted by (check, instance) so results
     are independent of worker scheduling.
     """
     ctx = ctx or CheckContext()

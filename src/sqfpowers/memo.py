@@ -2,10 +2,10 @@
 
 A ``RequestMemo`` starts closed, and a closed memo computes every value afresh
 and keeps nothing, so the library API and the single-object CLI commands
-never hold on to a result.  ``checks.run_checks`` opens the memos of Betti
-tables (``betti.TABLES``) and of squarefree powers (``edge_ideals.POWERS``)
-for one request: around its serial loop, or in each pool worker for the life
-of the pool.  Only a finished value is stored; an exception raised while
+never hold on to a result.  ``checks.run_checks`` opens the memos of lcm
+lattices (``betti.LATTICES``), of Betti tables (``betti.TABLES``) and of
+squarefree powers (``edge_ideals.POWERS``) for one request: around its serial
+loop, or in each pool worker for the life of the pool.  Only a finished value is stored; an exception raised while
 computing (an exhausted budget, bad input) propagates and stores nothing.
 """
 

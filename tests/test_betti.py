@@ -29,6 +29,7 @@ from sqfpowers.betti import (
     projective_dimension,
     regularity,
     render_betti_diagram,
+    _DividingGenerators,
     _face_levels,
     _homology_dims,
     _is_prime,
@@ -36,7 +37,7 @@ from sqfpowers.betti import (
     _search_linear_quotients,
 )
 from sqfpowers.edge_ideals import edge_ideal, sqfree_power_via_matchings
-from sqfpowers.families import all_graphs, random_squarefree_ideals
+from sqfpowers.families import all_graphs, random_graphs, random_squarefree_ideals
 from sqfpowers.graphs import (
     builtin_graph,
     complete_graph,
@@ -126,23 +127,57 @@ def _dense_boundary(prev_level, level):
     return A
 
 
+def _full_complex(I, m):
+    """Faces {F subset of m : m ^ F in I} by cardinality, every submask tested."""
+    levels = [[] for _ in range(m.bit_count() + 1)]
+    sub = m
+    while True:
+        if I.contains(m ^ sub):
+            levels[sub.bit_count()].append(sub)
+        if not sub:
+            break
+        sub = (sub - 1) & m
+    return levels
+
+
+def _trimmed(dims):
+    dims = list(dims)
+    while dims and not dims[-1]:
+        dims.pop()
+    return dims
+
+
+# lcm lattice with degrees from 3 up to 12, so complexes on up to 12
+# variables
+BOTH_WALKS = MonomialIdeal.from_supports(
+    12, [(1, 2, 3), (3, 4, 5), (6, 7, 8), (9, 10, 11), (11, 12, 1)]
+)
+
+
 @settings(max_examples=60, deadline=None)
 @given(mixed_ideals_st(max_n=8), st.sampled_from([2, 3, 32003, 4294967311]))
 # x4 is in no generator, so K^(x1x2x3x4) is a cone: many pivots get cleared
 @example(MonomialIdeal.from_supports(4, [(1, 3), (2,)]), 3)
+# the unit ideal: at m = 1 the complex is the empty face, with no vertex
+@example(MonomialIdeal.unit(3), 2)
+# x1 divides every generator, so at m = x1x2x3 it is not a vertex of K^m
+@example(MonomialIdeal.from_supports(3, [(1, 2), (1, 3)]), 32003)
+@example(BOTH_WALKS, 4294967311)
 def test_homology_dims_with_clearing_match_separate_ranks(I, p):
-    # every boundary matrix ranked on its own, densely, with no clearing
+    # the full complex, every boundary matrix ranked on its own, densely,
+    # with no cone and no clearing, against the kernel's relative complex
     if I.is_zero:
         return
     table = _membership_table(I)
     for m in lcm_lattice(I.gens) + [(1 << I.n) - 1]:
-        levels = _face_levels(I, m, table)
+        levels = _full_complex(I, m)
         ranks = [0] * (len(levels) + 1)
         for c in range(1, len(levels)):
             A = _dense_boundary(levels[c - 1], levels[c])
             ranks[c] = _reference_gf_rank(A, p)
         want = [len(levels[i]) - ranks[i] - ranks[i + 1] for i in range(len(levels))]
-        assert _homology_dims(levels, p) == want
+        got = _homology_dims(_face_levels(table, m), p)
+        assert _trimmed(got) == _trimmed(want), (I, monomial_vars(m))
 
 
 def test_is_prime_against_trial_division():
@@ -252,24 +287,18 @@ def _sorted_levels(levels):
     return [sorted(level) for level in levels]
 
 
-# lcm lattice with degrees from 3 up to 12, so the walk runs over up to
-# 2^12 submasks
-BOTH_WALKS = MonomialIdeal.from_supports(
-    12, [(1, 2, 3), (3, 4, 5), (6, 7, 8), (9, 10, 11), (11, 12, 1)]
-)
-
-
 @settings(max_examples=60, deadline=None)
 @given(squarefree_ideals_st(max_n=12, max_gens=6))
 @example(BOTH_WALKS)
 def test_table_faces_match_generator_scan(I):
-    # the table walk against the scan used above TABLE_MAX_VARS
+    # membership from the table against the generators used above
+    # TABLE_MAX_VARS, through the same walk
     if I.is_zero:
         return
     table = _membership_table(I)
     for m in lcm_lattice(I.gens) + [(1 << I.n) - 1]:
-        scan = _face_levels(I, m)
-        assert _sorted_levels(_face_levels(I, m, table)) == _sorted_levels(scan)
+        scan = _face_levels(_DividingGenerators(I.gens, m), m)
+        assert _sorted_levels(_face_levels(table, m)) == _sorted_levels(scan)
 
 
 def test_scan_above_table_limit_matches_taylor_oracle():
@@ -439,15 +468,25 @@ def test_witness_structure():
 
 
 def test_witness_soundness():
-    # a fully covered witness report certifies a vanishing first syzygy space
-    for I in random_squarefree_ideals(60, max_n=7, max_gens=7, seed=5):
+    # a fully covered witness report certifies a vanishing first syzygy
+    # space; squarefree powers of edge ideals give many covered reports
+    ideals = list(random_squarefree_ideals(60, max_n=7, max_gens=7, seed=5))
+    ideals += [
+        sqfree_power_via_matchings(G, k)
+        for G in random_graphs(60, max_n=7, seed=5)
+        for k in range(1, matching_number(G) + 1)
+    ]
+    covered = 0
+    for I in ideals:
         if I.is_zero:
             continue
         entries = multigraded_betti(I).entries
         for m in lcm_lattice(I.gens):
             report = first_syzygy_witness(I, m)
             if report.pairs and report.all_covered:
+                covered += 1
                 assert (1, m) not in entries, (I, monomial_vars(m))
+    assert covered >= 300
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import time
 import pytest
 
 from sqfpowers import betti, checks, edge_ideals
-from sqfpowers.betti import TABLES, BudgetExceeded, multigraded_betti
+from sqfpowers.betti import LATTICES, TABLES, BudgetExceeded, lcm_lattice, multigraded_betti
 from sqfpowers.checks import CHECKS, PASS, Check, CheckContext, run_check_on_instance, run_checks
 from sqfpowers.edge_ideals import POWERS, edge_ideal, sqfree_power_via_matchings
 from sqfpowers.graphs import Graph, cycle_graph, path_graph
@@ -66,6 +66,33 @@ def test_first_syzygy_checks_read_one_table_per_power(monkeypatch):
             reports = run_check_on_instance(name, cycle_graph(7), ctx)
             assert [r.outcome for r in reports] == [PASS] * len(reports), name
     assert sum(calls[0] for calls in lattices) == 3
+
+
+def test_a_request_builds_each_lattice_once(monkeypatch):
+    # restriction-table samples multidegrees from the lattice the table of
+    # its power already built, and char2-cross-check reads one lattice at
+    # both primes: one build per distinct generator tuple
+    builds = _count_calls(monkeypatch, betti, "_lattice_joins")
+    asked: list[tuple[int, ...]] = []
+    memoised = betti.lcm_lattice
+
+    def recorded(gens):
+        asked.append(tuple(gens))
+        return memoised(gens)
+
+    for module in (betti, checks):
+        monkeypatch.setattr(module, "lcm_lattice", recorded)
+    reports = run_checks(["restriction-table", "char2-cross-check"], [cycle_graph(7)])
+    assert [r.outcome for r in reports] == [PASS] * len(reports)
+    assert builds[0] == len(set(asked)) < len(asked)
+
+    # inside opened(...) one build serves both calls; outside, each builds
+    gens = sqfree_power_via_matchings(cycle_graph(7), 2).gens
+    with opened(LATTICES):
+        assert lcm_lattice(gens) is lcm_lattice(gens)
+    assert builds[0] == len(set(asked)) + 1
+    assert lcm_lattice(gens) == lcm_lattice(gens)
+    assert builds[0] == len(set(asked)) + 3
 
 
 def test_only_a_finished_table_is_stored(kernels):
