@@ -45,14 +45,14 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .ideals import (
     MonomialIdeal,
     monomial,
     monomial_degree,
     monomial_divides,
+    monomial_sort_key,
     monomial_str,
     monomial_vars,
 )
@@ -175,16 +175,12 @@ def lcm_lattice(gens: Sequence[int]) -> list[int]:
 
 
 def _lattice_joins(gens: tuple[int, ...]) -> list[int]:
+    # after joining in g_1..g_i, the set holds the joins of the nonempty
+    # generator sets with at most one member outside g_1..g_i
     lattice = set(gens)
-    work = list(gens)
-    while work:
-        m = work.pop()
-        for g in gens:
-            u = m | g
-            if u not in lattice:
-                lattice.add(u)
-                work.append(u)
-    return sorted(lattice, key=lambda m: (monomial_degree(m), monomial_vars(m)))
+    for g in gens:
+        lattice |= {m | g for m in lattice}
+    return sorted(lattice, key=lambda m: (m.bit_count(), monomial_sort_key(m)))
 
 
 def _membership_table(I: MonomialIdeal) -> bytes | None:
@@ -297,8 +293,7 @@ def _homology_dims(levels: list[list[int]], p: int) -> list[int]:
 # ---------------------------------------------------------------------------
 # Betti tables
 
-@dataclass(frozen=True)
-class BettiTable:
+class BettiTable(NamedTuple):
     """Sparse multigraded Betti numbers of a nonzero squarefree ideal."""
 
     n: int
@@ -502,8 +497,7 @@ def is_linearly_related_combinatorial(
     return True
 
 
-@dataclass(frozen=True)
-class SyzygyWitnessReport:
+class SyzygyWitnessReport(NamedTuple):
     """Per-pair witnesses showing b_{1,m} = 0 without computing homology.
 
     For each generator pair u != v with lcm(u, v) = m the witness is a third
@@ -563,8 +557,7 @@ def is_linear_quotients_order(gens: Sequence[int]) -> bool:
     return all(_colon_is_linear(gens[:j], gens[j]) for j in range(1, len(gens)))
 
 
-@dataclass(frozen=True)
-class LinearQuotientsResult:
+class LinearQuotientsResult(NamedTuple):
     status: str  # "found" | "none" | "inconclusive"
     order: tuple[int, ...] | None
     nodes: int
@@ -625,7 +618,7 @@ def _search_linear_quotients(
         sum(1 for j in range(g) if j != i and monomial_degree(gens[i] | gens[j]) == d + 1)
         for i in range(g)
     ]
-    heuristic = sorted(range(g), key=lambda i: (-linear_mates[i], monomial_vars(gens[i])))
+    heuristic = sorted(range(g), key=lambda i: (-linear_mates[i], monomial_sort_key(gens[i])))
     failed: set[int] = set()
     placed: list[int] = []  # the generators of the current prefix, in order
     nodes = 0

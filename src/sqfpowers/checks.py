@@ -37,12 +37,12 @@ millis} and instances are named re-runnably (graph6 strings, seeds).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import random
 import time
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .betti import (
     DEFAULT_CHARACTERISTIC,
@@ -126,8 +126,7 @@ RANDOM_GRAPH_MAX_N = 12
 VERONESE_MAX_R = 6
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     check: str
     instance: str
     outcome: str
@@ -157,8 +156,7 @@ class CheckReport:
         )
 
 
-@dataclass(frozen=True)
-class CheckContext:
+class CheckContext(NamedTuple):
     """Knobs shared by every runner; defaults match the shipped suite."""
 
     characteristic: int = DEFAULT_CHARACTERISTIC
@@ -169,8 +167,7 @@ class CheckContext:
     random_graph_count: int = 1000
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     name: str
     kind: str  # "theorem" | "exploration"
     scope: str  # "graph" | "tree" | "forest" | "ideals" | "builtin"
@@ -193,8 +190,18 @@ def check(name: str, kind: str, scope: str, statement: str) -> Callable:
     return register
 
 
+@functools.lru_cache(maxsize=1)
+def _graph6(G: Graph) -> str:
+    """The graph6 code of G, kept for the graph of the task being run.
+
+    Every report of a graph task is named after it, and two runners seed
+    their random draws with it.
+    """
+    return to_graph6(G)
+
+
 def _gid(G: Graph) -> str:
-    return f"g6:{to_graph6(G)}"
+    return f"g6:{_graph6(G)}"
 
 
 def _iid(I: MonomialIdeal) -> str:
@@ -426,7 +433,7 @@ def _run_first_syzygy_degree_bound(G: Graph, ctx: CheckContext, deadline: float 
 def _run_restriction_table(G: Graph, ctx: CheckContext, deadline: float | None):
     if not G.edges:
         return VACUOUS
-    rng = random.Random((ctx.seed, to_graph6(G)).__repr__())
+    rng = random.Random((ctx.seed, _graph6(G)).__repr__())
     for k, I in _powers_upto_nu(G):
         table = multigraded_betti(I, ctx.characteristic, deadline=deadline)
         lattice = lcm_lattice(I.gens)
@@ -653,7 +660,7 @@ def _run_taylor_witness(G: Graph, ctx: CheckContext, deadline: float | None):
 def _run_equimatchable_extension(G: Graph, ctx: CheckContext, deadline: float | None):
     if not G.edges or not is_equimatchable(G):
         return VACUOUS
-    rng = random.Random((ctx.seed, to_graph6(G)).__repr__())
+    rng = random.Random((ctx.seed, _graph6(G)).__repr__())
     vertex_sets = [set()]
     for _ in range(3):
         size = rng.randint(0, G.n)

@@ -69,7 +69,6 @@ from .matchings import (
     has_perfect_matching,
     induced_matching_number,
     is_equimatchable,
-    is_gap_free,
     matching_number,
     restricted_matching_number,
 )
@@ -164,17 +163,18 @@ def _ideal_for_algebra(args: argparse.Namespace) -> tuple[Graph | None, Monomial
 
 def cmd_invariants(args: argparse.Namespace) -> int:
     G = load_graph(args.graph)
+    nu1 = induced_matching_number(G)
     payload = {
         "command": "invariants",
         "graph6": to_graph6(G),
         "n": G.n,
         "edge_count": len(G.edges),
         "nu": matching_number(G),
-        "nu1": induced_matching_number(G),
+        "nu1": nu1,
         "nu0": restricted_matching_number(G),
         "equimatchable": is_equimatchable(G),
         "has_perfect_matching": has_perfect_matching(G),
-        "gap_free": is_gap_free(G),
+        "gap_free": nu1 <= 1,  # what is_gap_free decides, without a second search
         "is_forest": is_forest(G),
         "is_tree": is_tree(G),
         "is_chordal": is_chordal(G),

@@ -10,7 +10,7 @@ keep the original vertex labels throughout.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .betti import is_linearly_related_combinatorial
 from .graphs import (
@@ -169,8 +169,7 @@ def lambda_number(G: Graph) -> int:
 # ---------------------------------------------------------------------------
 # forest classification
 
-@dataclass(frozen=True)
-class TemplateMatch:
+class TemplateMatch(NamedTuple):
     """One way a forest instantiates a template.
 
     kind "G1": spine (x1, x2, x3) carrying edges x1x2 and x2x3, bouquets are
@@ -206,8 +205,7 @@ class TemplateMatch:
         return Graph.from_edges(n, edges)
 
 
-@dataclass(frozen=True)
-class ForestClassification:
+class ForestClassification(NamedTuple):
     matches: tuple[TemplateMatch, ...]
 
     @property

@@ -9,9 +9,8 @@ original labels in ``source_vertices``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 MAX_VERTICES = 64
 
@@ -24,25 +23,53 @@ def _canon_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
-@dataclass(frozen=True)
 class Graph:
-    """Immutable simple graph; ``edges`` holds sorted pairs (u, v) with u < v."""
+    """Immutable simple graph; ``edges`` holds sorted pairs (u, v) with u < v.
+
+    Equality and hashing read n and edges only: ``source_vertices`` holds the
+    original labels of the vertices when this graph arose as an induced
+    subgraph (source_vertices[i-1] is the old name of the new vertex i), and
+    is left out so that G restricted to all of V(G) still equals G.
+    """
 
     n: int
     edges: frozenset[Edge]
-    # Original labels of the vertices when this graph arose as an induced
-    # subgraph: source_vertices[i-1] is the old name of the new vertex i.
-    # Excluded from equality so G restricted to all of V(G) still equals G.
-    source_vertices: tuple[int, ...] | None = field(default=None, compare=False)
+    source_vertices: tuple[int, ...] | None
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.n <= MAX_VERTICES:
-            raise ValueError(f"vertex count {self.n} outside 0..{MAX_VERTICES}")
-        for u, v in self.edges:
-            if not (1 <= u < v <= self.n):
-                raise ValueError(f"edge ({u}, {v}) is not canonical for n={self.n}")
-        if self.source_vertices is not None and len(self.source_vertices) != self.n:
+    def __init__(
+        self,
+        n: int,
+        edges: frozenset[Edge],
+        source_vertices: tuple[int, ...] | None = None,
+    ) -> None:
+        if not 0 <= n <= MAX_VERTICES:
+            raise ValueError(f"vertex count {n} outside 0..{MAX_VERTICES}")
+        for u, v in edges:
+            if not (1 <= u < v <= n):
+                raise ValueError(f"edge ({u}, {v}) is not canonical for n={n}")
+        if source_vertices is not None and len(source_vertices) != n:
             raise ValueError("source_vertices length must equal n")
+        self.__dict__.update(n=n, edges=edges, source_vertices=source_vertices)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n == other.n and self.edges == other.edges
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.edges))
+
+    def __repr__(self) -> str:
+        return (
+            f"Graph(n={self.n!r}, edges={self.edges!r}, "
+            f"source_vertices={self.source_vertices!r})"
+        )
 
     @staticmethod
     def from_edges(
@@ -288,8 +315,7 @@ def complete_graph(n: int) -> Graph:
     return Graph.from_edges(n, [(u, v) for u in range(1, n) for v in range(u + 1, n + 1)])
 
 
-@dataclass(frozen=True)
-class NamedGraphs:
+class NamedGraphs(NamedTuple):
     """The bundled example graphs used across fixtures and CLI builtins."""
 
     fig1: Graph  # 9-vertex tree: a 7-path with extra leaves at path vertices 3 and 5

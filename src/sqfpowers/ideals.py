@@ -9,7 +9,6 @@ the mask 0 (the monomial 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .graphs import MAX_VERTICES
@@ -47,33 +46,48 @@ def monomial_str(mask: int) -> str:
     return "*".join(f"x{v}" for v in monomial_vars(mask))
 
 
+_VAR_LETTERS = str.maketrans("10", "ab")
+
+
+def monomial_sort_key(mask: int) -> str:
+    """A key that orders masks as their ``monomial_vars`` tuples.
+
+    The bits from x_1 upwards become "a" (set) or "b" (clear) up to the
+    highest set bit, so the first variable where two monomials differ
+    decides, and a monomial whose variables begin another one's comes first.
+    The monomial 1 has the empty key.
+    """
+    return bin(mask)[:1:-1].translate(_VAR_LETTERS) if mask else ""
+
+
 def _sorted_gens(masks: Iterable[int]) -> tuple[int, ...]:
-    return tuple(sorted(set(masks), key=monomial_vars))
+    return tuple(sorted(set(masks), key=monomial_sort_key))
 
 
-@dataclass(frozen=True)
+def _check_variables(n: int, gens: tuple[int, ...]) -> None:
+    if not 0 <= n <= MAX_VERTICES:
+        raise ValueError(f"variable count {n} outside 0..{MAX_VERTICES}")
+    full = (1 << n) - 1
+    for g in gens:
+        if g & ~full:
+            raise ValueError(f"generator {monomial_str(g)} uses variables beyond n={n}")
+
+
 class MonomialIdeal:
     """Antichain of squarefree monomial generators over n variables."""
 
     n: int
     gens: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        self._check_variables()
-        if self.gens != _sorted_gens(self.gens):
+    def __init__(self, n: int, gens: tuple[int, ...]) -> None:
+        _check_variables(n, gens)
+        if gens != _sorted_gens(gens):
             raise ValueError("generators must be sorted and duplicate-free")
-        for i, g in enumerate(self.gens):
-            for h in self.gens[i + 1 :]:
+        for i, g in enumerate(gens):
+            for h in gens[i + 1 :]:
                 if monomial_divides(g, h) or monomial_divides(h, g):
                     raise ValueError("generators must form an antichain")
-
-    def _check_variables(self) -> None:
-        if not 0 <= self.n <= MAX_VERTICES:
-            raise ValueError(f"variable count {self.n} outside 0..{MAX_VERTICES}")
-        full = (1 << self.n) - 1
-        for g in self.gens:
-            if g & ~full:
-                raise ValueError(f"generator {monomial_str(g)} uses variables beyond n={self.n}")
+        self.__dict__.update(n=n, gens=gens)
 
     @classmethod
     def _trusted(cls, n: int, gens: tuple[int, ...]) -> "MonomialIdeal":
@@ -82,11 +96,27 @@ class MonomialIdeal:
         Only n and the variables are checked, in O(g); the public constructor
         also re-checks the order and the antichain, in O(g^2).
         """
+        _check_variables(n, gens)
         ideal = object.__new__(cls)
-        object.__setattr__(ideal, "n", n)
-        object.__setattr__(ideal, "gens", gens)
-        ideal._check_variables()
+        ideal.__dict__.update(n=n, gens=gens)
         return ideal
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n == other.n and self.gens == other.gens
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.gens))
+
+    def __repr__(self) -> str:
+        return f"MonomialIdeal(n={self.n!r}, gens={self.gens!r})"
 
     @staticmethod
     def zero(n: int) -> "MonomialIdeal":

@@ -227,22 +227,13 @@ def induced_matching_number(G: Graph) -> int:
 def restricted_matching_number(G: Graph) -> int:
     """Largest matching with an edge forming a gap with every other member.
 
-    For each edge e the other members must pairwise be disjoint edges drawn
-    from the set of edges forming a gap with e, so the answer is
-    max over e of 1 + (matching number of the gap-mates of e).
+    The edges forming a gap with e = (a, b) are exactly the edges of
+    G - N[a] - N[b], so the answer is 1 + max over e of nu(G - N[a] - N[b]).
     """
-    edges = G.edge_list
-    if not edges:
+    if not G.edges:
         return 0
-    best = 1
-    for e in edges:
-        closed = _closed_edge_mask(G, e)
-        mates = [f for f in edges if edge_mask(f) & closed == 0]
-        if not mates:
-            continue
-        sub = Graph(G.n, frozenset(mates))
-        best = max(best, 1 + matching_number(sub))
-    return best
+    adj, full = G.adjacency, G.vertex_mask
+    return 1 + max(_nu(adj, full & ~_closed_edge_mask(G, e)) for e in G.edge_list)
 
 
 def has_perfect_matching(G: Graph) -> bool:

@@ -6,8 +6,11 @@ search for the matching invariants, the Taylor complex over the rationals for
 multigraded Betti numbers, permutation search for linear quotients, and
 induced-subset search for chordless cycles.  Slow but obviously correct.
 
-The one exception is ``generated_graphs``, the numpy generator that produced
-the package's bundled graph table; it stays here to cross-check that table.
+There are two exceptions.  ``generated_graphs``, the numpy generator that
+produced the package's bundled graph table, stays here to cross-check that
+table.  ``gap_mates_restricted_matching_number`` is the package's earlier nu0:
+it scans the gap-mates of each edge by hand but takes their matching number
+from the package, and is fast enough to cross-check nu0 on 30 vertices.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from fractions import Fraction
 
 from sqfpowers import Graph, MonomialIdeal
 from sqfpowers.families import _edge_slots, _graph_from_code, _perm_powers
+from sqfpowers.matchings import edge_mask, matching_number
 
 Edge = tuple[int, int]
 
@@ -79,6 +83,24 @@ def brute_restricted_matching_number(G: Graph) -> int:
             ):
                 best = size
                 break
+    return best
+
+
+def gap_mates_restricted_matching_number(G: Graph) -> int:
+    """nu0 as 1 + the matching number of the edges forming a gap with e, over e.
+
+    Each edge e is compared with every other edge, and its gap-mates become a
+    graph of their own; the package reads the same mates off G - N[e].
+    """
+    edges = G.edge_list
+    if not edges:
+        return 0
+    best = 1
+    for a, b in edges:
+        closed = G.adjacency[a] | G.adjacency[b] | edge_mask((a, b))
+        mates = [f for f in edges if edge_mask(f) & closed == 0]
+        if mates:
+            best = max(best, 1 + matching_number(Graph(G.n, frozenset(mates))))
     return best
 
 

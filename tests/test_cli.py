@@ -701,8 +701,12 @@ def _modules_after(code: str, tmp_path: Path) -> set[str]:
 def test_import_does_not_load_numpy(tmp_path):
     # numpy is only for canonical_code, and the process pool only for
     # verify --jobs N with N > 1; neither may load on the way to a result.
+    # Nor may dataclasses and the inspect it imports: about 27 ms of every
+    # call went to importing them and generating record methods.
     for module in ("sqfpowers", "sqfpowers.cli"):
-        assert "numpy" not in _modules_after(f"import {module}", tmp_path), module
+        loaded = _modules_after(f"import {module}", tmp_path)
+        for absent in ("numpy", "dataclasses", "inspect"):
+            assert absent not in loaded, (module, absent)
     call = "import sqfpowers.cli\nif sqfpowers.cli.main({!r}): raise SystemExit(1)"
     for argv in (
         ["invariants", "c7"],
@@ -711,8 +715,8 @@ def test_import_does_not_load_numpy(tmp_path):
         ["verify", "nu0-lambda", "--family", "exhaustive-7", "--jobs", "1"],
     ):
         loaded = _modules_after(call.format(argv), tmp_path)
-        assert "concurrent.futures" not in loaded, argv
-        assert "numpy" not in loaded, argv
+        for absent in ("concurrent.futures", "numpy", "dataclasses", "inspect"):
+            assert absent not in loaded, (argv, absent)
     # bench/tracer.py wraps functions of these modules and looks them up in
     # sys.modules after importing sqfpowers.cli; loading any of them lazily
     # must land together with a change to the tracer.

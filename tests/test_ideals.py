@@ -1,6 +1,7 @@
 """Squarefree monomial ideals: arithmetic, powers, colons, text format."""
 
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,7 @@ from sqfpowers.ideals import (
     monomial,
     monomial_degree,
     monomial_divides,
+    monomial_sort_key,
     monomial_str,
     monomial_vars,
     parse_ideal,
@@ -55,14 +57,64 @@ def test_monomial_arithmetic():
     assert monomial_divides(0, a)
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.one_of(st.just(0), st.integers(0, 255), st.integers(0, (1 << 64) - 1)),
+        min_size=2,
+        max_size=12,
+    )
+)
+def test_monomial_sort_key_orders_as_the_variable_tuples(masks):
+    assert sorted(masks, key=monomial_sort_key) == sorted(masks, key=monomial_vars)
+
+
+def test_monomial_sort_key_small_masks_exhaustively():
+    masks = range(256)
+    assert sorted(masks, key=monomial_sort_key) == sorted(masks, key=monomial_vars)
+    assert monomial_sort_key(0) == "" and monomial_sort_key(0b101) == "aba"
+
+
 # ---------------------------------------------------------------------------
 # the ideal type
+
+def test_ideal_value_semantics():
+    I = MonomialIdeal(3, (monomial([1, 2]), monomial([2, 3])))
+    J = minimalize(3, [monomial([2, 3]), monomial([1, 2]), monomial([1, 2, 3])])
+    assert I == J and hash(I) == hash(J) and len({I, J}) == 1
+    assert I != MonomialIdeal(4, I.gens)
+    assert I != MonomialIdeal(3, (monomial([1, 2]),))
+    assert I != (3, I.gens)
+    assert repr(I) == "MonomialIdeal(n=3, gens=(3, 6))"
+    for name in ("n", "gens", "other"):
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(I, name, None)
+        with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+            delattr(I, name)
+    back = pickle.loads(pickle.dumps(I))
+    assert back == I and back.gens == (3, 6) and back.n == 3
+    with pytest.raises(AttributeError):
+        back.gens = ()
+    for args, message in (
+        ((65, ()), "variable count 65 outside 0..64"),
+        ((2, (monomial([3]),)), "generator x3 uses variables beyond n=2"),
+        ((3, (monomial([2]), monomial([1]))), "generators must be sorted and duplicate-free"),
+        ((3, (monomial([1]), monomial([1]))), "generators must be sorted and duplicate-free"),
+        ((3, (monomial([1, 2]), monomial([2]))), "generators must form an antichain"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            MonomialIdeal(*args)
+    # the trusted path checks the variables only
+    with pytest.raises(ValueError, match="generator x3 uses variables beyond n=2"):
+        MonomialIdeal._trusted(2, (monomial([3]),))
+    assert MonomialIdeal._trusted(3, (monomial([2]), monomial([1, 2]))).gens == (2, 3)
+
 
 def test_ideal_validation():
     with pytest.raises(ValueError):
         MonomialIdeal(2, (monomial([3]),))  # variable beyond n
     with pytest.raises(ValueError):
-        MonomialIdeal(3, (monomial([2]), monomial([1, 2])))  # not an antichain
+        MonomialIdeal(3, (monomial([1, 2]), monomial([2])))  # sorted, not an antichain
     with pytest.raises(ValueError):
         MonomialIdeal(3, (monomial([2]), monomial([1])))  # unsorted
     with pytest.raises(ValueError):

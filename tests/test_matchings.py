@@ -272,6 +272,18 @@ def test_matching_chain_random():
         assert nu1 <= nu0 <= nu, to_graph6(G)
 
 
+def test_restricted_matching_number_matches_gap_mate_scan():
+    # nu0 from G - N[a] - N[b] against the scan of each edge's gap-mates
+    rng = random.Random(20261019)
+    graphs = [G for n in range(1, 8) for G in all_graphs(n)] + [
+        _gnp(n, p, rng) for n in range(8, 31) for p in (1.5 / n, 0.1, 0.3, 0.6)
+    ]
+    for G in graphs:
+        assert restricted_matching_number(G) == (
+            oracles.gap_mates_restricted_matching_number(G)
+        ), to_graph6(G)
+
+
 # ---------------------------------------------------------------------------
 # perfect matchings
 
