@@ -7,230 +7,98 @@ of edge ideals, multigraded Betti numbers over finite prime fields, linear
 resolution / linear relatedness / linear quotients verdicts, a forest
 classification against three explicit templates, and ships an executable
 registry of theorem checks plus a CLI (``sqfpowers``).
+
+``import sqfpowers`` runs no submodule: each exported name loads its defining
+submodule on first use (PEP 562), so a caller pays only for what it touches.
 """
 
-from .betti import (
-    DEFAULT_CHARACTERISTIC,
-    BettiTable,
-    BudgetExceeded,
-    LinearQuotientsResult,
-    SyzygyWitnessReport,
-    betti_diagram_text,
-    first_syzygy_witness,
-    gf_rank,
-    has_linear_resolution,
-    is_linear_quotients_order,
-    is_linearly_related_combinatorial,
-    is_linearly_related_homological,
-    lcm_lattice,
-    linear_quotients_order,
-    multigraded_betti,
-    projective_dimension,
-    regularity,
-    render_betti_diagram,
-)
-from .checks import (
-    CHECKS,
-    Check,
-    CheckContext,
-    CheckReport,
-    run_check_on_instance,
-    run_checks,
-    summarize,
-    theorem_failures,
-)
-from .edge_ideals import (
-    ForestClassification,
-    TemplateMatch,
-    classify_forest,
-    colon_square_by_edge,
-    edge_ideal,
-    is_generated_in_degree,
-    l_degree_hypothesis,
-    l_ideal,
-    l_ideal_shape,
-    lambda_number,
-    sqfree_power_via_matchings,
-)
-from .families import (
-    all_forests,
-    all_forests_up_to,
-    all_graphs,
-    all_graphs_up_to,
-    all_trees,
-    all_trees_up_to,
-    canonical_code,
-    disjoint_edges_graph,
-    random_graphs,
-    random_squarefree_ideals,
-    resolve_family,
-    tree_canonical_form,
-)
-from .graphs import (
-    BUILTIN_GRAPH_NAMES,
-    MAX_VERTICES,
-    Graph,
-    builtin_graph,
-    complement,
-    complete_graph,
-    connected_components,
-    cycle_graph,
-    disjoint_union,
-    format_edge_list,
-    induced_subgraph,
-    is_chordal,
-    is_connected,
-    is_forest,
-    is_tree,
-    named_graphs,
-    parse_edge_list,
-    parse_graph6,
-    parse_graphs,
-    path_graph,
-    proliferate_leaf,
-    remove_edge,
-    remove_vertices,
-    star_graph,
-    to_graph6,
-)
-from .ideals import (
-    MonomialIdeal,
-    colon_by_monomial,
-    colon_ideal,
-    format_ideal,
-    ideal_sum,
-    intersect,
-    minimalize,
-    monomial,
-    monomial_degree,
-    monomial_divides,
-    monomial_str,
-    monomial_vars,
-    parse_ideal,
-    ratliff_check,
-    restrict,
-    sqfree_power,
-)
-from .matchings import (
-    enumerate_matchings,
-    enumerate_maximal_matchings,
-    greedy_matching_extension,
-    has_perfect_matching,
-    induced_matching_number,
-    is_equimatchable,
-    is_gap,
-    is_gap_free,
-    is_matching,
-    matching_number,
-    matching_number_within,
-    restricted_matching_number,
-    tree_perfect_matching_criterion,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BUILTIN_GRAPH_NAMES",
-    "CHECKS",
-    "Check",
-    "CheckContext",
-    "CheckReport",
-    "DEFAULT_CHARACTERISTIC",
-    "BettiTable",
-    "BudgetExceeded",
-    "ForestClassification",
-    "Graph",
-    "LinearQuotientsResult",
-    "MAX_VERTICES",
-    "MonomialIdeal",
-    "SyzygyWitnessReport",
-    "TemplateMatch",
-    "all_forests",
-    "all_forests_up_to",
-    "all_graphs",
-    "all_graphs_up_to",
-    "all_trees",
-    "all_trees_up_to",
-    "betti_diagram_text",
-    "builtin_graph",
-    "canonical_code",
-    "classify_forest",
-    "colon_by_monomial",
-    "colon_ideal",
-    "colon_square_by_edge",
-    "complement",
-    "complete_graph",
-    "connected_components",
-    "cycle_graph",
-    "disjoint_edges_graph",
-    "disjoint_union",
-    "edge_ideal",
-    "enumerate_matchings",
-    "enumerate_maximal_matchings",
-    "first_syzygy_witness",
-    "format_edge_list",
-    "format_ideal",
-    "gf_rank",
-    "greedy_matching_extension",
-    "has_linear_resolution",
-    "has_perfect_matching",
-    "ideal_sum",
-    "induced_matching_number",
-    "induced_subgraph",
-    "intersect",
-    "is_chordal",
-    "is_connected",
-    "is_equimatchable",
-    "is_forest",
-    "is_gap",
-    "is_gap_free",
-    "is_generated_in_degree",
-    "is_linear_quotients_order",
-    "is_linearly_related_combinatorial",
-    "is_linearly_related_homological",
-    "is_matching",
-    "is_tree",
-    "l_degree_hypothesis",
-    "l_ideal",
-    "l_ideal_shape",
-    "lambda_number",
-    "lcm_lattice",
-    "linear_quotients_order",
-    "matching_number",
-    "matching_number_within",
-    "minimalize",
-    "monomial",
-    "monomial_degree",
-    "monomial_divides",
-    "monomial_str",
-    "monomial_vars",
-    "multigraded_betti",
-    "named_graphs",
-    "parse_edge_list",
-    "parse_graph6",
-    "parse_graphs",
-    "parse_ideal",
-    "path_graph",
-    "proliferate_leaf",
-    "projective_dimension",
-    "random_graphs",
-    "random_squarefree_ideals",
-    "ratliff_check",
-    "regularity",
-    "remove_edge",
-    "remove_vertices",
-    "render_betti_diagram",
-    "resolve_family",
-    "restrict",
-    "restricted_matching_number",
-    "run_check_on_instance",
-    "run_checks",
-    "sqfree_power",
-    "sqfree_power_via_matchings",
-    "star_graph",
-    "summarize",
-    "theorem_failures",
-    "to_graph6",
-    "tree_canonical_form",
-    "tree_perfect_matching_criterion",
-]
+# every exported name and the submodule that defines it
+_EXPORTS = {
+    name: module
+    for module, names in (
+        ("defaults", "DEFAULT_CHARACTERISTIC"),
+        (
+            "betti",
+            """
+            BettiTable BudgetExceeded LinearQuotientsResult SyzygyWitnessReport
+            betti_diagram_text first_syzygy_witness gf_rank has_linear_resolution
+            is_linear_quotients_order is_linearly_related_combinatorial
+            is_linearly_related_homological lcm_lattice linear_quotients_order
+            multigraded_betti projective_dimension regularity render_betti_diagram
+            """,
+        ),
+        (
+            "checks",
+            """
+            CHECKS Check CheckContext CheckReport run_check_on_instance run_checks
+            summarize theorem_failures
+            """,
+        ),
+        (
+            "edge_ideals",
+            """
+            ForestClassification TemplateMatch classify_forest colon_square_by_edge
+            edge_ideal is_generated_in_degree l_degree_hypothesis l_ideal
+            l_ideal_shape lambda_number sqfree_power_via_matchings
+            """,
+        ),
+        (
+            "families",
+            """
+            all_forests all_forests_up_to all_graphs all_graphs_up_to all_trees
+            all_trees_up_to canonical_code disjoint_edges_graph random_graphs
+            random_squarefree_ideals resolve_family tree_canonical_form
+            """,
+        ),
+        (
+            "graphs",
+            """
+            BUILTIN_GRAPH_NAMES MAX_VERTICES Graph builtin_graph complement
+            complete_graph connected_components cycle_graph disjoint_union
+            format_edge_list induced_subgraph is_chordal is_connected is_forest
+            is_tree named_graphs parse_edge_list parse_graph6 parse_graphs
+            path_graph proliferate_leaf remove_edge remove_vertices star_graph
+            to_graph6
+            """,
+        ),
+        (
+            "ideals",
+            """
+            MonomialIdeal colon_by_monomial colon_ideal format_ideal ideal_sum
+            intersect minimalize monomial monomial_degree monomial_divides
+            monomial_str monomial_vars parse_ideal ratliff_check restrict
+            sqfree_power
+            """,
+        ),
+        (
+            "matchings",
+            """
+            enumerate_matchings enumerate_maximal_matchings
+            greedy_matching_extension has_perfect_matching induced_matching_number
+            is_equimatchable is_gap is_gap_free is_matching matching_number
+            matching_number_within restricted_matching_number
+            tree_perfect_matching_criterion
+            """,
+        ),
+    )
+    for name in names.split()
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is not None:
+        return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    if name in _EXPORTS.values():  # sqfpowers.betti and the like, unimported
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS})

@@ -47,6 +47,7 @@ import json
 import time
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
+from .defaults import DEFAULT_CHARACTERISTIC
 from .ideals import (
     MonomialIdeal,
     monomial,
@@ -58,7 +59,6 @@ from .ideals import (
 )
 from .memo import RequestMemo
 
-DEFAULT_CHARACTERISTIC = 32003
 GENERATOR_CAP = 2000
 # read only by the benchmark's tracer, which counts gf_rank calls wider than
 # this; no rank path depends on it

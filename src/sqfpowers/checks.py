@@ -1009,8 +1009,12 @@ def _run_figure_diagrams(ctx: CheckContext, deadline: float | None):
     I2 = sqfree_power_via_matchings(c7, 2)
     facts = {
         "nu0": restricted_matching_number(c7) == 2,
-        "linearly_related": is_linearly_related_homological(I2, ctx.characteristic),
-        "linear_resolution": not has_linear_resolution(I2, ctx.characteristic),
+        "linearly_related": is_linearly_related_homological(
+            I2, ctx.characteristic, deadline=deadline
+        ),
+        "linear_resolution": not has_linear_resolution(
+            I2, ctx.characteristic, deadline=deadline
+        ),
     }
     yield "builtin:c7;invariants", all(facts.values()), {"facts": facts}
 

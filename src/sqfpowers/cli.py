@@ -13,82 +13,59 @@ input error.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import sys
 import time
 from pathlib import Path
+from types import ModuleType
 
-from .betti import (
-    DEFAULT_CHARACTERISTIC,
-    BettiTable,
-    _check_characteristic,
-    betti_diagram_text,
-    is_linearly_related_combinatorial,
-    is_linearly_related_homological,
-    linear_quotients_order,
-    multigraded_betti,
-    render_betti_diagram,
-)
-from .checks import (
-    CHECKS,
-    CheckContext,
-    run_checks,
-    summarize,
-    theorem_failures,
-)
-from .edge_ideals import (
-    classify_forest,
-    colon_square_by_edge,
-    edge_ideal,
-    lambda_number,
-    sqfree_power_via_matchings,
-)
-from .families import DEFAULT_SEED, FAMILY_HELP, resolve_family
-from .graphs import (
-    BUILTIN_GRAPH_NAMES,
-    Graph,
-    builtin_graph,
-    complement,
-    format_edge_list,
-    is_chordal,
-    is_forest,
-    is_tree,
-    parse_graphs,
-    to_graph6,
-)
-from .ideals import (
-    MonomialIdeal,
-    colon_by_monomial,
-    colon_ideal,
-    format_ideal,
-    monomial,
-    monomial_vars,
-    parse_ideal,
-)
-from .matchings import (
-    has_perfect_matching,
-    induced_matching_number,
-    is_equimatchable,
-    matching_number,
-    restricted_matching_number,
-)
+from .defaults import DEFAULT_CHARACTERISTIC, DEFAULT_SEED, FAMILY_HELP
+
+
+def _lazy_module(name: str) -> ModuleType:
+    """The submodule *name* of this package, its body run on first attribute use.
+
+    The module is registered in sys.modules (and on the package) at once, so
+    code that looks it up there finds it; a module already there is returned
+    as it is.  A command thus runs only the modules it uses.
+    """
+    fullname = f"{__package__}.{name}"
+    module = sys.modules.get(fullname)
+    if module is None:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[fullname] = module
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return module
+
+
+betti = _lazy_module("betti")
+checks = _lazy_module("checks")
+edge_ideals = _lazy_module("edge_ideals")
+families = _lazy_module("families")
+graphs = _lazy_module("graphs")
+ideals = _lazy_module("ideals")
+matchings = _lazy_module("matchings")
 
 GRAPH_SPEC_HELP = (
     "graph source: a builtin name (%s), 'builtin:NAME', 'g6:STRING', "
     "'-' for stdin, or a path to a file holding one graph as an edge list "
     "('n m' header then one 'u v' pair per line) or a graph6 line"
-) % ", ".join(BUILTIN_GRAPH_NAMES)
+) % ", ".join(graphs.BUILTIN_GRAPH_NAMES)
 
 
 class InputError(Exception):
     """Bad input that should exit with status 2."""
 
 
-def load_graph(spec: str) -> Graph:
+def load_graph(spec: str) -> graphs.Graph:
     if spec.startswith("builtin:"):
-        return builtin_graph(spec.split(":", 1)[1])
-    if spec in BUILTIN_GRAPH_NAMES:
-        return builtin_graph(spec)
+        return graphs.builtin_graph(spec.split(":", 1)[1])
+    if spec in graphs.BUILTIN_GRAPH_NAMES:
+        return graphs.builtin_graph(spec)
     if spec.startswith("g6:"):
         text = spec.split(":", 1)[1]
     elif spec == "-":
@@ -102,20 +79,20 @@ def load_graph(spec: str) -> Graph:
             )
         text = path.read_text()
     try:
-        graphs = parse_graphs(text)
+        parsed = graphs.parse_graphs(text)
     except ValueError as exc:
         raise InputError(f"cannot parse graph from {spec!r}: {exc}") from exc
-    if len(graphs) != 1:
+    if len(parsed) != 1:
         raise InputError(
-            f"{spec!r} holds {len(graphs)} graphs; this command needs exactly one"
+            f"{spec!r} holds {len(parsed)} graphs; this command needs exactly one"
         )
-    return graphs[0]
+    return parsed[0]
 
 
-def load_ideal(path_spec: str) -> MonomialIdeal:
+def load_ideal(path_spec: str) -> ideals.MonomialIdeal:
     text = sys.stdin.read() if path_spec == "-" else Path(path_spec).read_text()
     try:
-        return parse_ideal(text)
+        return ideals.parse_ideal(text)
     except ValueError as exc:
         raise InputError(f"cannot parse ideal from {path_spec!r}: {exc}") from exc
 
@@ -127,13 +104,13 @@ def _emit(payload: dict, as_json: bool, text: str) -> None:
         print(text)
 
 
-def _gens_as_lists(I: MonomialIdeal) -> list[list[int]]:
-    return [list(monomial_vars(g)) for g in I.gens]
+def _gens_as_lists(I: ideals.MonomialIdeal) -> list[list[int]]:
+    return [list(ideals.monomial_vars(g)) for g in I.gens]
 
 
-def _power_ideal(args: argparse.Namespace) -> tuple[Graph, MonomialIdeal]:
+def _power_ideal(args: argparse.Namespace) -> tuple[graphs.Graph, ideals.MonomialIdeal]:
     G = load_graph(args.graph)
-    return G, sqfree_power_via_matchings(G, args.k)
+    return G, edge_ideals.sqfree_power_via_matchings(G, args.k)
 
 
 def _node_budget(args: argparse.Namespace) -> int:
@@ -149,7 +126,9 @@ def _time_budget(args: argparse.Namespace) -> float | None:
     return args.time_budget
 
 
-def _ideal_for_algebra(args: argparse.Namespace) -> tuple[Graph | None, MonomialIdeal]:
+def _ideal_for_algebra(
+    args: argparse.Namespace,
+) -> tuple[graphs.Graph | None, ideals.MonomialIdeal]:
     """Shared input handling for betti/linrel/linquot: a graph power or an ideal file."""
     if args.ideal is not None:
         return None, load_ideal(args.ideal)
@@ -163,22 +142,22 @@ def _ideal_for_algebra(args: argparse.Namespace) -> tuple[Graph | None, Monomial
 
 def cmd_invariants(args: argparse.Namespace) -> int:
     G = load_graph(args.graph)
-    nu1 = induced_matching_number(G)
+    nu1 = matchings.induced_matching_number(G)
     payload = {
         "command": "invariants",
-        "graph6": to_graph6(G),
+        "graph6": graphs.to_graph6(G),
         "n": G.n,
         "edge_count": len(G.edges),
-        "nu": matching_number(G),
+        "nu": matchings.matching_number(G),
         "nu1": nu1,
-        "nu0": restricted_matching_number(G),
-        "equimatchable": is_equimatchable(G),
-        "has_perfect_matching": has_perfect_matching(G),
+        "nu0": matchings.restricted_matching_number(G),
+        "equimatchable": matchings.is_equimatchable(G),
+        "has_perfect_matching": matchings.has_perfect_matching(G),
         "gap_free": nu1 <= 1,  # what is_gap_free decides, without a second search
-        "is_forest": is_forest(G),
-        "is_tree": is_tree(G),
-        "is_chordal": is_chordal(G),
-        "complement_chordal": is_chordal(complement(G)),
+        "is_forest": graphs.is_forest(G),
+        "is_tree": graphs.is_tree(G),
+        "is_chordal": graphs.is_chordal(G),
+        "complement_chordal": graphs.is_chordal(graphs.complement(G)),
     }
     order = (
         "graph6 n edge_count nu nu1 nu0 equimatchable has_perfect_matching "
@@ -193,19 +172,19 @@ def cmd_power(args: argparse.Namespace) -> int:
     G, I = _power_ideal(args)
     payload = {
         "command": "power",
-        "graph6": to_graph6(G),
+        "graph6": graphs.to_graph6(G),
         "n": G.n,
         "k": args.k,
-        "nu": matching_number(G),
+        "nu": matchings.matching_number(G),
         "zero": I.is_zero,
         "generator_count": len(I.gens),
         "generators": _gens_as_lists(I),
     }
-    _emit(payload, args.json, format_ideal(I).rstrip("\n"))
+    _emit(payload, args.json, ideals.format_ideal(I).rstrip("\n"))
     return 0
 
 
-def _betti_payload(I: MonomialIdeal, characteristic: int) -> tuple[dict, str]:
+def _betti_payload(I: ideals.MonomialIdeal, characteristic: int) -> tuple[dict, str]:
     """The betti payload and the diagram text, both from one table."""
     if I.is_zero:
         return {
@@ -219,22 +198,22 @@ def _betti_payload(I: MonomialIdeal, characteristic: int) -> tuple[dict, str]:
             "projective_dimension": None,
             "linear_resolution": True,
             "linearly_related": True,
-        }, betti_diagram_text(I)
-    table: BettiTable = multigraded_betti(I, characteristic)
+        }, betti.betti_diagram_text(I)
+    table = betti.multigraded_betti(I, characteristic)
     return {
         "zero": False,
         "n": I.n,
         "characteristic": characteristic,
         "generator_degree": table.gen_degree,
         "entries": sorted(
-            [i, list(monomial_vars(m)), v] for (i, m), v in table.entries.items()
+            [i, list(ideals.monomial_vars(m)), v] for (i, m), v in table.entries.items()
         ),
         "graded": sorted([i, j, v] for (i, j), v in table.graded().items()),
         "regularity": table.regularity(),
         "projective_dimension": table.projective_dimension(),
         "linear_resolution": table.is_linear(),
-        "linearly_related": is_linearly_related_combinatorial(I),
-    }, render_betti_diagram(table)
+        "linearly_related": betti.is_linearly_related_combinatorial(I),
+    }, betti.render_betti_diagram(table)
 
 
 def cmd_betti(args: argparse.Namespace) -> int:
@@ -255,9 +234,9 @@ def cmd_linrel(args: argparse.Namespace) -> int:
     _, I = _ideal_for_algebra(args)
     comb = homo = None
     if args.method in ("combinatorial", "both"):
-        comb = is_linearly_related_combinatorial(I)
+        comb = betti.is_linearly_related_combinatorial(I)
     if args.method in ("homological", "both"):
-        homo = is_linearly_related_homological(I, args.char)
+        homo = betti.is_linearly_related_homological(I, args.char)
     verdict = comb if comb is not None else homo
     payload = {
         "command": "linrel",
@@ -281,13 +260,13 @@ def cmd_linquot(args: argparse.Namespace) -> int:
     node_budget = _node_budget(args)
     budget = _time_budget(args)
     deadline = time.monotonic() + budget if budget is not None else None
-    result = linear_quotients_order(I, node_budget, deadline=deadline)
+    result = betti.linear_quotients_order(I, node_budget, deadline=deadline)
     payload = {
         "command": "linquot",
         "status": result.status,
         "nodes": result.nodes,
         "order": (
-            [list(monomial_vars(g)) for g in result.order]
+            [list(ideals.monomial_vars(g)) for g in result.order]
             if result.status == "found"
             else None
         ),
@@ -308,23 +287,23 @@ def cmd_lambda(args: argparse.Namespace) -> int:
     G = load_graph(args.graph)
     if not G.edges:
         raise InputError("lambda needs a graph with at least one edge")
-    nu = matching_number(G)
+    nu = matchings.matching_number(G)
     per_power = [
         {
             "k": k,
-            "linearly_related": is_linearly_related_combinatorial(
-                sqfree_power_via_matchings(G, k)
+            "linearly_related": betti.is_linearly_related_combinatorial(
+                edge_ideals.sqfree_power_via_matchings(G, k)
             ),
         }
         for k in range(1, nu + 1)
     ]
-    lam = lambda_number(G)
+    lam = edge_ideals.lambda_number(G)
     payload = {
         "command": "lambda",
-        "graph6": to_graph6(G),
+        "graph6": graphs.to_graph6(G),
         "lambda": lam,
         "nu": nu,
-        "nu0": restricted_matching_number(G),
+        "nu0": matchings.restricted_matching_number(G),
         "per_power": per_power,
     }
     lines = [f"lambda: {lam}", f"nu: {nu}", f"nu0: {payload['nu0']}"]
@@ -340,18 +319,18 @@ def cmd_colon(args: argparse.Namespace) -> int:
     G = load_graph(args.graph)
     if (args.l is None) == (args.edge is None):
         raise InputError("colon needs exactly one of -l L or --edge U V")
-    I = sqfree_power_via_matchings(G, args.k)
+    I = edge_ideals.sqfree_power_via_matchings(G, args.k)
     if args.l is not None:
-        J = sqfree_power_via_matchings(G, args.l)
+        J = edge_ideals.sqfree_power_via_matchings(G, args.l)
         if J.is_zero:
             raise InputError(
                 f"I(G)^[{args.l}] is the zero ideal; the colon is undefined"
             )
-        quotient = colon_ideal(I, J)
+        quotient = ideals.colon_ideal(I, J)
         equals_power = quotient == I
         payload = {
             "command": "colon",
-            "graph6": to_graph6(G),
+            "graph6": graphs.to_graph6(G),
             "k": args.k,
             "l": args.l,
             "edge": None,
@@ -360,23 +339,23 @@ def cmd_colon(args: argparse.Namespace) -> int:
             "colon_graph_edges": None,
             "matches_derived_graph": None,
         }
-        lines = [format_ideal(quotient).rstrip("\n")]
+        lines = [ideals.format_ideal(quotient).rstrip("\n")]
         lines.append(f"# equals I(G)^[{args.k}]: {equals_power}")
         _emit(payload, args.json, "\n".join(lines))
         return 0
     u, v = args.edge
     if not G.has_edge(u, v):
         raise InputError(f"({u}, {v}) is not an edge of the graph")
-    quotient = colon_by_monomial(I, monomial((u, v)))
+    quotient = ideals.colon_by_monomial(I, ideals.monomial((u, v)))
     derived_edges = None
     matches = None
     if args.k == 2:
-        derived = colon_square_by_edge(G, (min(u, v), max(u, v)))
+        derived = edge_ideals.colon_square_by_edge(G, (min(u, v), max(u, v)))
         derived_edges = [list(e) for e in derived.edge_list]
-        matches = edge_ideal(derived) == quotient
+        matches = edge_ideals.edge_ideal(derived) == quotient
     payload = {
         "command": "colon",
-        "graph6": to_graph6(G),
+        "graph6": graphs.to_graph6(G),
         "k": args.k,
         "l": None,
         "edge": [u, v],
@@ -385,7 +364,7 @@ def cmd_colon(args: argparse.Namespace) -> int:
         "colon_graph_edges": derived_edges,
         "matches_derived_graph": matches,
     }
-    lines = [format_ideal(quotient).rstrip("\n")]
+    lines = [ideals.format_ideal(quotient).rstrip("\n")]
     if derived_edges is not None:
         lines.append(f"# derived graph edges: {derived_edges}")
         lines.append(f"# matches derived graph: {matches}")
@@ -395,12 +374,12 @@ def cmd_colon(args: argparse.Namespace) -> int:
 
 def cmd_classify(args: argparse.Namespace) -> int:
     G = load_graph(args.graph)
-    if not is_forest(G):
+    if not graphs.is_forest(G):
         raise InputError("classification applies to forests only")
-    result = classify_forest(G)
+    result = edge_ideals.classify_forest(G)
     payload = {
         "command": "classify",
-        "graph6": to_graph6(G),
+        "graph6": graphs.to_graph6(G),
         "matched": result.matched,
         "kinds": list(result.kinds()),
         "matches": [
@@ -433,15 +412,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
                         "scope": c.scope,
                         "statement": c.statement,
                     }
-                    for c in CHECKS.values()
+                    for c in checks.CHECKS.values()
                 ],
             }
             print(json.dumps(payload, indent=2, sort_keys=True))
         else:
-            for c in CHECKS.values():
+            for c in checks.CHECKS.values():
                 print(f"{c.name:32s} [{c.kind}/{c.scope}] {c.statement}")
         return 0
-    _check_characteristic(args.char)
+    betti._check_characteristic(args.char)
     for flag, value, least in (
         ("--random-ideals", args.random_ideals, 0),
         ("--random-graphs", args.random_graphs, 0),
@@ -455,14 +434,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
         names = None
     else:
         names = [n for n in args.checks.split(",") if n]
-        unknown = [n for n in names if n not in CHECKS]
+        unknown = [n for n in names if n not in checks.CHECKS]
         if unknown:
             raise InputError(
                 f"unknown checks {unknown}; run 'verify --list' for the registry"
             )
         if not names:
             raise InputError("no check names given")
-    ctx = CheckContext(
+    ctx = checks.CheckContext(
         characteristic=args.char,
         seed=args.seed,
         node_budget=_node_budget(args),
@@ -471,20 +450,20 @@ def cmd_verify(args: argparse.Namespace) -> int:
         random_graph_count=args.random_graphs,
     )
     try:
-        graphs = resolve_family(args.family, seed=args.seed)
+        family_graphs = families.resolve_family(args.family, seed=args.seed)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    reports = run_checks(names, graphs, ctx, jobs=args.jobs)
+    reports = checks.run_checks(names, family_graphs, ctx, jobs=args.jobs)
     if args.ndjson:
         Path(args.ndjson).write_text(
             "".join(r.to_json_line() + "\n" for r in reports)
         )
-    summary = summarize(reports)
-    failures = theorem_failures(reports)
+    summary = checks.summarize(reports)
+    failures = checks.theorem_failures(reports)
     payload = {
         "command": "verify",
         "family": args.family,
-        "graph_count": len(graphs),
+        "graph_count": len(family_graphs),
         "checks": sorted(summary),
         "summary": summary,
         "total_reports": len(reports),
@@ -510,7 +489,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 f"{counts.get('inconclusive', 0):>8}"
             )
         print(
-            f"\n{len(graphs)} graphs, {len(reports)} reports, "
+            f"\n{len(family_graphs)} graphs, {len(reports)} reports, "
             f"{len(failures)} theorem failures"
         )
         for r in failures[:20]:

@@ -1,0 +1,14 @@
+"""Defaults that the library and the command-line parser share.
+
+``betti`` and ``families`` import them from here, so that building the
+parser loads neither of those modules.
+"""
+
+DEFAULT_CHARACTERISTIC = 32003
+DEFAULT_SEED = 0x5EED5EED5EED5EED
+
+FAMILY_HELP = (
+    "exhaustive-N (all graphs with <= N vertices), trees-N, forests-N, "
+    "random-N-COUNT (seeded random graphs with <= N vertices), "
+    "builtin (the bundled example graphs), or graph6:PATH / a graph file path"
+)

@@ -21,6 +21,7 @@ import re
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, Sequence
 
+from .defaults import DEFAULT_SEED, FAMILY_HELP
 from .graphs import Graph, disjoint_union, is_tree, parse_graphs
 from .ideals import MonomialIdeal, minimalize, monomial
 
@@ -28,7 +29,6 @@ if TYPE_CHECKING:
     import numpy as np
 
 GRAPH_ENUM_CAP = 8
-DEFAULT_SEED = 0x5EED5EED5EED5EED
 
 
 # ---------------------------------------------------------------------------
@@ -258,13 +258,6 @@ def random_squarefree_ideals(
 
 # ---------------------------------------------------------------------------
 # family specs for the CLI and harness
-
-FAMILY_HELP = (
-    "exhaustive-N (all graphs with <= N vertices), trees-N, forests-N, "
-    "random-N-COUNT (seeded random graphs with <= N vertices), "
-    "builtin (the bundled example graphs), or graph6:PATH / a graph file path"
-)
-
 
 def _family_size(spec: str, value: str, least: int) -> int:
     """A size parameter of *spec*; below *least* the family would be empty."""

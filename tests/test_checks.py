@@ -1,6 +1,7 @@
 """The verification harness: registry, execution, reports, invariant sweeps."""
 
 import json
+import time
 
 import pytest
 
@@ -159,6 +160,26 @@ def test_regularity_runners_honour_the_time_budget(name):
     instance = cycle_graph(7) if CHECKS[name].scope in GRAPH_SCOPES else None
     reports = run_check_on_instance(name, instance, ctx)
     assert {r.outcome for r in reports} == {INCONCLUSIVE}
+
+
+def test_figure_diagrams_passes_its_deadline_on(monkeypatch):
+    seen = []
+
+    def recording(fn):
+        def call(*args, deadline=None, **kwargs):
+            seen.append((fn.__name__, deadline))
+            return fn(*args, deadline=deadline, **kwargs)
+        return call
+
+    for name in ("is_linearly_related_homological", "has_linear_resolution"):
+        monkeypatch.setattr(checks, name, recording(getattr(betti, name)))
+    deadline = time.monotonic() + 600.0
+    items = list(CHECKS["figure-diagrams"].runner(CheckContext(), deadline))
+    assert all(verdict for _, verdict, _ in items)
+    assert seen == [
+        ("is_linearly_related_homological", deadline),
+        ("has_linear_resolution", deadline),
+    ]
 
 
 def test_five_way_nonforest_budget_exhaustion_is_inconclusive():

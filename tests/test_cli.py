@@ -10,6 +10,7 @@ code of ``main`` is seen as a process exit status.
 
 from __future__ import annotations
 
+import importlib
 import importlib.metadata
 import io
 import json
@@ -224,7 +225,6 @@ def test_betti_builds_one_table(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr("sqfpowers.betti.multigraded_betti", counted)
-    monkeypatch.setattr("sqfpowers.cli.multigraded_betti", counted)
     for argv in (["betti", "c7", "-k", "2"], ["betti", "c7", "-k", "2", "--json"]):
         calls.clear()
         code, _, err = run(argv)
@@ -690,40 +690,79 @@ def test_console_script(tmp_path):
     assert proc.stdout == "" and proc.stderr.startswith("error:")
 
 
-def _modules_after(code: str, tmp_path: Path) -> set[str]:
-    """The names in sys.modules after a fresh interpreter runs *code*."""
-    probe = f"{code}\nimport sys; print(' '.join(sys.modules), file=sys.stderr)"
+def _modules_after(code: str, tmp_path: Path) -> tuple[set[str], set[str]]:
+    """The names in sys.modules after a fresh interpreter runs *code*, and
+    those of them whose body has run.
+
+    A module registered for lazy loading stays an instance of a subclass of
+    ``types.ModuleType`` until its first use runs its body.
+    """
+    probe = (
+        f"{code}\nimport sys, types\n"
+        "print(' '.join(f'{name}:{type(module) is types.ModuleType:d}'"
+        " for name, module in list(sys.modules.items())), file=sys.stderr)"
+    )
     proc = _run_fresh(["-c", probe], tmp_path)
     assert proc.returncode == 0, proc.stderr
-    return set(proc.stderr.split())
+    pairs = [item.rsplit(":", 1) for item in proc.stderr.split()]
+    return {name for name, _ in pairs}, {name for name, ran in pairs if ran == "1"}
 
 
 def test_import_does_not_load_numpy(tmp_path):
     # numpy is only for canonical_code, and the process pool only for
     # verify --jobs N with N > 1; neither may load on the way to a result.
     # Nor may dataclasses and the inspect it imports: about 27 ms of every
-    # call went to importing them and generating record methods.
+    # call went to importing them and generating record methods.  Nor may a
+    # command run the body of a package module it does not use: without
+    # bytecode caches every module run is also compiled from source.
     for module in ("sqfpowers", "sqfpowers.cli"):
-        loaded = _modules_after(f"import {module}", tmp_path)
+        loaded, ran = _modules_after(f"import {module}", tmp_path)
         for absent in ("numpy", "dataclasses", "inspect"):
             assert absent not in loaded, (module, absent)
+        if module == "sqfpowers":
+            assert not {name for name in ran if name.startswith("sqfpowers.")}
     call = "import sqfpowers.cli\nif sqfpowers.cli.main({!r}): raise SystemExit(1)"
-    for argv in (
-        ["invariants", "c7"],
-        ["betti", "c7", "-k", "2", "--json"],
-        ["linquot", "c7", "-k", "2"],
-        ["verify", "nu0-lambda", "--family", "exhaustive-7", "--jobs", "1"],
+    for argv, idle in (
+        (
+            ["invariants", "c7"],
+            {"betti", "checks", "edge_ideals", "families", "ideals", "memo"},
+        ),
+        (["betti", "c7", "-k", "2", "--json"], {"checks", "families"}),
+        (["linquot", "c7", "-k", "2"], {"checks", "families"}),
+        (["verify", "nu0-lambda", "--family", "exhaustive-7", "--jobs", "1"], set()),
     ):
-        loaded = _modules_after(call.format(argv), tmp_path)
+        loaded, ran = _modules_after(call.format(argv), tmp_path)
         for absent in ("concurrent.futures", "numpy", "dataclasses", "inspect"):
             assert absent not in loaded, (argv, absent)
+        assert not {f"sqfpowers.{name}" for name in idle} & ran, argv
     # bench/tracer.py wraps functions of these modules and looks them up in
-    # sys.modules after importing sqfpowers.cli; loading any of them lazily
-    # must land together with a change to the tracer.
+    # sys.modules after importing sqfpowers.cli, which registers each of them
+    # there, lazily; the tracer's getattr then runs its body.
     traced = {"cli", "families", "checks", "betti", "ideals", "edge_ideals",
               "matchings"}
-    loaded = _modules_after("import sqfpowers.cli", tmp_path)
+    loaded, _ = _modules_after("import sqfpowers.cli", tmp_path)
     assert {f"sqfpowers.{name}" for name in traced} <= loaded
+
+
+def test_package_surface_resolves_lazily(tmp_path):
+    exports = sqfpowers._EXPORTS
+    assert sqfpowers.__all__ == list(exports)
+    for name, module in exports.items():
+        defining = importlib.import_module(f"sqfpowers.{module}")
+        assert getattr(sqfpowers, name) is getattr(defining, name), name
+    with pytest.raises(AttributeError, match="no_such_name"):
+        sqfpowers.no_such_name
+    assert "__all__" in dir(sqfpowers)
+    assert set(exports) <= set(dir(sqfpowers))
+    namespace: dict = {}
+    exec("from sqfpowers import *", namespace)
+    assert all(namespace[name] is getattr(sqfpowers, name) for name in exports)
+    # a defining submodule is an attribute of the package before its import
+    proc = _run_fresh(
+        ["-c", "import sqfpowers; print(sqfpowers.matchings.matching_number.__name__)"],
+        tmp_path,
+    )
+    assert proc.returncode == 0 and proc.stdout == "matching_number\n", proc.stderr
 
 
 @pytest.mark.skipif(

@@ -230,6 +230,31 @@ def test_is_gap_free():
     assert is_gap_free(Graph.from_edges(2, [(1, 2)]))
 
 
+def _gnp(n, p, rng):
+    """G(n, p) drawn pair by pair in lexicographic order, as the benchmark draws it."""
+    edges = [
+        (u, v) for u in range(1, n) for v in range(u + 1, n + 1) if rng.random() < p
+    ]
+    return Graph.from_edges(n, edges)
+
+
+def test_is_gap_free_agrees_with_nu1():
+    graphs = [G for n in range(1, 8) for G in all_graphs(n)]
+    rng = random.Random(17)
+    graphs += [
+        _gnp(n, p, rng) for n in range(8, 15) for p in (0.2, 0.4, 0.6, 0.8, 0.95)
+    ]
+    for G in graphs:
+        assert is_gap_free(G) == (induced_matching_number(G) <= 1), to_graph6(G)
+
+
+def test_is_gap_free_returns_on_a_sparse_graph_at_the_vertex_cap():
+    # nu1 did not return on this graph within 100 s; the pair scan decides it
+    G = _gnp(64, 0.05, random.Random(3))
+    assert len(G.edges) == 93
+    assert not is_gap_free(G)
+
+
 # ---------------------------------------------------------------------------
 # oracle agreement
 
