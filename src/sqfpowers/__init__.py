@@ -29,6 +29,7 @@ _EXPORTS = {
             is_linear_quotients_order is_linearly_related_combinatorial
             is_linearly_related_homological lcm_lattice linear_quotients_order
             multigraded_betti projective_dimension regularity render_betti_diagram
+            time_budget
             """,
         ),
         (

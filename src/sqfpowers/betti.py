@@ -45,9 +45,10 @@ from __future__ import annotations
 
 import json
 import time
+from contextlib import contextmanager
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .defaults import DEFAULT_CHARACTERISTIC
+from .defaults import DEFAULT_CHARACTERISTIC, DEFAULT_NODE_BUDGET
 from .ideals import (
     MonomialIdeal,
     monomial,
@@ -71,8 +72,26 @@ class BudgetExceeded(RuntimeError):
     """Raised when a computation overruns its node or time budget."""
 
 
-def _check_deadline(deadline: float | None) -> None:
-    if deadline is not None and time.monotonic() > deadline:
+_deadline: float | None = None  # the time.monotonic() bound of the request
+
+
+@contextmanager
+def time_budget(seconds: float | None) -> Iterator[None]:
+    """Raise ``BudgetExceeded`` in the body's computations after *seconds*.
+
+    ``None`` sets no bound; the outer bound comes back on exit.
+    """
+    global _deadline
+    outer = _deadline
+    _deadline = None if seconds is None else time.monotonic() + seconds
+    try:
+        yield
+    finally:
+        _deadline = outer
+
+
+def _check_deadline() -> None:
+    if _deadline is not None and time.monotonic() > _deadline:
         raise BudgetExceeded("time budget exhausted")
 
 
@@ -179,6 +198,7 @@ def _lattice_joins(gens: tuple[int, ...]) -> list[int]:
     # generator sets with at most one member outside g_1..g_i
     lattice = set(gens)
     for g in gens:
+        _check_deadline()
         lattice |= {m | g for m in lattice}
     return sorted(lattice, key=lambda m: (m.bit_count(), monomial_sort_key(m)))
 
@@ -356,10 +376,7 @@ TABLES = RequestMemo()
 
 
 def multigraded_betti(
-    I: MonomialIdeal,
-    characteristic: int = DEFAULT_CHARACTERISTIC,
-    generator_cap: int = GENERATOR_CAP,
-    deadline: float | None = None,
+    I: MonomialIdeal, characteristic: int = DEFAULT_CHARACTERISTIC
 ) -> BettiTable:
     """Full multigraded Betti table of a nonzero squarefree monomial ideal.
 
@@ -369,22 +386,19 @@ def multigraded_betti(
     """
     if I.is_zero:
         raise ValueError("the zero ideal has no Betti table")
-    if len(I.gens) > generator_cap:
-        raise ValueError(f"{len(I.gens)} generators exceed the cap {generator_cap}")
+    if len(I.gens) > GENERATOR_CAP:
+        raise ValueError(f"{len(I.gens)} generators exceed the cap {GENERATOR_CAP}")
     return TABLES.get(
-        (I.n, I.gens, characteristic),
-        lambda: _betti_table(I, characteristic, deadline),
+        (I.n, I.gens, characteristic), lambda: _betti_table(I, characteristic)
     )
 
 
-def _betti_table(
-    I: MonomialIdeal, characteristic: int, deadline: float | None
-) -> BettiTable:
+def _betti_table(I: MonomialIdeal, characteristic: int) -> BettiTable:
     _check_characteristic(characteristic)
     entries: dict[tuple[int, int], int] = {}
     table = _membership_table(I)
     for m in lcm_lattice(I.gens):
-        _check_deadline(deadline)
+        _check_deadline()
         member = table if table is not None else _DividingGenerators(I.gens, m)
         for i, dim in enumerate(_homology_dims(_face_levels(member, m), characteristic)):
             if dim:
@@ -398,15 +412,12 @@ def _betti_table(
     )
 
 
-def regularity(
-    I: MonomialIdeal,
-    characteristic: int = DEFAULT_CHARACTERISTIC,
-    deadline: float | None = None,
-) -> int:
+def regularity(I: MonomialIdeal, characteristic: int = DEFAULT_CHARACTERISTIC) -> int:
     """Castelnuovo-Mumford regularity; the zero ideal has regularity 1."""
+    _check_characteristic(characteristic)
     if I.is_zero:
         return 1
-    return multigraded_betti(I, characteristic, deadline=deadline).regularity()
+    return multigraded_betti(I, characteristic).regularity()
 
 
 def projective_dimension(
@@ -418,24 +429,21 @@ def projective_dimension(
 
 
 def has_linear_resolution(
-    I: MonomialIdeal,
-    characteristic: int = DEFAULT_CHARACTERISTIC,
-    deadline: float | None = None,
+    I: MonomialIdeal, characteristic: int = DEFAULT_CHARACTERISTIC
 ) -> bool:
     """All Betti numbers sit in degrees d + i; vacuously true for the zero ideal."""
+    _check_characteristic(characteristic)
     if I.is_zero:
         return True
     I.pure_degree()  # raises on mixed generator degrees
-    return multigraded_betti(I, characteristic, deadline=deadline).is_linear()
+    return multigraded_betti(I, characteristic).is_linear()
 
 
 # ---------------------------------------------------------------------------
 # linear relatedness, two independent routes
 
 def is_linearly_related_homological(
-    I: MonomialIdeal,
-    characteristic: int = DEFAULT_CHARACTERISTIC,
-    deadline: float | None = None,
+    I: MonomialIdeal, characteristic: int = DEFAULT_CHARACTERISTIC
 ) -> bool:
     """First syzygies all linear: b_{1,m} = 0 whenever deg(m) != d + 1.
 
@@ -446,13 +454,11 @@ def is_linearly_related_homological(
     if I.is_zero or len(I.gens) == 1:
         return True
     d = I.pure_degree()
-    table = multigraded_betti(I, characteristic, deadline=deadline)
+    table = multigraded_betti(I, characteristic)
     return all(monomial_degree(m) == d + 1 for (i, m) in table.entries if i == 1)
 
 
-def is_linearly_related_combinatorial(
-    I: MonomialIdeal, deadline: float | None = None
-) -> bool:
+def is_linearly_related_combinatorial(I: MonomialIdeal) -> bool:
     """First syzygies all linear, by generator connectivity.
 
     Combinatorial route: for every pair of generators u, v there must be a
@@ -471,7 +477,7 @@ def is_linearly_related_combinatorial(
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
     for i in range(g):
-        _check_deadline(deadline)
+        _check_deadline()
         for j in range(i + 1, g):
             m = gens[i] | gens[j]
             if monomial_degree(m) == d + 1:
@@ -572,9 +578,7 @@ _FAILED_SET_CAP = 1 << 20
 
 
 def linear_quotients_order(
-    I: MonomialIdeal,
-    node_budget: int = 10_000_000,
-    deadline: float | None = None,
+    I: MonomialIdeal, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> LinearQuotientsResult:
     """Find a linear-quotients order of the generators, or certify there is none.
 
@@ -582,22 +586,20 @@ def linear_quotients_order(
     linearly related first syzygies (Herzog-Hibi, Monomial Ideals, Prop.
     8.2.1).  So "none" is certified in one of two ways: the combinatorial
     linear-relatedness test fails (nodes 0, reason "not linearly related"), or
-    the search of _search_linear_quotients is exhausted (reason None).  The
-    test runs under the same deadline as the search; running out of either
-    budget reports "inconclusive".
+    the search of _search_linear_quotients is exhausted (reason None).  Running
+    out of the request's ``time_budget`` in either, or of node_budget in the
+    search, reports "inconclusive".
     """
     try:
-        related = is_linearly_related_combinatorial(I, deadline)
+        related = is_linearly_related_combinatorial(I)
     except BudgetExceeded:
         return LinearQuotientsResult("inconclusive", None, 0)
     if not related:
         return LinearQuotientsResult("none", None, 0, "not linearly related")
-    return _search_linear_quotients(I, node_budget, deadline)
+    return _search_linear_quotients(I, node_budget)
 
 
-def _search_linear_quotients(
-    I: MonomialIdeal, node_budget: int, deadline: float | None
-) -> LinearQuotientsResult:
+def _search_linear_quotients(I: MonomialIdeal, node_budget: int) -> LinearQuotientsResult:
     """Search for a linear-quotients order of the generators.
 
     Whether a generator can be appended depends only on the set already
@@ -637,7 +639,7 @@ def _search_linear_quotients(
             if nodes > node_budget:
                 raise BudgetExceeded("node budget exhausted")
             if nodes % 4096 == 0:
-                _check_deadline(deadline)
+                _check_deadline()
             if _colon_is_linear(placed, gens[j]):
                 placed.append(gens[j])
                 if dfs(chosen | bit):
@@ -648,7 +650,7 @@ def _search_linear_quotients(
         return False
 
     try:
-        _check_deadline(deadline)
+        _check_deadline()
         ok = dfs(0)
     except BudgetExceeded:
         return LinearQuotientsResult("inconclusive", None, nodes)
@@ -688,6 +690,7 @@ def betti_diagram_text(
     I: MonomialIdeal, characteristic: int = DEFAULT_CHARACTERISTIC
 ) -> str:
     """Diagram text for any ideal, with a note instead of a table when zero."""
+    _check_characteristic(characteristic)
     if I.is_zero:
         return "(zero ideal: empty Betti diagram, regularity 1 by convention)"
     return render_betti_diagram(multigraded_betti(I, characteristic))

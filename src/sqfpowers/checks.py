@@ -9,16 +9,16 @@ scope (graph, tree, forest, ideal collections, builtin fixtures) and kind
 without affecting exit codes).  Declaration order is the registry order that
 ``verify --list`` prints.
 
-A runner builds no reports.  It returns ``VACUOUS`` when the hypotheses are
-unmet, or yields one ``(label, verdict, witness)`` per report.  For graph
-scopes the label is a suffix of the graph's ``g6:`` name (``";k=2"``, or
-``""``); for collection scopes it is the whole instance name.  The verdict is
-a bool or an explicit outcome.  ``run_check_on_instance`` does the rest:
-instance names, per-report timing, pass / fail from a bool (a passing bool
-drops its witness, an explicit outcome keeps it), the time budget, checked
-before the runner starts and before every report, and the conversion of an
-exhausted budget into one inconclusive report and of a crash into one failing
-report.
+A runner takes ``(G, ctx)``, or ``(ctx)`` for a collection, and builds no
+reports.  It returns ``VACUOUS`` when the hypotheses are unmet, or yields one
+``(label, verdict, witness)`` per report.  For graph scopes the label is a
+suffix of the graph's ``g6:`` name (``";k=2"``, or ``""``); for collection
+scopes it is the whole instance name.  The verdict is a bool or an explicit
+outcome.  ``run_check_on_instance`` does the rest: instance names, per-report
+timing, pass / fail from a bool (a passing bool drops its witness, an explicit
+outcome keeps it), one ``betti.time_budget`` scope around the runner, which
+bounds every library call made inside it, and the conversion of an exhausted
+budget into one inconclusive report and of a crash into one failing report.
 
 ``run_checks`` makes one task of each collection check, then one of each
 graph with every check in scope of it, and runs them in a serial loop or a
@@ -45,7 +45,6 @@ import time
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .betti import (
-    DEFAULT_CHARACTERISTIC,
     LATTICES,
     TABLES,
     BudgetExceeded,
@@ -59,7 +58,9 @@ from .betti import (
     linear_quotients_order,
     multigraded_betti,
     regularity,
+    time_budget,
 )
+from .defaults import DEFAULT_CHARACTERISTIC, DEFAULT_NODE_BUDGET, DEFAULT_SEED
 from .edge_ideals import (
     POWERS,
     classify_forest,
@@ -72,12 +73,7 @@ from .edge_ideals import (
     lambda_number,
     sqfree_power_via_matchings,
 )
-from .families import (
-    DEFAULT_SEED,
-    disjoint_edges_graph,
-    random_graphs,
-    random_squarefree_ideals,
-)
+from .families import disjoint_edges_graph, random_graphs, random_squarefree_ideals
 from .graphs import (
     Graph,
     builtin_graph,
@@ -161,7 +157,7 @@ class CheckContext(NamedTuple):
 
     characteristic: int = DEFAULT_CHARACTERISTIC
     seed: int = DEFAULT_SEED
-    node_budget: int = 10_000_000
+    node_budget: int = DEFAULT_NODE_BUDGET
     time_budget_s: float | None = None
     random_ideal_count: int = 500
     random_graph_count: int = 1000
@@ -227,13 +223,13 @@ def _powers_upto_nu(G: Graph) -> list[tuple[int, MonomialIdeal]]:
     "graph",
     "reg(I(G)^[k]) >= k + nu1(G) for 1 <= k <= nu1(G)",
 )
-def _run_lower_bound(G: Graph, ctx: CheckContext, deadline: float | None):
+def _run_lower_bound(G: Graph, ctx: CheckContext):
     nu1 = induced_matching_number(G)
     if nu1 == 0:
         return VACUOUS
     for k in range(1, nu1 + 1):
         I = sqfree_power_via_matchings(G, k)
-        reg = multigraded_betti(I, ctx.characteristic, deadline=deadline).regularity()
+        reg = multigraded_betti(I, ctx.characteristic).regularity()
         yield f";k={k}", reg >= k + nu1, {"reg": reg, "k": k, "nu1": nu1}
 
 
@@ -243,12 +239,12 @@ def _run_lower_bound(G: Graph, ctx: CheckContext, deadline: float | None):
     "graph",
     "reg(I(G)^[2]) <= 2 + nu(G) when nu(G) >= 2",
 )
-def _run_upper_bound_k2(G: Graph, ctx: CheckContext, deadline: float | None):
+def _run_upper_bound_k2(G: Graph, ctx: CheckContext):
     nu = matching_number(G)
     if nu < 2:
         return VACUOUS
     I = sqfree_power_via_matchings(G, 2)
-    reg = multigraded_betti(I, ctx.characteristic, deadline=deadline).regularity()
+    reg = multigraded_betti(I, ctx.characteristic).regularity()
     yield "", reg <= 2 + nu, {"reg": reg, "nu": nu}
 
 
@@ -258,12 +254,12 @@ def _run_upper_bound_k2(G: Graph, ctx: CheckContext, deadline: float | None):
     "graph",
     "searched bound reg(I(G)^[k]) <= k + nu(G) for k <= nu(G); never asserted",
 )
-def _run_upper_question(G: Graph, ctx: CheckContext, deadline: float | None):
+def _run_upper_question(G: Graph, ctx: CheckContext):
     if not G.edges:
         return VACUOUS
     nu = matching_number(G)
     for k, I in _powers_upto_nu(G):
-        reg = multigraded_betti(I, ctx.characteristic, deadline=deadline).regularity()
+        reg = multigraded_betti(I, ctx.characteristic).regularity()
         yield f";k={k}", reg <= k + nu, {"reg": reg, "bound": k + nu}
 
 
@@ -273,11 +269,11 @@ def _run_upper_question(G: Graph, ctx: CheckContext, deadline: float | None):
     "graph",
     "once I(G)^[k] is linearly related, so is I(G)^[k+1] (k < nu)",
 )
-def _run_linrel_monotone(G: Graph, ctx: CheckContext, deadline: float | None):
+def _run_linrel_monotone(G: Graph, ctx: CheckContext):
     if not G.edges:
         return VACUOUS
     verdicts = [
-        is_linearly_related_combinatorial(I, deadline=deadline)
+        is_linearly_related_combinatorial(I)
         for _, I in _powers_upto_nu(G)
     ]
     ok = all(b for a, b in zip(verdicts, verdicts[1:]) if a)
@@ -290,7 +286,7 @@ def _run_linrel_monotone(G: Graph, ctx: CheckContext, deadline: float | None):
     "graph",
     "the least k with all powers j >= k linearly related is >= nu0(G)",
 )
-def _run_nu0_lambda(G: Graph, ctx: CheckContext, deadline: float | None):
+def _run_nu0_lambda(G: Graph, ctx: CheckContext):
     if not G.edges:
         return VACUOUS
     lam = lambda_number(G)
@@ -304,12 +300,12 @@ def _run_nu0_lambda(G: Graph, ctx: CheckContext, deadline: float | None):
     "graph",
     "nu0(G) <= 2 implies I(G)^[k] linearly related for all 2 <= k <= nu(G)",
 )
-def _run_nu0_le_2_linrel(G: Graph, ctx: CheckContext, deadline: float | None):
+def _run_nu0_le_2_linrel(G: Graph, ctx: CheckContext):
     if not G.edges or restricted_matching_number(G) > 2:
         return VACUOUS
     bad = []
     for k, I in _powers_upto_nu(G):
-        if k >= 2 and not is_linearly_related_combinatorial(I, deadline=deadline):
+        if k >= 2 and not is_linearly_related_combinatorial(I):
             bad.append(k)
     yield "", not bad, {"failing_k": bad}
 
@@ -327,7 +323,7 @@ def _ratliff_colons(G: Graph, pairs: Iterable[tuple[int, int]]):
     "graph",
     "I^[k] : I = I^[k] for every nonzero edge ideal and k >= 2",
 )
-def _run_ratliff_surprised(G: Graph, ctx: CheckContext, deadline: float | None):
+def _run_ratliff_surprised(G: Graph, ctx: CheckContext):
     nu = matching_number(G)
     if nu < 2:
         return VACUOUS
@@ -340,7 +336,7 @@ def _run_ratliff_surprised(G: Graph, ctx: CheckContext, deadline: float | None):
     "graph",
     "I(G)^[k] : I(G)^[2] = I(G)^[k] for 2 < k <= nu(G), no isolated vertices",
 )
-def _run_ratliff_easy(G: Graph, ctx: CheckContext, deadline: float | None):
+def _run_ratliff_easy(G: Graph, ctx: CheckContext):
     if not G.edges or any(G.adjacency[v] == 0 for v in G.vertices):
         return VACUOUS
     nu = matching_number(G)
@@ -355,7 +351,7 @@ def _run_ratliff_easy(G: Graph, ctx: CheckContext, deadline: float | None):
     "graph",
     "equimatchable G: I(G)^[k] : I(G)^[l] = I(G)^[k] for 1 <= l < k <= nu(G)",
 )
-def _run_ratliff_equimatchable(G: Graph, ctx: CheckContext, deadline: float | None):
+def _run_ratliff_equimatchable(G: Graph, ctx: CheckContext):
     if not G.edges or not is_equimatchable(G):
         return VACUOUS
     nu = matching_number(G)
@@ -372,7 +368,7 @@ def _run_ratliff_equimatchable(G: Graph, ctx: CheckContext, deadline: float | No
     "ideals",
     "I^[k] : I = I^[k] for random squarefree ideals, k in {2, 3}",
 )
-def _run_ratliff_random(ctx: CheckContext, deadline: float | None):
+def _run_ratliff_random(ctx: CheckContext):
     ideals = random_squarefree_ideals(
         ctx.random_ideal_count, max_n=8, max_gens=8, seed=ctx.seed
     )
@@ -387,7 +383,7 @@ def _run_ratliff_random(ctx: CheckContext, deadline: float | None):
     "graph",
     "generator counts of I(G)^[k], k = 1..nu(G), rise then fall",
 )
-def _run_generator_unimodality(G: Graph, ctx: CheckContext, deadline: float | None):
+def _run_generator_unimodality(G: Graph, ctx: CheckContext):
     if not G.edges:
         return VACUOUS
     counts = [len(I.gens) for _, I in _powers_upto_nu(G)]
@@ -408,14 +404,14 @@ def _run_generator_unimodality(G: Graph, ctx: CheckContext, deadline: float | No
     "graph",
     "b_{1,m}(I(G)^[k]) = 0 for deg(m) >= 3k + 1, k >= 2",
 )
-def _run_first_syzygy_degree_bound(G: Graph, ctx: CheckContext, deadline: float | None):
+def _run_first_syzygy_degree_bound(G: Graph, ctx: CheckContext):
     nu = matching_number(G)
     if nu < 2:
         return VACUOUS
     bad = []
     for k in range(2, nu + 1):
         I = sqfree_power_via_matchings(G, k)
-        table = multigraded_betti(I, ctx.characteristic, deadline=deadline)
+        table = multigraded_betti(I, ctx.characteristic)
         bad.extend(
             {"k": k, "m": list(monomial_vars(m))}
             for (i, m) in table.entries
@@ -430,12 +426,12 @@ def _run_first_syzygy_degree_bound(G: Graph, ctx: CheckContext, deadline: float 
     "graph",
     "Betti table of the restriction I^{<= m} equals the sub-table at divisors of m",
 )
-def _run_restriction_table(G: Graph, ctx: CheckContext, deadline: float | None):
+def _run_restriction_table(G: Graph, ctx: CheckContext):
     if not G.edges:
         return VACUOUS
     rng = random.Random((ctx.seed, _graph6(G)).__repr__())
     for k, I in _powers_upto_nu(G):
-        table = multigraded_betti(I, ctx.characteristic, deadline=deadline)
+        table = multigraded_betti(I, ctx.characteristic)
         lattice = lcm_lattice(I.gens)
         sample = lattice if len(lattice) <= 24 else rng.sample(lattice, 24)
         sample = list(sample) + [rng.randrange(1 << G.n) for _ in range(4)]
@@ -445,9 +441,7 @@ def _run_restriction_table(G: Graph, ctx: CheckContext, deadline: float | None):
             if sub.is_zero:
                 sub_entries: dict = {}
             else:
-                sub_entries = multigraded_betti(
-                    sub, ctx.characteristic, deadline=deadline
-                ).entries
+                sub_entries = multigraded_betti(sub, ctx.characteristic).entries
             expected = {
                 (i, a): v
                 for (i, a), v in table.entries.items()
@@ -464,11 +458,11 @@ def _run_restriction_table(G: Graph, ctx: CheckContext, deadline: float | None):
     "graph",
     "b_{i,a}(I(G_W)^[k]) <= b_{i,a}(I(G)^[k]) for induced subgraphs G_W",
 )
-def _run_betti_induced_monotone(G: Graph, ctx: CheckContext, deadline: float | None):
+def _run_betti_induced_monotone(G: Graph, ctx: CheckContext):
     if not G.edges:
         return VACUOUS
     big_tables = {
-        k: multigraded_betti(I, ctx.characteristic, deadline=deadline)
+        k: multigraded_betti(I, ctx.characteristic)
         for k, I in _powers_upto_nu(G)
     }
     bad = []
@@ -482,9 +476,7 @@ def _run_betti_induced_monotone(G: Graph, ctx: CheckContext, deadline: float | N
             assert source is not None
             for k in range(1, matching_number(H) + 1):
                 sub = multigraded_betti(
-                    sqfree_power_via_matchings(H, k),
-                    ctx.characteristic,
-                    deadline=deadline,
+                    sqfree_power_via_matchings(H, k), ctx.characteristic
                 )
                 for (i, a), v in sub.entries.items():
                     lifted = monomial(source[x - 1] for x in monomial_vars(a))
@@ -499,8 +491,8 @@ def _run_betti_induced_monotone(G: Graph, ctx: CheckContext, deadline: float | N
     "graph",
     "I(G) has a linear resolution iff the complement of G is chordal",
 )
-def _run_froberg(G: Graph, ctx: CheckContext, deadline: float | None):
-    linear = has_linear_resolution(edge_ideal(G), ctx.characteristic, deadline=deadline)
+def _run_froberg(G: Graph, ctx: CheckContext):
+    linear = has_linear_resolution(edge_ideal(G), ctx.characteristic)
     chordal = is_chordal(complement(G))
     yield "", linear == chordal, {"linear_resolution": linear, "complement_chordal": chordal}
 
@@ -511,12 +503,12 @@ def _run_froberg(G: Graph, ctx: CheckContext, deadline: float | None):
     "graph",
     "combinatorial and homological linear-relatedness verdicts agree",
 )
-def _run_linrel_oracle_agreement(G: Graph, ctx: CheckContext, deadline: float | None):
+def _run_linrel_oracle_agreement(G: Graph, ctx: CheckContext):
     if not G.edges:
         return VACUOUS
     for k, I in _powers_upto_nu(G):
-        comb = is_linearly_related_combinatorial(I, deadline=deadline)
-        homo = is_linearly_related_homological(I, ctx.characteristic, deadline=deadline)
+        comb = is_linearly_related_combinatorial(I)
+        homo = is_linearly_related_homological(I, ctx.characteristic)
         yield f";k={k}", comb == homo, {"combinatorial": comb, "homological": homo}
 
 
@@ -526,12 +518,12 @@ def _run_linrel_oracle_agreement(G: Graph, ctx: CheckContext, deadline: float | 
     "graph",
     "the top squarefree power I(G)^[nu] has linear quotients",
 )
-def _run_top_power_linear_quotients(G: Graph, ctx: CheckContext, deadline: float | None):
+def _run_top_power_linear_quotients(G: Graph, ctx: CheckContext):
     if not G.edges:
         return VACUOUS
     nu = matching_number(G)
     I = sqfree_power_via_matchings(G, nu)
-    result = _search_linear_quotients(I, ctx.node_budget, deadline)
+    result = _search_linear_quotients(I, ctx.node_budget)
     if result.status == "inconclusive":
         yield "", INCONCLUSIVE, {"nodes": result.nodes}
     else:
@@ -539,7 +531,7 @@ def _run_top_power_linear_quotients(G: Graph, ctx: CheckContext, deadline: float
 
 
 @check("matching-chain", "theorem", "graph", "nu1(G) <= nu0(G) <= nu(G)")
-def _run_matching_chain(G: Graph, ctx: CheckContext, deadline: float | None):
+def _run_matching_chain(G: Graph, ctx: CheckContext):
     nu1 = induced_matching_number(G)
     nu0 = restricted_matching_number(G)
     nu = matching_number(G)
@@ -552,7 +544,7 @@ def _run_matching_chain(G: Graph, ctx: CheckContext, deadline: float | None):
     "graph",
     "k-matching supports and ideal-side products generate the same power",
 )
-def _run_power_matching_agreement(G: Graph, ctx: CheckContext, deadline: float | None):
+def _run_power_matching_agreement(G: Graph, ctx: CheckContext):
     I = edge_ideal(G)
     nu = matching_number(G)
     bad = []
@@ -571,7 +563,7 @@ def _run_power_matching_agreement(G: Graph, ctx: CheckContext, deadline: float |
     "graph",
     "I(G)^[2] : x_a x_b equals the edge ideal of the derived graph",
 )
-def _run_colon_formula(G: Graph, ctx: CheckContext, deadline: float | None):
+def _run_colon_formula(G: Graph, ctx: CheckContext):
     if not G.edges:
         return VACUOUS
     I2 = sqfree_power_via_matchings(G, 2)
@@ -590,15 +582,13 @@ def _run_colon_formula(G: Graph, ctx: CheckContext, deadline: float | None):
     "graph",
     "reg(I(G)^[2] : x_a x_b) <= nu(G) for every edge ab",
 )
-def _run_colon_regularity(G: Graph, ctx: CheckContext, deadline: float | None):
+def _run_colon_regularity(G: Graph, ctx: CheckContext):
     if not G.edges:
         return VACUOUS
     nu = matching_number(G)
     bad = []
     for e in G.edge_list:
-        r = regularity(
-            edge_ideal(colon_square_by_edge(G, e)), ctx.characteristic, deadline
-        )
+        r = regularity(edge_ideal(colon_square_by_edge(G, e)), ctx.characteristic)
         if r > nu:
             bad.append({"edge": list(e), "reg": r})
     yield "", not bad, {"violations": bad, "nu": nu}
@@ -610,7 +600,7 @@ def _run_colon_regularity(G: Graph, ctx: CheckContext, deadline: float | None):
     "graph",
     "under the degree hypothesis the edge intersection ideal is generated in degree 2k+1 with the predicted shape",
 )
-def _run_l_ideal_shape(G: Graph, ctx: CheckContext, deadline: float | None):
+def _run_l_ideal_shape(G: Graph, ctx: CheckContext):
     if not G.edges:
         return VACUOUS
     nu = matching_number(G)
@@ -635,17 +625,17 @@ def _run_l_ideal_shape(G: Graph, ctx: CheckContext, deadline: float | None):
     "graph",
     "witnessed pairs at m force b_{1,m} = 0",
 )
-def _run_taylor_witness(G: Graph, ctx: CheckContext, deadline: float | None):
+def _run_taylor_witness(G: Graph, ctx: CheckContext):
     if not G.edges:
         return VACUOUS
     bad = []
     for k, I in _powers_upto_nu(G):
         # a covered witness can only be wrong where b_{1,m} != 0
-        table = multigraded_betti(I, ctx.characteristic, deadline=deadline)
+        table = multigraded_betti(I, ctx.characteristic)
         for i, m in table.entries:
             if i != 1:
                 continue
-            _check_deadline(deadline)
+            _check_deadline()
             if first_syzygy_witness(I, m).all_covered:
                 bad.append({"k": k, "m": list(monomial_vars(m))})
     yield "", not bad, {"violations": bad}
@@ -657,7 +647,7 @@ def _run_taylor_witness(G: Graph, ctx: CheckContext, deadline: float | None):
     "graph",
     "greedy extension raises the induced matching number stepwise to nu(G)",
 )
-def _run_equimatchable_extension(G: Graph, ctx: CheckContext, deadline: float | None):
+def _run_equimatchable_extension(G: Graph, ctx: CheckContext):
     if not G.edges or not is_equimatchable(G):
         return VACUOUS
     rng = random.Random((ctx.seed, _graph6(G)).__repr__())
@@ -690,7 +680,7 @@ def _run_equimatchable_extension(G: Graph, ctx: CheckContext, deadline: float | 
     "graph",
     "(I^[2], e_1..e_{i-1}) : e_i = (I^[2] : e_i) + an ideal of variables",
 )
-def _run_generated_by_variables(G: Graph, ctx: CheckContext, deadline: float | None):
+def _run_generated_by_variables(G: Graph, ctx: CheckContext):
     I2 = sqfree_power_via_matchings(G, 2)
     if I2.is_zero:
         return VACUOUS
@@ -718,7 +708,7 @@ def _run_generated_by_variables(G: Graph, ctx: CheckContext, deadline: float | N
     "graph",
     "MCS chordality agrees with brute-force chordless cycle search",
 )
-def _run_chordal_oracle(G: Graph, ctx: CheckContext, deadline: float | None):
+def _run_chordal_oracle(G: Graph, ctx: CheckContext):
     fast = is_chordal(G)
     brute = not _has_chordless_cycle(G)
     yield "", fast == brute, {"mcs": fast, "brute": brute}
@@ -742,18 +732,18 @@ def _has_chordless_cycle(G: Graph) -> bool:
     "graph",
     "records the truth pattern of the four ideal conditions on non-forests",
 )
-def _run_five_way_nonforest(G: Graph, ctx: CheckContext, deadline: float | None):
+def _run_five_way_nonforest(G: Graph, ctx: CheckContext):
     if is_forest(G) or not G.edges:
         return VACUOUS
     I2 = sqfree_power_via_matchings(G, 2)
-    search = linear_quotients_order(I2, ctx.node_budget, deadline=deadline)
+    search = linear_quotients_order(I2, ctx.node_budget)
     if search.status == "inconclusive":
         yield "", INCONCLUSIVE, {"nodes": search.nodes}
         return
     pattern = {
         "linear_quotients": search.found,
-        "linear_resolution": has_linear_resolution(I2, ctx.characteristic, deadline=deadline),
-        "linearly_related": is_linearly_related_combinatorial(I2, deadline=deadline),
+        "linear_resolution": has_linear_resolution(I2, ctx.characteristic),
+        "linearly_related": is_linearly_related_combinatorial(I2),
         "nu0_le_2": restricted_matching_number(G) <= 2,
     }
     yield "", PASS, {"pattern": pattern}
@@ -765,12 +755,12 @@ def _run_five_way_nonforest(G: Graph, ctx: CheckContext, deadline: float | None)
     "graph",
     "graded Betti tables over GF(2) compared against the default characteristic",
 )
-def _run_char2_cross_check(G: Graph, ctx: CheckContext, deadline: float | None):
+def _run_char2_cross_check(G: Graph, ctx: CheckContext):
     if not G.edges:
         return VACUOUS
     for k, I in _powers_upto_nu(G):
-        base = multigraded_betti(I, ctx.characteristic, deadline=deadline).graded()
-        char2 = multigraded_betti(I, 2, deadline=deadline).graded()
+        base = multigraded_betti(I, ctx.characteristic).graded()
+        char2 = multigraded_betti(I, 2).graded()
         yield f";k={k}", base == char2, {
             "default_char": sorted(map(list, base.items())),
             "char2": sorted(map(list, char2.items())),
@@ -786,7 +776,7 @@ def _run_char2_cross_check(G: Graph, ctx: CheckContext, deadline: float | None):
     "tree",
     "vertex-deletion criterion matches brute-force perfect matching on trees",
 )
-def _run_tree_criterion_agreement(G: Graph, ctx: CheckContext, deadline: float | None):
+def _run_tree_criterion_agreement(G: Graph, ctx: CheckContext):
     if not is_tree(G):
         return VACUOUS
     crit = tree_perfect_matching_criterion(G)
@@ -800,12 +790,12 @@ def _run_tree_criterion_agreement(G: Graph, ctx: CheckContext, deadline: float |
     "tree",
     "trees with a perfect matching: I^[nu0] has a linear resolution",
 )
-def _run_tree_perfect_linres(G: Graph, ctx: CheckContext, deadline: float | None):
+def _run_tree_perfect_linres(G: Graph, ctx: CheckContext):
     if not is_tree(G) or not has_perfect_matching(G):
         return VACUOUS
     nu0 = restricted_matching_number(G)
     I = sqfree_power_via_matchings(G, nu0)
-    ok = has_linear_resolution(I, ctx.characteristic, deadline=deadline)
+    ok = has_linear_resolution(I, ctx.characteristic)
     yield "", ok, {"nu0": nu0}
 
 
@@ -815,7 +805,7 @@ def _run_tree_perfect_linres(G: Graph, ctx: CheckContext, deadline: float | None
     "tree",
     "trees with a perfect matching and n > 2 have nu0 = nu - 1",
 )
-def _run_nu0_perfect_tree(G: Graph, ctx: CheckContext, deadline: float | None):
+def _run_nu0_perfect_tree(G: Graph, ctx: CheckContext):
     if not is_tree(G) or G.n <= 2 or not has_perfect_matching(G):
         return VACUOUS
     nu0 = restricted_matching_number(G)
@@ -829,7 +819,7 @@ def _run_nu0_perfect_tree(G: Graph, ctx: CheckContext, deadline: float | None):
     "forest",
     "for forests (no isolated vertices, not a single edge) the five second-power conditions coincide",
 )
-def _run_forest_five_way(G: Graph, ctx: CheckContext, deadline: float | None):
+def _run_forest_five_way(G: Graph, ctx: CheckContext):
     if not is_forest(G) or not G.edges:
         return VACUOUS
     if any(G.adjacency[v] == 0 for v in G.vertices):
@@ -837,14 +827,14 @@ def _run_forest_five_way(G: Graph, ctx: CheckContext, deadline: float | None):
     if G.n == 2:
         return VACUOUS
     I2 = sqfree_power_via_matchings(G, 2)
-    search = _search_linear_quotients(I2, ctx.node_budget, deadline)
+    search = _search_linear_quotients(I2, ctx.node_budget)
     if search.status == "inconclusive":
         yield "", INCONCLUSIVE, {"nodes": search.nodes}
         return
     conditions = {
         "linear_quotients": search.found,
-        "linear_resolution": has_linear_resolution(I2, ctx.characteristic, deadline=deadline),
-        "linearly_related": is_linearly_related_combinatorial(I2, deadline=deadline),
+        "linear_resolution": has_linear_resolution(I2, ctx.characteristic),
+        "linearly_related": is_linearly_related_combinatorial(I2),
         "nu0_le_2": restricted_matching_number(G) <= 2,
         "template_match": classify_forest(G).matched,
     }
@@ -861,7 +851,7 @@ def _run_forest_five_way(G: Graph, ctx: CheckContext, deadline: float | None):
     "ideals",
     "records I^[k] : I^[l] != I^[k] findings for l >= 2 on random ideals",
 )
-def _run_ratliff_powers_exploration(ctx: CheckContext, deadline: float | None):
+def _run_ratliff_powers_exploration(ctx: CheckContext):
     ideals = random_squarefree_ideals(100, max_n=8, max_gens=6, seed=ctx.seed)
     for idx, I in enumerate(ideals):
         findings = []
@@ -885,7 +875,7 @@ def _run_ratliff_powers_exploration(ctx: CheckContext, deadline: float | None):
     "ideals",
     "reg(I + J) = reg(I) + reg(J) - 1 for ideals in disjoint variables",
 )
-def _run_disjoint_regularity(ctx: CheckContext, deadline: float | None):
+def _run_disjoint_regularity(ctx: CheckContext):
     rng = random.Random(ctx.seed ^ 0xD15701)
     for idx in range(50):
         a = rng.randint(2, 4)
@@ -895,10 +885,10 @@ def _run_disjoint_regularity(ctx: CheckContext, deadline: float | None):
         shifted = MonomialIdeal(a + b, tuple(sorted((g << a for g in J.gens), key=monomial_vars)))
         lifted_I = MonomialIdeal(a + b, I.gens)
         total = ideal_sum(lifted_I, shifted)
-        lhs = regularity(total, ctx.characteristic, deadline)
+        lhs = regularity(total, ctx.characteristic)
         rhs = (
-            regularity(I, ctx.characteristic, deadline)
-            + regularity(J, ctx.characteristic, deadline)
+            regularity(I, ctx.characteristic)
+            + regularity(J, ctx.characteristic)
             - 1
         )
         yield (
@@ -925,7 +915,7 @@ def _random_nonzero_ideal(rng: random.Random, n: int) -> MonomialIdeal:
     "ideals",
     "reg(I) <= max(reg(I : u) + deg(u), reg(I + (u)))",
 )
-def _run_colon_reg_bound(ctx: CheckContext, deadline: float | None):
+def _run_colon_reg_bound(ctx: CheckContext):
     rng = random.Random(ctx.seed ^ 0xC0107)
     for idx in range(100):
         n = rng.randint(2, 6)
@@ -933,10 +923,10 @@ def _run_colon_reg_bound(ctx: CheckContext, deadline: float | None):
         u = monomial(rng.sample(range(1, n + 1), rng.randint(1, n)))
         colon = colon_by_monomial(I, u)
         with_u = ideal_sum(I, MonomialIdeal(n, (u,)))
-        lhs = regularity(I, ctx.characteristic, deadline)
+        lhs = regularity(I, ctx.characteristic)
         bound = max(
-            regularity(colon, ctx.characteristic, deadline) + monomial_degree(u),
-            regularity(with_u, ctx.characteristic, deadline),
+            regularity(colon, ctx.characteristic) + monomial_degree(u),
+            regularity(with_u, ctx.characteristic),
         )
         yield (
             f"seed={ctx.seed};index={idx};{_iid(I)};u={'.'.join(map(str, monomial_vars(u)))}",
@@ -951,7 +941,7 @@ def _run_colon_reg_bound(ctx: CheckContext, deadline: float | None):
     "builtin",
     "powers of r disjoint edges double the degrees of squarefree Veronese tables",
 )
-def _run_veronese_doubling(ctx: CheckContext, deadline: float | None):
+def _run_veronese_doubling(ctx: CheckContext):
     for r in range(1, VERONESE_MAX_R + 1):
         G = disjoint_edges_graph(r)
         for k in range(1, r + 1):
@@ -959,8 +949,8 @@ def _run_veronese_doubling(ctx: CheckContext, deadline: float | None):
             J = MonomialIdeal.from_supports(
                 r, itertools.combinations(range(1, r + 1), k)
             )
-            TI = multigraded_betti(I, ctx.characteristic, deadline=deadline).graded()
-            TJ = multigraded_betti(J, ctx.characteristic, deadline=deadline).graded()
+            TI = multigraded_betti(I, ctx.characteristic).graded()
+            TJ = multigraded_betti(J, ctx.characteristic).graded()
             doubled = {(i, 2 * j): v for (i, j), v in TJ.items()}
             corner = TI.get((r - k, 2 * r), 0)
             ok = doubled == TI and corner != 0
@@ -977,7 +967,7 @@ def _run_veronese_doubling(ctx: CheckContext, deadline: float | None):
     "builtin",
     "the three pinned Betti diagrams and associated facts reproduce exactly",
 )
-def _run_figure_diagrams(ctx: CheckContext, deadline: float | None):
+def _run_figure_diagrams(ctx: CheckContext):
     expectations: list[tuple[str, Graph, int, dict[tuple[int, int], int]]] = [
         (
             "fig1",
@@ -1000,7 +990,7 @@ def _run_figure_diagrams(ctx: CheckContext, deadline: float | None):
     ]
     for name, G, k, expected in expectations:
         graded = multigraded_betti(
-            sqfree_power_via_matchings(G, k), ctx.characteristic, deadline=deadline
+            sqfree_power_via_matchings(G, k), ctx.characteristic
         ).graded()
         yield f"builtin:{name};k={k}", graded == expected, {
             "graded": sorted(map(list, graded.items()))
@@ -1009,12 +999,8 @@ def _run_figure_diagrams(ctx: CheckContext, deadline: float | None):
     I2 = sqfree_power_via_matchings(c7, 2)
     facts = {
         "nu0": restricted_matching_number(c7) == 2,
-        "linearly_related": is_linearly_related_homological(
-            I2, ctx.characteristic, deadline=deadline
-        ),
-        "linear_resolution": not has_linear_resolution(
-            I2, ctx.characteristic, deadline=deadline
-        ),
+        "linearly_related": is_linearly_related_homological(I2, ctx.characteristic),
+        "linear_resolution": not has_linear_resolution(I2, ctx.characteristic),
     }
     yield "builtin:c7;invariants", all(facts.values()), {"facts": facts}
 
@@ -1025,7 +1011,7 @@ def _run_figure_diagrams(ctx: CheckContext, deadline: float | None):
     "builtin",
     "both bundled counterexample graphs have lambda = 4 > nu0 = 3",
 )
-def _run_lambda_counterexamples(ctx: CheckContext, deadline: float | None):
+def _run_lambda_counterexamples(ctx: CheckContext):
     for name in ("fig1", "fig2"):
         G = builtin_graph(name)
         lam = lambda_number(G)
@@ -1040,7 +1026,7 @@ def _run_lambda_counterexamples(ctx: CheckContext, deadline: float | None):
     "builtin",
     "nu1 <= nu0 <= nu on seeded random graphs up to 12 vertices",
 )
-def _run_matching_chain_random(ctx: CheckContext, deadline: float | None):
+def _run_matching_chain_random(ctx: CheckContext):
     bad = []
     for G in random_graphs(ctx.random_graph_count, RANDOM_GRAPH_MAX_N, ctx.seed):
         nu1 = induced_matching_number(G)
@@ -1069,31 +1055,32 @@ def run_check_on_instance(
 ) -> list[CheckReport]:
     """Run one check on one instance and turn its runner's items into reports.
 
-    The time budget is checked before the runner starts and before each
-    report.  An exhausted budget keeps the reports already finished and adds
+    The runner and its reports run under ``time_budget(ctx.time_budget_s)``,
+    so every library call they make is bounded; the budget is also checked
+    before the runner starts and before each report.  An exhausted budget keeps the reports already finished and adds
     one inconclusive report; a crash replaces the instance's reports by one
     failing report.
     """
     check = CHECKS[name]
-    deadline = (
-        time.monotonic() + ctx.time_budget_s if ctx.time_budget_s is not None else None
-    )
     label = _gid(instance) if instance is not None else f"collection:seed={ctx.seed}"
     t0 = start = time.monotonic()
     reports = []
     try:
-        _check_deadline(deadline)
-        if check.scope in GRAPH_SCOPES:
-            assert instance is not None
-            prefix, items = label, check.runner(instance, ctx, deadline)
-        else:
-            prefix, items = "", check.runner(ctx, deadline)
-        for suffix, verdict, witness in _verdicts(items):
-            _check_deadline(deadline)
-            if isinstance(verdict, bool):
-                verdict, witness = (PASS, None) if verdict else (FAIL, witness)
-            reports.append(CheckReport(name, prefix + suffix, verdict, witness, _ms(start)))
-            start = time.monotonic()
+        with time_budget(ctx.time_budget_s):
+            _check_deadline()
+            if check.scope in GRAPH_SCOPES:
+                assert instance is not None
+                prefix, items = label, check.runner(instance, ctx)
+            else:
+                prefix, items = "", check.runner(ctx)
+            for suffix, verdict, witness in _verdicts(items):
+                _check_deadline()
+                if isinstance(verdict, bool):
+                    verdict, witness = (PASS, None) if verdict else (FAIL, witness)
+                reports.append(
+                    CheckReport(name, prefix + suffix, verdict, witness, _ms(start))
+                )
+                start = time.monotonic()
     except BudgetExceeded as exc:
         reports.append(
             CheckReport(name, label, INCONCLUSIVE, {"reason": str(exc)}, _ms(start))

@@ -16,11 +16,10 @@ import argparse
 import importlib.util
 import json
 import sys
-import time
 from pathlib import Path
 from types import ModuleType
 
-from .defaults import DEFAULT_CHARACTERISTIC, DEFAULT_SEED, FAMILY_HELP
+from .defaults import DEFAULT_CHARACTERISTIC, DEFAULT_NODE_BUDGET, DEFAULT_SEED, FAMILY_HELP
 
 
 def _lazy_module(name: str) -> ModuleType:
@@ -186,6 +185,7 @@ def cmd_power(args: argparse.Namespace) -> int:
 
 def _betti_payload(I: ideals.MonomialIdeal, characteristic: int) -> tuple[dict, str]:
     """The betti payload and the diagram text, both from one table."""
+    betti._check_characteristic(characteristic)
     if I.is_zero:
         return {
             "zero": True,
@@ -258,9 +258,8 @@ def cmd_linrel(args: argparse.Namespace) -> int:
 def cmd_linquot(args: argparse.Namespace) -> int:
     _, I = _ideal_for_algebra(args)
     node_budget = _node_budget(args)
-    budget = _time_budget(args)
-    deadline = time.monotonic() + budget if budget is not None else None
-    result = betti.linear_quotients_order(I, node_budget, deadline=deadline)
+    with betti.time_budget(_time_budget(args)):
+        result = betti.linear_quotients_order(I, node_budget)
     payload = {
         "command": "linquot",
         "status": result.status,
@@ -572,7 +571,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("linquot", help="search for a linear-quotients order")
     _add_algebra_inputs(p, default_k=1)
-    p.add_argument("--node-budget", type=int, default=10_000_000)
+    p.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
     p.add_argument(
         "--time-budget", type=float, default=None, metavar="SECONDS"
     )
@@ -627,7 +626,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1, help="worker processes")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     _add_char(p)
-    p.add_argument("--node-budget", type=int, default=10_000_000)
+    p.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
     p.add_argument("--time-budget", type=float, default=None, metavar="SECONDS")
     p.add_argument("--random-ideals", type=int, default=500)
     p.add_argument("--random-graphs", type=int, default=1000)

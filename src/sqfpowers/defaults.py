@@ -6,6 +6,7 @@ parser loads neither of those modules.
 
 DEFAULT_CHARACTERISTIC = 32003
 DEFAULT_SEED = 0x5EED5EED5EED5EED
+DEFAULT_NODE_BUDGET = 10_000_000  # nodes of one linear-quotients search
 
 FAMILY_HELP = (
     "exhaustive-N (all graphs with <= N vertices), trees-N, forests-N, "

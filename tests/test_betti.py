@@ -2,7 +2,6 @@
 
 import itertools
 import random
-import time
 
 import numpy as np
 import pytest
@@ -29,6 +28,7 @@ from sqfpowers.betti import (
     projective_dimension,
     regularity,
     render_betti_diagram,
+    time_budget,
     _DividingGenerators,
     _face_levels,
     _homology_dims,
@@ -36,7 +36,8 @@ from sqfpowers.betti import (
     _membership_table,
     _search_linear_quotients,
 )
-from sqfpowers.edge_ideals import edge_ideal, sqfree_power_via_matchings
+from sqfpowers.defaults import DEFAULT_NODE_BUDGET
+from sqfpowers.edge_ideals import edge_ideal, lambda_number, sqfree_power_via_matchings
 from sqfpowers.families import all_graphs, random_graphs, random_squarefree_ideals
 from sqfpowers.graphs import (
     builtin_graph,
@@ -381,25 +382,59 @@ def test_input_validation():
         multigraded_betti(I, characteristic=1)
     with pytest.raises(ValueError):
         multigraded_betti(I, characteristic=2**89 - 1)  # prime, above 2^64
-    with pytest.raises(ValueError):
-        multigraded_betti(I, generator_cap=1)
-    with pytest.raises(BudgetExceeded):
-        multigraded_betti(I, deadline=time.monotonic() - 1)
+    with pytest.raises(BudgetExceeded), time_budget(-1):
+        multigraded_betti(I)
 
 
 def test_every_homological_route_rejects_a_bad_characteristic():
     I = sqfree_power_via_matchings(cycle_graph(7), 2)
+    routes = (
+        is_linearly_related_homological,
+        regularity,
+        has_linear_resolution,
+        betti_diagram_text,
+    )
     for bad in (4, 1, 2**89 - 1):
-        with pytest.raises(ValueError):
-            is_linearly_related_homological(I, characteristic=bad)
+        # the zero ideal takes a shortcut past the table, but not past this
+        for J in (I, MonomialIdeal.zero(3)):
+            for route in routes:
+                with pytest.raises(ValueError):
+                    route(J, bad)
     assert is_linearly_related_homological(I)
     # the route reads the Betti table, so it keeps the table's budget and cap
-    with pytest.raises(BudgetExceeded):
-        is_linearly_related_homological(I, deadline=time.monotonic() - 1)
+    with pytest.raises(BudgetExceeded), time_budget(-1):
+        is_linearly_related_homological(I)
     big = MonomialIdeal.from_supports(14, itertools.combinations(range(1, 15), 5))
     assert len(big.gens) == 2002 > GENERATOR_CAP
     with pytest.raises(ValueError):
         is_linearly_related_homological(big)
+
+
+def test_time_budget_restores_the_outer_bound():
+    I = edge_ideal(path_graph(3))
+    with time_budget(600):
+        with time_budget(-1):
+            with pytest.raises(BudgetExceeded):
+                multigraded_betti(I)
+        assert multigraded_betti(I).regularity() == 2
+        with pytest.raises(RuntimeError), time_budget(-1):
+            raise RuntimeError("left by an exception")
+        assert multigraded_betti(I).regularity() == 2
+        with time_budget(None):
+            assert multigraded_betti(I).regularity() == 2
+    with pytest.raises(BudgetExceeded), time_budget(-1):
+        with time_budget(600):
+            assert multigraded_betti(I).regularity() == 2
+        multigraded_betti(I)
+    assert multigraded_betti(I).regularity() == 2
+
+
+def test_time_budget_bounds_nested_library_calls():
+    # lambda_number passes nothing on; its linear-relatedness tests read the
+    # request's budget
+    with pytest.raises(BudgetExceeded), time_budget(0):
+        lambda_number(cycle_graph(7))
+    assert lambda_number(cycle_graph(7)) == 2
 
 
 def test_regularity_knowns():
@@ -545,7 +580,7 @@ def test_linear_quotients_certificate_agrees_with_search():
             for k in range(1, matching_number(G) + 1):
                 P = sqfree_power_via_matchings(G, k)
                 res = linear_quotients_order(P)
-                search = _search_linear_quotients(P, 10_000_000, None)
+                search = _search_linear_quotients(P, DEFAULT_NODE_BUDGET)
                 assert search.status in ("found", "none"), (to_graph6(G), k)
                 if res.reason is None:
                     assert res == search, (to_graph6(G), k)

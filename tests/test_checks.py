@@ -1,10 +1,11 @@
 """The verification harness: registry, execution, reports, invariant sweeps."""
 
+import inspect
 import json
-import time
 
 import pytest
 
+import sqfpowers
 from sqfpowers import betti, checks
 from sqfpowers.betti import BudgetExceeded
 from sqfpowers.checks import (
@@ -124,7 +125,7 @@ def test_parallel_equals_serial():
 
 
 def test_crash_becomes_failure_report(monkeypatch):
-    def boom(G, ctx, deadline):
+    def boom(G, ctx):
         raise RuntimeError("synthetic defect")
 
     fake = Check("fake-crash", "theorem", "graph", "always crashes", boom)
@@ -137,7 +138,7 @@ def test_crash_becomes_failure_report(monkeypatch):
 
 
 def test_budget_exhaustion_becomes_inconclusive(monkeypatch):
-    def slow(G, ctx, deadline):
+    def slow(G, ctx):
         raise BudgetExceeded("node budget exhausted")
 
     fake = Check("fake-slow", "theorem", "graph", "always times out", slow)
@@ -162,24 +163,21 @@ def test_regularity_runners_honour_the_time_budget(name):
     assert {r.outcome for r in reports} == {INCONCLUSIVE}
 
 
-def test_figure_diagrams_passes_its_deadline_on(monkeypatch):
-    seen = []
-
-    def recording(fn):
-        def call(*args, deadline=None, **kwargs):
-            seen.append((fn.__name__, deadline))
-            return fn(*args, deadline=deadline, **kwargs)
-        return call
-
-    for name in ("is_linearly_related_homological", "has_linear_resolution"):
-        monkeypatch.setattr(checks, name, recording(getattr(betti, name)))
-    deadline = time.monotonic() + 600.0
-    items = list(CHECKS["figure-diagrams"].runner(CheckContext(), deadline))
-    assert all(verdict for _, verdict, _ in items)
-    assert seen == [
-        ("is_linearly_related_homological", deadline),
-        ("has_linear_resolution", deadline),
-    ]
+def test_no_deadline_is_passed_by_hand():
+    # the time budget belongs to the request (betti.time_budget), so no
+    # exported callable takes a deadline and every runner takes (G, ctx) or
+    # (ctx) alone
+    for name in sqfpowers.__all__:
+        obj = getattr(sqfpowers, name)
+        if callable(obj):
+            try:
+                params = inspect.signature(obj).parameters
+            except ValueError:  # BudgetExceeded inherits a builtin signature
+                continue
+            assert "deadline" not in params, name
+    for c in CHECKS.values():
+        params = list(inspect.signature(c.runner).parameters)
+        assert params == (["G", "ctx"] if c.scope in GRAPH_SCOPES else ["ctx"]), c.name
 
 
 def test_five_way_nonforest_budget_exhaustion_is_inconclusive():
@@ -192,7 +190,7 @@ def test_five_way_nonforest_budget_exhaustion_is_inconclusive():
 def test_theorem_checks_search_without_the_certificate(monkeypatch):
     # forest-five-way and top-power-linear-quotients compare linear quotients
     # with linear relatedness, so their search must not consult the latter
-    def boom(I, deadline=None):
+    def boom(I):
         raise RuntimeError("certificate consulted")
 
     monkeypatch.setattr(betti, "is_linearly_related_combinatorial", boom)

@@ -216,6 +216,14 @@ def test_betti_large_characteristic():
     assert code == 2 and "below 2^64" in err
 
 
+@pytest.mark.parametrize("k", ["2", "5"])  # I(C7)^[5] is the zero ideal
+def test_betti_rejects_a_bad_characteristic(k):
+    for extra in ([], ["--json"]):
+        code, out, err = run(["betti", "c7", "-k", k, "--char", "4", *extra])
+        assert code == 2 and out == "", (k, extra)
+        assert err == "error: characteristic 4 is not prime\n"
+
+
 def test_betti_builds_one_table(monkeypatch):
     real = sqfpowers.betti.multigraded_betti
     calls = []
@@ -560,7 +568,7 @@ def test_a_family_file_without_a_graph_is_rejected(tmp_path, text):
 
 
 def test_verify_failing_check_exits_1(monkeypatch):
-    def boom(G, ctx, deadline):
+    def boom(G, ctx):
         raise RuntimeError("synthetic defect")
 
     fake = Check("fake-fail", "theorem", "graph", "always fails", boom)
@@ -583,7 +591,7 @@ def test_verify_failing_check_exits_1(monkeypatch):
 
 
 def test_verify_budget_keeps_finished_reports(monkeypatch):
-    def two_then_out(ctx, deadline):
+    def two_then_out(ctx):
         yield "first", True, None
         yield "second", True, None
         raise BudgetExceeded("time budget exhausted")

@@ -1,12 +1,18 @@
 """Betti tables and squarefree powers are computed once per request, and only then."""
 
 import itertools
-import time
 
 import pytest
 
 from sqfpowers import betti, checks, edge_ideals
-from sqfpowers.betti import LATTICES, TABLES, BudgetExceeded, lcm_lattice, multigraded_betti
+from sqfpowers.betti import (
+    LATTICES,
+    TABLES,
+    BudgetExceeded,
+    lcm_lattice,
+    multigraded_betti,
+    time_budget,
+)
 from sqfpowers.checks import CHECKS, PASS, Check, CheckContext, run_check_on_instance, run_checks
 from sqfpowers.edge_ideals import POWERS, edge_ideal, sqfree_power_via_matchings
 from sqfpowers.graphs import Graph, cycle_graph, path_graph
@@ -38,7 +44,7 @@ def kernels(monkeypatch):
 def test_a_request_computes_each_table_and_power_once(monkeypatch, kernels):
     tables, powers = kernels
 
-    def twice(G, ctx, deadline):
+    def twice(G, ctx):
         for _ in range(2):
             multigraded_betti(sqfree_power_via_matchings(G, 1), ctx.characteristic)
         yield "", True, None
@@ -100,8 +106,8 @@ def test_only_a_finished_table_is_stored(kernels):
     I = sqfree_power_via_matchings(cycle_graph(7), 2)
     fresh = multigraded_betti(I)
     with opened(TABLES, POWERS):
-        with pytest.raises(BudgetExceeded):
-            multigraded_betti(I, deadline=time.monotonic() - 1)
+        with pytest.raises(BudgetExceeded), time_budget(-1):
+            multigraded_betti(I)
         assert multigraded_betti(I) == fresh
         assert multigraded_betti(I) == fresh
         for _ in range(2):
@@ -110,6 +116,18 @@ def test_only_a_finished_table_is_stored(kernels):
     # fresh, interrupted, full, then twice the bad characteristic; the second
     # full table came from the memo
     assert tables[0] == 5
+
+
+def test_an_interrupted_lattice_is_not_stored(monkeypatch):
+    # the lattice checks the budget once per generator joined in, so a
+    # budgeted check stops before the whole lattice is built
+    builds = _count_calls(monkeypatch, betti, "_lattice_joins")
+    gens = sqfree_power_via_matchings(cycle_graph(7), 2).gens
+    with opened(LATTICES):
+        with pytest.raises(BudgetExceeded), time_budget(-1):
+            lcm_lattice(gens)
+        assert lcm_lattice(gens) is lcm_lattice(gens)
+    assert builds[0] == 2
 
 
 def test_the_characteristic_is_part_of_the_key():
