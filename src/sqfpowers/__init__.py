@@ -25,7 +25,7 @@ _EXPORTS = {
             "betti",
             """
             BettiTable BudgetExceeded LinearQuotientsResult SyzygyWitnessReport
-            betti_diagram_text first_syzygy_witness gf_rank has_linear_resolution
+            first_syzygy_witness gf_rank has_linear_resolution
             is_linear_quotients_order is_linearly_related_combinatorial
             is_linearly_related_homological lcm_lattice linear_quotients_order
             multigraded_betti projective_dimension regularity render_betti_diagram
@@ -51,7 +51,7 @@ _EXPORTS = {
             "families",
             """
             all_forests all_forests_up_to all_graphs all_graphs_up_to all_trees
-            all_trees_up_to canonical_code disjoint_edges_graph random_graphs
+            all_trees_up_to disjoint_edges_graph random_graphs
             random_squarefree_ideals resolve_family tree_canonical_form
             """,
         ),

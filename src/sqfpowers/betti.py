@@ -38,7 +38,10 @@ Nonzero Betti numbers occur only at lattice multidegrees, so tables store a
 sparse map (i, m) -> b_{i,m} and derive regularity, projective dimension,
 linearity of the resolution, and the coarse graded table from it.  The
 homological test of linear relatedness reads the b_{1,m} of the same table;
-no separate first-syzygy complex is built.
+no separate first-syzygy complex is built.  The zero ideal has the zero
+resolution, so its table is empty: regularity 1 and a linear resolution by
+convention, no projective dimension.  Every homological answer is read from a
+table, so the table is the one place that validates the characteristic.
 """
 
 from __future__ import annotations
@@ -314,7 +317,7 @@ def _homology_dims(levels: list[list[int]], p: int) -> list[int]:
 # Betti tables
 
 class BettiTable(NamedTuple):
-    """Sparse multigraded Betti numbers of a nonzero squarefree ideal."""
+    """Sparse multigraded Betti numbers of a squarefree ideal, empty when it is zero."""
 
     n: int
     characteristic: int
@@ -333,16 +336,19 @@ class BettiTable(NamedTuple):
         return sum(v for (ii, _), v in self.entries.items() if ii == i)
 
     def regularity(self) -> int:
-        return max(monomial_degree(m) - i for (i, m) in self.entries)
+        """max(deg m - i); 1 by convention for the empty table."""
+        return max((monomial_degree(m) - i for (i, m) in self.entries), default=1)
 
-    def projective_dimension(self) -> int:
-        return max(i for (i, _) in self.entries)
+    def projective_dimension(self) -> int | None:
+        """max i; None for the empty table."""
+        return max((i for (i, _) in self.entries), default=None)
 
     def is_linear(self) -> bool:
         """Every Betti number sits in degree d + i; False for mixed degrees."""
         d = self.gen_degree
-        return d is not None and all(
-            monomial_degree(m) == d + i for (i, m) in self.entries
+        return not self.entries or (
+            d is not None
+            and all(monomial_degree(m) == d + i for (i, m) in self.entries)
         )
 
     def to_json(self) -> str:
@@ -378,14 +384,13 @@ TABLES = RequestMemo()
 def multigraded_betti(
     I: MonomialIdeal, characteristic: int = DEFAULT_CHARACTERISTIC
 ) -> BettiTable:
-    """Full multigraded Betti table of a nonzero squarefree monomial ideal.
+    """Full multigraded Betti table of a squarefree monomial ideal.
 
-    While a request holds ``TABLES`` open (see ``memo``), each (n, gens,
-    characteristic) is computed once and the same table is returned to every
-    caller, who must not change its entries.
+    The zero ideal gets the empty table.  While a request holds ``TABLES``
+    open (see ``memo``), each (n, gens, characteristic) is computed once and
+    the same table is returned to every caller, who must not change its
+    entries.
     """
-    if I.is_zero:
-        raise ValueError("the zero ideal has no Betti table")
     if len(I.gens) > GENERATOR_CAP:
         raise ValueError(f"{len(I.gens)} generators exceed the cap {GENERATOR_CAP}")
     return TABLES.get(
@@ -396,8 +401,10 @@ def multigraded_betti(
 def _betti_table(I: MonomialIdeal, characteristic: int) -> BettiTable:
     _check_characteristic(characteristic)
     entries: dict[tuple[int, int], int] = {}
-    table = _membership_table(I)
-    for m in lcm_lattice(I.gens):
+    lattice = lcm_lattice(I.gens)
+    # the zero ideal has no multidegree to walk, so no table to build
+    table = _membership_table(I) if lattice else None
+    for m in lattice:
         _check_deadline()
         member = table if table is not None else _DividingGenerators(I.gens, m)
         for i, dim in enumerate(_homology_dims(_face_levels(member, m), characteristic)):
@@ -414,27 +421,22 @@ def _betti_table(I: MonomialIdeal, characteristic: int) -> BettiTable:
 
 def regularity(I: MonomialIdeal, characteristic: int = DEFAULT_CHARACTERISTIC) -> int:
     """Castelnuovo-Mumford regularity; the zero ideal has regularity 1."""
-    _check_characteristic(characteristic)
-    if I.is_zero:
-        return 1
     return multigraded_betti(I, characteristic).regularity()
 
 
 def projective_dimension(
     I: MonomialIdeal, characteristic: int = DEFAULT_CHARACTERISTIC
 ) -> int:
-    if I.is_zero:
+    pd = multigraded_betti(I, characteristic).projective_dimension()
+    if pd is None:
         raise ValueError("projective dimension of the zero ideal is undefined")
-    return multigraded_betti(I, characteristic).projective_dimension()
+    return pd
 
 
 def has_linear_resolution(
     I: MonomialIdeal, characteristic: int = DEFAULT_CHARACTERISTIC
 ) -> bool:
     """All Betti numbers sit in degrees d + i; vacuously true for the zero ideal."""
-    _check_characteristic(characteristic)
-    if I.is_zero:
-        return True
     I.pure_degree()  # raises on mixed generator degrees
     return multigraded_betti(I, characteristic).is_linear()
 
@@ -450,9 +452,6 @@ def is_linearly_related_homological(
     Homological route: the (1, m) entries of the multigraded Betti table.
     Vacuously true for the zero ideal.
     """
-    _check_characteristic(characteristic)
-    if I.is_zero or len(I.gens) == 1:
-        return True
     d = I.pure_degree()
     table = multigraded_betti(I, characteristic)
     return all(monomial_degree(m) == d + 1 for (i, m) in table.entries if i == 1)
@@ -465,8 +464,6 @@ def is_linearly_related_combinatorial(I: MonomialIdeal) -> bool:
     path from u to v inside the set of generators dividing lcm(u, v), stepping
     only between generators whose pairwise lcm has degree d + 1.
     """
-    if I.is_zero or len(I.gens) == 1:
-        return True
     d = I.pure_degree()
     gens = I.gens
     g = len(gens)
@@ -663,7 +660,12 @@ def _search_linear_quotients(I: MonomialIdeal, node_budget: int) -> LinearQuotie
 # rendering
 
 def render_betti_diagram(table: BettiTable) -> str:
-    """Fixed-width graded Betti diagram, rows labeled by degree minus index."""
+    """Fixed-width graded Betti diagram, rows labeled by degree minus index.
+
+    The empty table of the zero ideal gets a note instead.
+    """
+    if not table.entries:
+        return "(zero ideal: empty Betti diagram, regularity 1 by convention)"
     graded = table.graded()
     max_i = max(i for i, _ in graded)
     cols = list(range(max_i + 1))
@@ -684,13 +686,3 @@ def render_betti_diagram(table: BettiTable) -> str:
     for row in [header] + body:
         lines.append("  ".join(cell.rjust(w) for cell, w in zip(row, widths)).rstrip())
     return "\n".join(lines)
-
-
-def betti_diagram_text(
-    I: MonomialIdeal, characteristic: int = DEFAULT_CHARACTERISTIC
-) -> str:
-    """Diagram text for any ideal, with a note instead of a table when zero."""
-    _check_characteristic(characteristic)
-    if I.is_zero:
-        return "(zero ideal: empty Betti diagram, regularity 1 by convention)"
-    return render_betti_diagram(multigraded_betti(I, characteristic))

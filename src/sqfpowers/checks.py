@@ -48,6 +48,7 @@ from .betti import (
     LATTICES,
     TABLES,
     BudgetExceeded,
+    LinearQuotientsResult,
     _check_deadline,
     _search_linear_quotients,
     first_syzygy_witness,
@@ -437,11 +438,7 @@ def _run_restriction_table(G: Graph, ctx: CheckContext):
         sample = list(sample) + [rng.randrange(1 << G.n) for _ in range(4)]
         bad = []
         for m in sample:
-            sub = restrict(I, m)
-            if sub.is_zero:
-                sub_entries: dict = {}
-            else:
-                sub_entries = multigraded_betti(sub, ctx.characteristic).entries
+            sub_entries = multigraded_betti(restrict(I, m), ctx.characteristic).entries
             expected = {
                 (i, a): v
                 for (i, a), v in table.entries.items()
@@ -740,13 +737,19 @@ def _run_five_way_nonforest(G: Graph, ctx: CheckContext):
     if search.status == "inconclusive":
         yield "", INCONCLUSIVE, {"nodes": search.nodes}
         return
-    pattern = {
+    yield "", PASS, {"pattern": _second_power_conditions(G, I2, search, ctx)}
+
+
+def _second_power_conditions(
+    G: Graph, I2: MonomialIdeal, search: LinearQuotientsResult, ctx: CheckContext
+) -> dict[str, bool]:
+    """The four conditions on I2 = I(G)^[2] that the five-way checks compare."""
+    return {
         "linear_quotients": search.found,
         "linear_resolution": has_linear_resolution(I2, ctx.characteristic),
         "linearly_related": is_linearly_related_combinatorial(I2),
         "nu0_le_2": restricted_matching_number(G) <= 2,
     }
-    yield "", PASS, {"pattern": pattern}
 
 
 @check(
@@ -832,10 +835,7 @@ def _run_forest_five_way(G: Graph, ctx: CheckContext):
         yield "", INCONCLUSIVE, {"nodes": search.nodes}
         return
     conditions = {
-        "linear_quotients": search.found,
-        "linear_resolution": has_linear_resolution(I2, ctx.characteristic),
-        "linearly_related": is_linearly_related_combinatorial(I2),
-        "nu0_le_2": restricted_matching_number(G) <= 2,
+        **_second_power_conditions(G, I2, search, ctx),
         "template_match": classify_forest(G).matched,
     }
     values = set(conditions.values())
@@ -1120,12 +1120,6 @@ def _run_task(
     return [r for name in names for r in run_check_on_instance(name, instance, ctx)]
 
 
-def _worker(
-    args: tuple[tuple[str, ...], Graph | None, CheckContext]
-) -> list[CheckReport]:
-    return _run_task(*args)
-
-
 _MEMOS = (LATTICES, TABLES, POWERS)
 
 
@@ -1161,7 +1155,12 @@ def run_checks(
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs, initializer=_open_memos) as pool:
-            for batch in pool.map(_worker, [(n, g, ctx) for n, g in tasks]):
+            for batch in pool.map(
+                _run_task,
+                [task_names for task_names, _ in tasks],
+                [instance for _, instance in tasks],
+                itertools.repeat(ctx),
+            ):
                 reports.extend(batch)
     else:
         with opened(*_MEMOS):

@@ -185,23 +185,9 @@ def cmd_power(args: argparse.Namespace) -> int:
 
 def _betti_payload(I: ideals.MonomialIdeal, characteristic: int) -> tuple[dict, str]:
     """The betti payload and the diagram text, both from one table."""
-    betti._check_characteristic(characteristic)
-    if I.is_zero:
-        return {
-            "zero": True,
-            "n": I.n,
-            "characteristic": characteristic,
-            "generator_degree": None,
-            "entries": [],
-            "graded": [],
-            "regularity": 1,
-            "projective_dimension": None,
-            "linear_resolution": True,
-            "linearly_related": True,
-        }, betti.betti_diagram_text(I)
     table = betti.multigraded_betti(I, characteristic)
     return {
-        "zero": False,
+        "zero": I.is_zero,
         "n": I.n,
         "characteristic": characteristic,
         "generator_degree": table.gen_degree,

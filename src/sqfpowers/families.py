@@ -6,10 +6,6 @@ each isomorphism class, in increasing order, read for one n on its first use.
 Trees come from leaf extension deduplicated by center-rooted canonical forms,
 and forests without isolated vertices from multisets of trees.  Random
 families draw from a recorded 64-bit seed so every run is reproducible.
-
-``canonical_code`` is the only numpy user: it batches the permutations through
-numpy, which ``_perm_powers`` imports when called, so resolving a family does
-not load numpy.
 """
 
 from __future__ import annotations
@@ -19,58 +15,20 @@ import itertools
 import random
 import re
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .defaults import DEFAULT_SEED, FAMILY_HELP
 from .graphs import Graph, disjoint_union, is_tree, parse_graphs
 from .ideals import MonomialIdeal, minimalize, monomial
 
-if TYPE_CHECKING:
-    import numpy as np
-
 GRAPH_ENUM_CAP = 8
 
 
 # ---------------------------------------------------------------------------
-# canonical forms
+# edge codes
 
 def _edge_slots(n: int) -> list[tuple[int, int]]:
     return list(itertools.combinations(range(n), 2))
-
-
-@functools.lru_cache(maxsize=None)
-def _perm_powers(n: int) -> np.ndarray:
-    """(n!, C(n,2)) float array of 2^(edge slot image) per vertex permutation.
-
-    Codes stay below 2^28 for n <= 8, so float64 arithmetic is exact and the
-    min-over-permutations reduces to fast BLAS operations.
-    """
-    import numpy as np
-
-    slots = _edge_slots(n)
-    index = {s: i for i, s in enumerate(slots)}
-    perms = list(itertools.permutations(range(n)))
-    powers = np.empty((len(perms), len(slots)), dtype=np.float64)
-    for r, perm in enumerate(perms):
-        for c, (i, j) in enumerate(slots):
-            a, b = perm[i], perm[j]
-            powers[r, c] = float(1 << index[(a, b) if a < b else (b, a)])
-    return powers
-
-
-def canonical_code(G: Graph) -> int:
-    """Isomorphism-invariant integer: minimal edge-indicator code over relabelings."""
-    if G.n > GRAPH_ENUM_CAP:
-        raise ValueError(f"canonical codes support n <= {GRAPH_ENUM_CAP}")
-    if G.n <= 1:
-        return 0
-    slots = _edge_slots(G.n)
-    index = {s: i for i, s in enumerate(slots)}
-    cols = [index[(u - 1, v - 1)] for u, v in G.edge_list]
-    if not cols:
-        return 0
-    powers = _perm_powers(G.n)
-    return int(powers[:, cols].sum(axis=1).min())
 
 
 def _graph_from_code(n: int, code: int) -> Graph:

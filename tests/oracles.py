@@ -8,9 +8,11 @@ induced-subset search for chordless cycles.  Slow but obviously correct.
 
 There are two exceptions.  ``generated_graphs``, the numpy generator that
 produced the package's bundled graph table, stays here to cross-check that
-table.  ``gap_mates_restricted_matching_number`` is the package's earlier nu0:
-it scans the gap-mates of each edge by hand but takes their matching number
-from the package, and is fast enough to cross-check nu0 on 30 vertices.
+table, beside ``canonical_code``, the least edge code of a graph over all
+relabelings, which checks the enumerations for isomorphic duplicates.
+``gap_mates_restricted_matching_number`` is the package's earlier nu0: it
+scans the gap-mates of each edge by hand but takes their matching number from
+the package, and is fast enough to cross-check nu0 on 30 vertices.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from collections import defaultdict
 from fractions import Fraction
 
 from sqfpowers import Graph, MonomialIdeal
-from sqfpowers.families import _edge_slots, _graph_from_code, _perm_powers
+from sqfpowers.families import GRAPH_ENUM_CAP, _edge_slots, _graph_from_code
 from sqfpowers.matchings import edge_mask, matching_number
 
 Edge = tuple[int, int]
@@ -146,6 +148,41 @@ def brute_has_chordless_cycle(G: Graph) -> bool:
 
 # ---------------------------------------------------------------------------
 # the exhaustive graph families by vertex extension
+
+@functools.lru_cache(maxsize=None)
+def _perm_powers(n: int) -> "np.ndarray":
+    """(n!, C(n,2)) float array of 2^(edge slot image) per vertex permutation.
+
+    Codes stay below 2^28 for n <= 8, so float64 arithmetic is exact and the
+    min-over-permutations reduces to fast BLAS operations.
+    """
+    import numpy as np
+
+    slots = _edge_slots(n)
+    index = {s: i for i, s in enumerate(slots)}
+    perms = list(itertools.permutations(range(n)))
+    powers = np.empty((len(perms), len(slots)), dtype=np.float64)
+    for r, perm in enumerate(perms):
+        for c, (i, j) in enumerate(slots):
+            a, b = perm[i], perm[j]
+            powers[r, c] = float(1 << index[(a, b) if a < b else (b, a)])
+    return powers
+
+
+def canonical_code(G: Graph) -> int:
+    """Isomorphism-invariant integer: minimal edge-indicator code over relabelings."""
+    if G.n > GRAPH_ENUM_CAP:
+        raise ValueError(f"canonical codes support n <= {GRAPH_ENUM_CAP}")
+    if G.n <= 1:
+        return 0
+    slots = _edge_slots(G.n)
+    index = {s: i for i, s in enumerate(slots)}
+    cols = [index[(u - 1, v - 1)] for u, v in G.edge_list]
+    if not cols:
+        return 0
+    powers = _perm_powers(G.n)
+    return int(powers[:, cols].sum(axis=1).min())
+
 
 @functools.lru_cache(maxsize=None)
 def generated_graphs(n: int) -> tuple[Graph, ...]:

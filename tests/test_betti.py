@@ -15,7 +15,6 @@ from sqfpowers.betti import (
     TABLE_MAX_VARS,
     BettiTable,
     BudgetExceeded,
-    betti_diagram_text,
     first_syzygy_witness,
     gf_rank,
     has_linear_resolution,
@@ -351,9 +350,9 @@ def test_render_small_diagram():
     )
 
 
-def test_betti_diagram_text_zero_ideal():
-    text = betti_diagram_text(MonomialIdeal.zero(4))
-    assert "zero ideal" in text and "regularity 1" in text
+def test_render_betti_diagram_zero_ideal():
+    text = render_betti_diagram(multigraded_betti(MonomialIdeal.zero(4)))
+    assert text == "(zero ideal: empty Betti diagram, regularity 1 by convention)"
 
 
 def test_table_json_roundtrip():
@@ -364,14 +363,27 @@ def test_table_json_roundtrip():
 
 
 def test_zero_ideal_conventions():
+    # the zero ideal has the zero resolution: the empty table
+    table = multigraded_betti(MonomialIdeal.zero(3))
+    assert table.entries == {} and table.graded() == {}
+    assert table.regularity() == 1
+    assert table.is_linear()
+    assert table.projective_dimension() is None
     assert regularity(MonomialIdeal.zero(3)) == 1
     with pytest.raises(ValueError):
         projective_dimension(MonomialIdeal.zero(3))
-    with pytest.raises(ValueError):
-        multigraded_betti(MonomialIdeal.zero(3))
     assert has_linear_resolution(MonomialIdeal.zero(3))
     assert is_linearly_related_homological(MonomialIdeal.zero(3))
     assert is_linearly_related_combinatorial(MonomialIdeal.zero(3))
+
+
+def test_the_zero_ideal_builds_no_membership_table(monkeypatch):
+    # 2^24 bytes would take most of a second; the empty table needs none
+    def refuse(I):
+        raise AssertionError("membership table built")
+
+    monkeypatch.setattr("sqfpowers.betti._membership_table", refuse)
+    assert multigraded_betti(MonomialIdeal.zero(TABLE_MAX_VARS)).entries == {}
 
 
 def test_input_validation():
@@ -389,13 +401,15 @@ def test_input_validation():
 def test_every_homological_route_rejects_a_bad_characteristic():
     I = sqfree_power_via_matchings(cycle_graph(7), 2)
     routes = (
+        multigraded_betti,
+        projective_dimension,
         is_linearly_related_homological,
         regularity,
         has_linear_resolution,
-        betti_diagram_text,
     )
     for bad in (4, 1, 2**89 - 1):
-        # the zero ideal takes a shortcut past the table, but not past this
+        # every route reads the table, which validates the characteristic,
+        # the zero ideal's empty table included
         for J in (I, MonomialIdeal.zero(3)):
             for route in routes:
                 with pytest.raises(ValueError):

@@ -648,15 +648,20 @@ def _declared_entry_point(name: str) -> importlib.metadata.EntryPoint:
     try:
         dist = importlib.metadata.distribution("sqfpowers")
     except importlib.metadata.PackageNotFoundError:
-        tomllib = pytest.importorskip("tomllib")
-        pyproject = Path(sqfpowers.__file__).resolve().parents[2] / "pyproject.toml"
-        assert pyproject.is_file(), f"no installed metadata and no {pyproject}"
-        scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
-        assert name in scripts, f"{pyproject} declares no {name!r} script"
+        scripts = _source_pyproject()["project"]["scripts"]
+        assert name in scripts, f"pyproject.toml declares no {name!r} script"
         return importlib.metadata.EntryPoint(name, scripts[name], "console_scripts")
     matches = dist.entry_points.select(group="console_scripts", name=name)
     assert matches, f"installed sqfpowers declares no {name!r} script"
     return next(iter(matches))
+
+
+def _source_pyproject() -> dict:
+    """The ``pyproject.toml`` beside the ``src/`` tree that holds the imported package."""
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(sqfpowers.__file__).resolve().parents[2] / "pyproject.toml"
+    assert pyproject.is_file(), f"no {pyproject}"
+    return tomllib.loads(pyproject.read_text())
 
 
 def _run_entry_point(
@@ -717,7 +722,7 @@ def _modules_after(code: str, tmp_path: Path) -> tuple[set[str], set[str]]:
 
 
 def test_import_does_not_load_numpy(tmp_path):
-    # numpy is only for canonical_code, and the process pool only for
+    # numpy is for the tests only, and the process pool only for
     # verify --jobs N with N > 1; neither may load on the way to a result.
     # Nor may dataclasses and the inspect it imports: about 27 ms of every
     # call went to importing them and generating record methods.  Nor may a
@@ -750,6 +755,22 @@ def test_import_does_not_load_numpy(tmp_path):
               "matchings"}
     loaded, _ = _modules_after("import sqfpowers.cli", tmp_path)
     assert {f"sqfpowers.{name}" for name in traced} <= loaded
+
+
+def test_runs_without_numpy(tmp_path):
+    # the package ships with no runtime dependency; numpy is for the tests
+    assert _source_pyproject()["project"]["dependencies"] == []
+    call = (
+        "import sys\nsys.modules['numpy'] = None  # any import of it raises\n"
+        "import sqfpowers.cli\nraise SystemExit(sqfpowers.cli.main({!r}))"
+    )
+    for argv in (
+        ["invariants", "c7"],
+        ["betti", "c7", "-k", "2", "--json"],
+        ["verify", "all", "--family", "exhaustive-4"],
+    ):
+        proc = _run_fresh(["-c", call.format(argv)], tmp_path)
+        assert proc.returncode == 0, (argv, proc.stderr)
 
 
 def test_package_surface_resolves_lazily(tmp_path):

@@ -11,14 +11,12 @@ from hypothesis import strategies as st
 
 from sqfpowers.families import (
     DEFAULT_SEED,
-    _perm_powers,
     all_forests,
     all_forests_up_to,
     all_graphs,
     all_graphs_up_to,
     all_trees,
     all_trees_up_to,
-    canonical_code,
     disjoint_edges_graph,
     random_graphs,
     random_squarefree_ideals,
@@ -39,7 +37,7 @@ from sqfpowers.graphs import (
     star_graph,
     to_graph6,
 )
-from oracles import generated_graphs
+from oracles import _perm_powers, canonical_code, generated_graphs
 from strategies import graphs_st
 
 # counts of non-isomorphic graphs, trees, forests (no isolated vertices)

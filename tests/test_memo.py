@@ -118,6 +118,18 @@ def test_only_a_finished_table_is_stored(kernels):
     assert tables[0] == 5
 
 
+def test_a_memoised_table_validates_the_characteristic_once(monkeypatch):
+    # the table is the one place that validates it, and only on a memo miss
+    calls = _count_calls(monkeypatch, betti, "_check_characteristic")
+    I = sqfree_power_via_matchings(cycle_graph(7), 2)
+    with opened(TABLES):
+        multigraded_betti(I)
+        assert betti.regularity(I) == 5
+        assert not betti.has_linear_resolution(I)
+        assert betti.is_linearly_related_homological(I)
+    assert calls[0] == 1
+
+
 def test_an_interrupted_lattice_is_not_stored(monkeypatch):
     # the lattice checks the budget once per generator joined in, so a
     # budgeted check stops before the whole lattice is built
