@@ -1121,6 +1121,7 @@ def _run_task(
 
 
 _MEMOS = (LATTICES, TABLES, POWERS)
+_POOL_CHUNK = 8  # tasks per pool message: fewer result batches to pickle and hold
 
 
 def _open_memos() -> None:
@@ -1160,6 +1161,7 @@ def run_checks(
                 [task_names for task_names, _ in tasks],
                 [instance for _, instance in tasks],
                 itertools.repeat(ctx),
+                chunksize=_POOL_CHUNK,
             ):
                 reports.extend(batch)
     else:

@@ -13,7 +13,9 @@ input error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import importlib.util
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -96,11 +98,24 @@ def load_ideal(path_spec: str) -> ideals.MonomialIdeal:
         raise InputError(f"cannot parse ideal from {path_spec!r}: {exc}") from exc
 
 
-def _emit(payload: dict, as_json: bool, text: str) -> None:
-    if as_json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
+_WRITE_BLOCK = 1024  # encoder chunks per write, about 8 KB of indented JSON
+
+
+def _emit(payload: dict, as_json: bool, text: str = "") -> None:
+    """Print the payload as indented JSON, or else the text.
+
+    The JSON is written as it is encoded, a block of chunks per write: the
+    whole document never sits in memory as one string, and a write per chunk
+    (what json.dump does) would be a system call each on an unbuffered stdout.
+    """
+    if not as_json:
         print(text)
+        return
+    write = sys.stdout.write
+    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload)
+    while block := list(itertools.islice(chunks, _WRITE_BLOCK)):
+        write("".join(block))
+    write("\n")
 
 
 def _gens_as_lists(I: ideals.MonomialIdeal) -> list[list[int]]:
@@ -400,7 +415,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                     for c in checks.CHECKS.values()
                 ],
             }
-            print(json.dumps(payload, indent=2, sort_keys=True))
+            _emit(payload, True)
         else:
             for c in checks.CHECKS.values():
                 print(f"{c.name:32s} [{c.kind}/{c.scope}] {c.statement}")
@@ -438,11 +453,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         family_graphs = families.resolve_family(args.family, seed=args.seed)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    reports = checks.run_checks(names, family_graphs, ctx, jobs=args.jobs)
-    if args.ndjson:
-        Path(args.ndjson).write_text(
-            "".join(r.to_json_line() + "\n" for r in reports)
-        )
+    # Opened before the sweep, so that a path that cannot be written fails at once.
+    with open(args.ndjson, "w") if args.ndjson else contextlib.nullcontext() as ndjson:
+        reports = checks.run_checks(names, family_graphs, ctx, jobs=args.jobs)
+        if ndjson is not None:
+            ndjson.writelines(r.to_json_line() + "\n" for r in reports)
     summary = checks.summarize(reports)
     failures = checks.theorem_failures(reports)
     payload = {
@@ -460,7 +475,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "ndjson": args.ndjson,
     }
     if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        _emit(payload, True)
     else:
         width = max((len(n) for n in summary), default=5)
         print(

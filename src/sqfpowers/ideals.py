@@ -159,12 +159,20 @@ class MonomialIdeal:
 
 
 def minimalize(n: int, masks: Iterable[int]) -> MonomialIdeal:
-    """Ideal generated by the given monomials, reduced to minimal generators."""
-    by_degree = sorted(set(masks), key=monomial_degree)
+    """Ideal generated by the given monomials, reduced to minimal generators.
+
+    Masks are taken degree by degree, each tested only against the kept
+    generators of strictly lower degree: distinct masks of one degree never
+    divide each other.
+    """
+    by_degree: dict[int, list[int]] = {}
+    for m in set(masks):
+        by_degree.setdefault(monomial_degree(m), []).append(m)
     kept: list[int] = []
-    for m in by_degree:
-        if not any(monomial_divides(g, m) for g in kept):
-            kept.append(m)
+    for degree in sorted(by_degree):
+        kept += [
+            m for m in by_degree[degree] if not any(monomial_divides(g, m) for g in kept)
+        ]
     return MonomialIdeal._trusted(n, _sorted_gens(kept))
 
 

@@ -239,9 +239,10 @@ def brute_sqfree_power_members(I: MonomialIdeal, k: int) -> set[int]:
 
 
 # ---------------------------------------------------------------------------
-# linear quotients by permutation search
+# minimal generators by comparing every pair
 
-def _minimal_masks(masks: set[int]) -> set[int]:
+def minimal_masks(masks: set[int]) -> set[int]:
+    """The masks that no other given mask divides (is a subset of)."""
     return {
         m
         for m in masks
@@ -249,9 +250,12 @@ def _minimal_masks(masks: set[int]) -> set[int]:
     }
 
 
+# ---------------------------------------------------------------------------
+# linear quotients by permutation search
+
 def _colon_is_variable_generated(prefix: tuple[int, ...], u: int) -> bool:
     quotients = {t & ~u for t in prefix}
-    return all(q.bit_count() == 1 for q in _minimal_masks(quotients))
+    return all(q.bit_count() == 1 for q in minimal_masks(quotients))
 
 
 def brute_linear_quotients_orders(I: MonomialIdeal) -> list[tuple[int, ...]]:

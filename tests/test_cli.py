@@ -14,6 +14,7 @@ import importlib
 import importlib.metadata
 import io
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -26,9 +27,12 @@ import jsonschema
 import pytest
 
 import sqfpowers
+from sqfpowers import cli
 from sqfpowers.betti import BudgetExceeded
 from sqfpowers.checks import CHECKS, Check, CheckReport
 from sqfpowers.cli import main
+from sqfpowers.defaults import DEFAULT_CHARACTERISTIC
+from sqfpowers.edge_ideals import sqfree_power_via_matchings
 from sqfpowers.graphs import path_graph, to_graph6
 
 SCHEMA = json.loads(
@@ -238,6 +242,37 @@ def test_betti_builds_one_table(monkeypatch):
         code, _, err = run(argv)
         assert code == 0, err
         assert len(calls) == 1, argv
+
+
+class _CountingStdout(io.StringIO):
+    """A captured standard output that counts its writes."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text: str) -> int:
+        self.writes += 1
+        return super().write(text)
+
+
+def test_betti_json_is_written_in_blocks():
+    # I(P12)^[3] gives a 69 KB payload, several blocks of encoder chunks; a
+    # write per chunk would be a system call each on an unbuffered stdout.
+    G = path_graph(12)
+    fields, _ = cli._betti_payload(
+        sqfree_power_via_matchings(G, 3), DEFAULT_CHARACTERISTIC
+    )
+    payload = {"command": "betti", **fields}
+    chunks = sum(1 for _ in json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload))
+    assert chunks > cli._WRITE_BLOCK
+
+    out = _CountingStdout()
+    with redirect_stdout(out):
+        code = main(["betti", "g6:" + to_graph6(G), "-k", "3", "--json"])
+    assert code == 0
+    assert out.getvalue() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert out.writes <= math.ceil(chunks / cli._WRITE_BLOCK) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -525,6 +560,56 @@ def test_verify_json_and_ndjson_roundtrip(tmp_path):
         assert isinstance(p["millis"], (int, float))
         report = CheckReport.from_json_line(line)
         assert report.to_json_line() == line
+
+
+SMALL_SWEEP = ["verify", "all", "--family", "exhaustive-5",
+               "--random-ideals", "20", "--random-graphs", "20"]
+
+
+def _ndjson_without_millis(path: Path) -> list[dict]:
+    rows = [json.loads(line) for line in path.read_text().splitlines()]
+    for row in rows:
+        del row["millis"]
+    return rows
+
+
+def test_verify_ndjson_holds_the_returned_reports(tmp_path, monkeypatch):
+    real = sqfpowers.checks.run_checks
+    returned = []
+
+    def recorded(*args, **kwargs):
+        returned.extend(real(*args, **kwargs))
+        return returned
+
+    monkeypatch.setattr(sqfpowers.checks, "run_checks", recorded)
+    nd = tmp_path / "reports.ndjson"
+    code, _, err = run(SMALL_SWEEP + ["--jobs", "2", "--ndjson", str(nd)])
+    assert code == 0, err
+    assert len(returned) > 100
+    assert nd.read_bytes() == b"".join(
+        r.to_json_line().encode() + b"\n" for r in returned
+    )
+
+
+def test_verify_ndjson_agrees_across_jobs(tmp_path):
+    rows = []
+    for jobs in ("1", "2"):
+        nd = tmp_path / f"jobs{jobs}.ndjson"
+        code, _, err = run(SMALL_SWEEP + ["--jobs", jobs, "--ndjson", str(nd)])
+        assert code == 0, err
+        rows.append(_ndjson_without_millis(nd))
+    assert rows[0] == rows[1] and len(rows[0]) > 100
+
+
+def test_verify_ndjson_path_is_checked_before_the_sweep(tmp_path, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("the sweep ran before the --ndjson path was opened")
+
+    monkeypatch.setattr(sqfpowers.checks, "run_checks", never)
+    missing = tmp_path / "no-such-dir" / "reports.ndjson"
+    code, out, err = run(SMALL_SWEEP + ["--ndjson", str(missing)])
+    assert code == 2 and out == "" and err.startswith("error:")
+    assert not missing.parent.exists()
 
 
 @pytest.mark.parametrize(

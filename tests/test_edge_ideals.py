@@ -2,6 +2,7 @@
 
 import pytest
 
+from sqfpowers import edge_ideals
 from sqfpowers.betti import regularity
 from sqfpowers.edge_ideals import (
     classify_forest,
@@ -28,6 +29,7 @@ from sqfpowers.graphs import (
 from sqfpowers.ideals import (
     MonomialIdeal,
     colon_ideal,
+    minimalize,
     monomial,
     sqfree_power,
 )
@@ -56,6 +58,18 @@ def test_power_routes_agree_exhaustively():
                     k,
                 )
             assert sqfree_power_via_matchings(G, nu + 1).is_zero
+
+
+def test_matching_supports_are_already_minimal(monkeypatch):
+    # The power is built from the distinct supports without minimalize: they
+    # all have degree 2k, so they already form an antichain.
+    monkeypatch.setattr(edge_ideals, "minimalize", None)
+    graphs = [G for n in range(2, 7) for G in all_graphs(n)] + [path_graph(14)]
+    for G in graphs:
+        for k in range(1, matching_number(G) + 1):
+            P = sqfree_power_via_matchings(G, k)
+            assert P == MonomialIdeal(G.n, P.gens), (to_graph6(G), k)
+            assert P == minimalize(G.n, P.gens) == sqfree_power(edge_ideal(G), k)
 
 
 def test_power_validation():

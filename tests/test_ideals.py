@@ -2,12 +2,14 @@
 
 import itertools
 import pickle
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from sqfpowers import ideals
 from sqfpowers.edge_ideals import edge_ideal
 from sqfpowers.families import all_graphs, random_squarefree_ideals
 from sqfpowers.graphs import to_graph6
@@ -145,7 +147,7 @@ def test_from_supports_minimalizes():
 def test_minimalize_matches_oracle():
     masks = [monomial(s) for s in [(1, 2), (2,), (1, 2, 3), (3, 4), (4, 3)]]
     I = minimalize(4, masks)
-    assert set(I.gens) == oracles._minimal_masks(masks)
+    assert set(I.gens) == oracles.minimal_masks(masks)
 
 
 @settings(max_examples=300, deadline=None)
@@ -162,13 +164,37 @@ def test_trusted_construction_equals_a_validated_ideal(case):
     n, masks = case
     I = minimalize(n, masks)
     assert I == MonomialIdeal(n, I.gens)
-    assert set(I.gens) == oracles._minimal_masks(masks)
+    assert set(I.gens) == oracles.minimal_masks(masks)
     for m in masks[:3] + [(1 << n) - 1]:
         R = restrict(I, m)
         assert R == MonomialIdeal(n, tuple(sorted(R.gens, key=monomial_vars)))
         assert set(R.gens) == {g for g in I.gens if monomial_divides(g, m)}
     with pytest.raises(ValueError):
         minimalize(n, [1 << n])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 8).flatmap(
+        lambda n: st.tuples(
+            st.just(n), st.lists(st.integers(0, (1 << n) - 1), max_size=24)
+        )
+    )
+)
+def test_minimalize_compares_only_across_degrees(case):
+    # Distinct masks of one degree never divide each other, so minimalize
+    # tests a mask only against kept generators of strictly lower degree.
+    n, masks = case
+    pairs = []
+
+    def divides(u, v):
+        pairs.append((u, v))
+        return monomial_divides(u, v)
+
+    with mock.patch.object(ideals, "monomial_divides", divides):
+        I = minimalize(n, masks)
+    assert set(I.gens) == oracles.minimal_masks(masks)
+    assert all(monomial_degree(u) < monomial_degree(v) for u, v in pairs)
 
 
 def test_contains():
