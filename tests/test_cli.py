@@ -10,6 +10,7 @@ code of ``main`` is seen as a process exit status.
 
 from __future__ import annotations
 
+import ast
 import importlib
 import importlib.metadata
 import io
@@ -40,6 +41,7 @@ SCHEMA = json.loads(
 )
 
 GOLDEN = Path(__file__).parent / "golden"
+REPO = Path(__file__).resolve().parents[1]
 
 P2 = "g6:A_"
 P4 = "g6:Ch"
@@ -877,6 +879,48 @@ def test_package_surface_resolves_lazily(tmp_path):
         tmp_path,
     )
     assert proc.returncode == 0 and proc.stdout == "matching_number\n", proc.stderr
+
+
+def _tracer_names() -> list[str]:
+    """Dotted names (module.attr...) that bench/tracer.py looks up in the package.
+
+    They are its TRACED pairs and every attribute chain it reads from a module
+    it imports with ``from sqfpowers import ...``.
+    """
+    tree = ast.parse((REPO / "bench" / "tracer.py").read_text())
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and [
+            t.id for t in node.targets if isinstance(t, ast.Name)
+        ] == ["TRACED"]:
+            names += [f"{mod}.{fn}" for mod, fn in ast.literal_eval(node.value)]
+    imported = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "sqfpowers"
+        for alias in node.names
+    }
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            chain = ast.unparse(node)
+            if chain.split(".")[0] in imported:
+                names.append(chain)
+    return names
+
+
+def test_tracer_names_resolve():
+    # the benchmark's tracer wraps these by name; a renamed or deleted one
+    # would break a traced benchmark run, not a test
+    names = _tracer_names()
+    assert "betti.multigraded_betti" in names
+    assert "ideals.MonomialIdeal.contains" in names
+    importlib.import_module("sqfpowers.cli")
+    for name in names:
+        first, *rest = name.split(".")
+        obj = sys.modules[f"sqfpowers.{first}"]
+        for attr in rest:
+            assert hasattr(obj, attr), name
+            obj = getattr(obj, attr)
 
 
 @pytest.mark.skipif(
