@@ -61,9 +61,8 @@ _EXPORTS = {
             BUILTIN_GRAPH_NAMES MAX_VERTICES Graph builtin_graph complement
             complete_graph connected_components cycle_graph disjoint_union
             format_edge_list induced_subgraph is_chordal is_connected is_forest
-            is_tree named_graphs parse_edge_list parse_graph6 parse_graphs
-            path_graph proliferate_leaf remove_edge remove_vertices star_graph
-            to_graph6
+            is_tree parse_edge_list parse_graph6 parse_graphs path_graph
+            proliferate_leaf remove_edge remove_vertices star_graph to_graph6
             """,
         ),
         (

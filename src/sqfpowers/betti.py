@@ -46,7 +46,6 @@ table, so the table is the one place that validates the characteristic.
 
 from __future__ import annotations
 
-import json
 import time
 from contextlib import contextmanager
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -54,12 +53,9 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 from .defaults import DEFAULT_CHARACTERISTIC, DEFAULT_NODE_BUDGET
 from .ideals import (
     MonomialIdeal,
-    monomial,
     monomial_degree,
     monomial_divides,
     monomial_sort_key,
-    monomial_str,
-    monomial_vars,
 )
 from .memo import RequestMemo
 
@@ -349,32 +345,6 @@ class BettiTable(NamedTuple):
         return not self.entries or (
             d is not None
             and all(monomial_degree(m) == d + i for (i, m) in self.entries)
-        )
-
-    def to_json(self) -> str:
-        items = sorted(
-            ((i, monomial_vars(m), v) for (i, m), v in self.entries.items()),
-            key=lambda t: (t[0], t[1]),
-        )
-        payload = {
-            "n": self.n,
-            "char": self.characteristic,
-            "gen_degree": self.gen_degree,
-            "entries": [[i, list(vs), v] for i, vs, v in items],
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
-
-    @staticmethod
-    def from_json(text: str) -> "BettiTable":
-        payload = json.loads(text)
-        entries = {
-            (int(i), monomial(vs)): int(v) for i, vs, v in payload["entries"]
-        }
-        return BettiTable(
-            n=int(payload["n"]),
-            characteristic=int(payload["char"]),
-            entries=entries,
-            gen_degree=payload.get("gen_degree"),
         )
 
 

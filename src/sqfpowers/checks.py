@@ -141,17 +141,6 @@ class CheckReport(NamedTuple):
             payload["witness"] = self.witness
         return json.dumps(payload, sort_keys=True)
 
-    @staticmethod
-    def from_json_line(line: str) -> "CheckReport":
-        d = json.loads(line)
-        return CheckReport(
-            check=d["check"],
-            instance=d["instance"],
-            outcome=d["outcome"],
-            witness=d.get("witness"),
-            millis=float(d.get("millis", 0.0)),
-        )
-
 
 class CheckContext(NamedTuple):
     """Knobs shared by every runner; defaults match the shipped suite."""

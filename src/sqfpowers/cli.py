@@ -213,7 +213,9 @@ def _betti_payload(I: ideals.MonomialIdeal, characteristic: int) -> tuple[dict, 
         "regularity": table.regularity(),
         "projective_dimension": table.projective_dimension(),
         "linear_resolution": table.is_linear(),
-        "linearly_related": betti.is_linearly_related_combinatorial(I),
+        # mixed generator degrees: neither, as in BettiTable.is_linear
+        "linearly_related": I.is_zero
+        or (table.gen_degree is not None and betti.is_linearly_related_combinatorial(I)),
     }, betti.render_betti_diagram(table)
 
 
@@ -320,6 +322,7 @@ def cmd_colon(args: argparse.Namespace) -> int:
     if (args.l is None) == (args.edge is None):
         raise InputError("colon needs exactly one of -l L or --edge U V")
     I = edge_ideals.sqfree_power_via_matchings(G, args.k)
+    equals_power = derived_edges = matches = None
     if args.l is not None:
         J = edge_ideals.sqfree_power_via_matchings(G, args.l)
         if J.is_zero:
@@ -328,46 +331,33 @@ def cmd_colon(args: argparse.Namespace) -> int:
             )
         quotient = ideals.colon_ideal(I, J)
         equals_power = quotient == I
-        payload = {
-            "command": "colon",
-            "graph6": graphs.to_graph6(G),
-            "k": args.k,
-            "l": args.l,
-            "edge": None,
-            "generators": _gens_as_lists(quotient),
-            "equals_power": equals_power,
-            "colon_graph_edges": None,
-            "matches_derived_graph": None,
-        }
-        lines = [ideals.format_ideal(quotient).rstrip("\n")]
-        lines.append(f"# equals I(G)^[{args.k}]: {equals_power}")
-        _emit(payload, args.json, "\n".join(lines))
-        return 0
-    u, v = args.edge
-    if not G.has_edge(u, v):
-        raise InputError(f"({u}, {v}) is not an edge of the graph")
-    quotient = ideals.colon_by_monomial(I, ideals.monomial((u, v)))
-    derived_edges = None
-    matches = None
-    if args.k == 2:
-        derived = edge_ideals.colon_square_by_edge(G, (min(u, v), max(u, v)))
-        derived_edges = [list(e) for e in derived.edge_list]
-        matches = edge_ideals.edge_ideal(derived) == quotient
+        notes = [f"# equals I(G)^[{args.k}]: {equals_power}"]
+    else:
+        u, v = args.edge
+        if not G.has_edge(u, v):
+            raise InputError(f"({u}, {v}) is not an edge of the graph")
+        quotient = ideals.colon_by_monomial(I, ideals.monomial((u, v)))
+        notes = []
+        if args.k == 2:
+            derived = edge_ideals.colon_square_by_edge(G, (min(u, v), max(u, v)))
+            derived_edges = [list(e) for e in derived.edge_list]
+            matches = edge_ideals.edge_ideal(derived) == quotient
+            notes = [
+                f"# derived graph edges: {derived_edges}",
+                f"# matches derived graph: {matches}",
+            ]
     payload = {
         "command": "colon",
         "graph6": graphs.to_graph6(G),
         "k": args.k,
-        "l": None,
-        "edge": [u, v],
+        "l": args.l,
+        "edge": args.edge,
         "generators": _gens_as_lists(quotient),
-        "equals_power": None,
+        "equals_power": equals_power,
         "colon_graph_edges": derived_edges,
         "matches_derived_graph": matches,
     }
-    lines = [ideals.format_ideal(quotient).rstrip("\n")]
-    if derived_edges is not None:
-        lines.append(f"# derived graph edges: {derived_edges}")
-        lines.append(f"# matches derived graph: {matches}")
+    lines = [ideals.format_ideal(quotient).rstrip("\n"), *notes]
     _emit(payload, args.json, "\n".join(lines))
     return 0
 

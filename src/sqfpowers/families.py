@@ -15,7 +15,7 @@ import itertools
 import random
 import re
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .defaults import DEFAULT_SEED, FAMILY_HELP
 from .graphs import Graph, disjoint_union, is_tree, parse_graphs

@@ -10,7 +10,7 @@ original labels in ``source_vertices``.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 MAX_VERTICES = 64
 
@@ -114,9 +114,6 @@ class Graph:
         self._check_vertex(v)
         return frozenset(_mask_vertices(self.adjacency[v]))
 
-    def closed_neighbors(self, v: int) -> frozenset[int]:
-        return self.neighbors(v) | {v}
-
     def _check_vertex(self, v: int) -> None:
         if not 1 <= v <= self.n:
             raise ValueError(f"vertex {v} outside 1..{self.n}")
@@ -134,10 +131,6 @@ def vertices_to_mask(vertices: Iterable[int]) -> int:
     for v in vertices:
         mask |= 1 << (v - 1)
     return mask
-
-
-def mask_to_vertices(mask: int) -> tuple[int, ...]:
-    return tuple(_mask_vertices(mask))
 
 
 # ---------------------------------------------------------------------------
@@ -315,51 +308,32 @@ def complete_graph(n: int) -> Graph:
     return Graph.from_edges(n, [(u, v) for u in range(1, n) for v in range(u + 1, n + 1)])
 
 
-class NamedGraphs(NamedTuple):
-    """The bundled example graphs used across fixtures and CLI builtins."""
-
-    fig1: Graph  # 9-vertex tree: a 7-path with extra leaves at path vertices 3 and 5
-    fig2: Graph  # two disjoint 4-cycles
-    h: Graph  # 4-path
-    h_prime: Graph  # 5-path
-    h_double_prime: Graph  # 5-path with an extra leaf at its middle vertex
-    h_tilde: Graph  # 6-path
-
-
-def named_graphs() -> NamedGraphs:
-    fig1 = Graph.from_edges(
+# The CLI builtin graphs, in the order of BUILTIN_GRAPH_NAMES: the paper's
+# figure graphs and C7.
+_BUILTIN_GRAPHS: dict[str, Callable[[], Graph]] = {
+    # 9-vertex tree: a 7-path with extra leaves at path vertices 3 and 5
+    "fig1": lambda: Graph.from_edges(
         9, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (3, 8), (5, 9)]
-    )
-    fig2 = disjoint_union(cycle_graph(4), cycle_graph(4))
-    hpp = Graph.from_edges(6, [(1, 2), (2, 3), (3, 4), (4, 5), (3, 6)])
-    return NamedGraphs(
-        fig1=fig1,
-        fig2=fig2,
-        h=path_graph(4),
-        h_prime=path_graph(5),
-        h_double_prime=hpp,
-        h_tilde=path_graph(6),
-    )
+    ),
+    "fig2": lambda: disjoint_union(cycle_graph(4), cycle_graph(4)),
+    "h": lambda: path_graph(4),
+    "h-prime": lambda: path_graph(5),
+    # 5-path with an extra leaf at its middle vertex
+    "h-double-prime": lambda: Graph.from_edges(6, [(1, 2), (2, 3), (3, 4), (4, 5), (3, 6)]),
+    "h-tilde": lambda: path_graph(6),
+    "c7": lambda: cycle_graph(7),
+}
+
+BUILTIN_GRAPH_NAMES = tuple(_BUILTIN_GRAPHS)
 
 
 def builtin_graph(name: str) -> Graph:
-    """Look up a graph by its CLI builtin name."""
-    ng = named_graphs()
-    table = {
-        "fig1": ng.fig1,
-        "fig2": ng.fig2,
-        "h": ng.h,
-        "h-prime": ng.h_prime,
-        "h-double-prime": ng.h_double_prime,
-        "h-tilde": ng.h_tilde,
-        "c7": cycle_graph(7),
-    }
-    if name not in table:
-        raise ValueError(f"unknown builtin graph {name!r}; choose from {sorted(table)}")
-    return table[name]
-
-
-BUILTIN_GRAPH_NAMES = ("fig1", "fig2", "h", "h-prime", "h-double-prime", "h-tilde", "c7")
+    """Build the graph with this CLI builtin name."""
+    if name not in _BUILTIN_GRAPHS:
+        raise ValueError(
+            f"unknown builtin graph {name!r}; choose from {sorted(_BUILTIN_GRAPHS)}"
+        )
+    return _BUILTIN_GRAPHS[name]()
 
 
 # ---------------------------------------------------------------------------

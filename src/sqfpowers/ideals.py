@@ -9,7 +9,7 @@ the mask 0 (the monomial 1).
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .graphs import MAX_VERTICES
 

@@ -13,7 +13,6 @@ from sqfpowers.betti import (
     DEFAULT_CHARACTERISTIC,
     GENERATOR_CAP,
     TABLE_MAX_VARS,
-    BettiTable,
     BudgetExceeded,
     first_syzygy_witness,
     gf_rank,
@@ -353,13 +352,6 @@ def test_render_small_diagram():
 def test_render_betti_diagram_zero_ideal():
     text = render_betti_diagram(multigraded_betti(MonomialIdeal.zero(4)))
     assert text == "(zero ideal: empty Betti diagram, regularity 1 by convention)"
-
-
-def test_table_json_roundtrip():
-    table = multigraded_betti(edge_ideal(builtin_graph("fig1")))
-    blob = table.to_json()
-    assert '"char"' in blob
-    assert BettiTable.from_json(blob) == table
 
 
 def test_zero_ideal_conventions():

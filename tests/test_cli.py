@@ -213,6 +213,33 @@ def test_betti_from_ideal_file(tmp_path, monkeypatch):
     assert code == 2 and "GRAPH argument or --ideal" in err
 
 
+def test_betti_mixed_degrees(tmp_path):
+    # (x1x2, x3): the table is defined, but neither linear nor linearly related
+    path = tmp_path / "mixed.ideal"
+    path.write_text("n 3\n1 2\n3\n")
+    code, out, err = run(["betti", "--ideal", str(path)])
+    assert (code, err) == (0, "")
+    assert out == (
+        "      0  1\n"
+        "  1:  1  -\n"
+        "  2:  1  1\n"
+        "Tot:  2  1\n"
+        "\n"
+        "regularity: 2\n"
+        "projective dimension: 1\n"
+        "linear resolution: False\n"
+        "linearly related: False\n"
+    )
+    payload = run_json(["betti", "--ideal", str(path)])
+    assert payload["generator_degree"] is None
+    assert payload["entries"] == [[0, [1, 2], 1], [0, [3], 1], [1, [1, 2, 3], 1]]
+    assert payload["linear_resolution"] is False
+    assert payload["linearly_related"] is False
+    for command in ("linrel", "linquot"):
+        code, out, err = run([command, "--ideal", str(path)])
+        assert code == 2 and out == "" and "mixed degrees (1, 2)" in err
+
+
 def test_betti_large_characteristic():
     _, want, _ = run(["betti", "c7", "-k", "2"])
     code, out, err = run(["betti", "c7", "-k", "2", "--char", str(2**61 - 1)])
@@ -560,7 +587,9 @@ def test_verify_json_and_ndjson_roundtrip(tmp_path):
     for line, p in zip(lines, parsed):
         assert p["outcome"] in {"pass", "fail", "vacuous", "inconclusive"}
         assert isinstance(p["millis"], (int, float))
-        report = CheckReport.from_json_line(line)
+        report = CheckReport(
+            p["check"], p["instance"], p["outcome"], p.get("witness"), p["millis"]
+        )
         assert report.to_json_line() == line
 
 

@@ -24,8 +24,6 @@ from sqfpowers.graphs import (
     is_forest,
     is_tree,
     isolated_vertices,
-    mask_to_vertices,
-    named_graphs,
     parse_edge_list,
     parse_graph6,
     parse_graphs,
@@ -37,6 +35,7 @@ from sqfpowers.graphs import (
     to_graph6,
     vertices_to_mask,
 )
+from sqfpowers.ideals import monomial_vars
 from strategies import graphs_st
 
 
@@ -113,7 +112,6 @@ def test_accessors():
     assert G.vertex_mask == 0b1111
     assert G.degree(2) == 2
     assert G.neighbors(2) == {1, 3}
-    assert G.closed_neighbors(2) == {1, 2, 3}
     assert G.degree(4) == 0
     with pytest.raises(ValueError):
         G.degree(5)
@@ -123,9 +121,9 @@ def test_accessors():
 
 def test_mask_helpers_roundtrip():
     assert vertices_to_mask([3, 1]) == 0b101
-    assert mask_to_vertices(0b101) == (1, 3)
+    assert monomial_vars(0b101) == (1, 3)
     for mask in range(64):
-        assert vertices_to_mask(mask_to_vertices(mask)) == mask
+        assert vertices_to_mask(monomial_vars(mask)) == mask
 
 
 # ---------------------------------------------------------------------------
@@ -277,29 +275,34 @@ def test_constructors():
 # builtins
 
 def test_builtin_names_resolve():
+    assert BUILTIN_GRAPH_NAMES == (
+        "fig1", "fig2", "h", "h-prime", "h-double-prime", "h-tilde", "c7",
+    )
     for name in BUILTIN_GRAPH_NAMES:
         G = builtin_graph(name)
         assert G.n >= 1
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as info:
         builtin_graph("petersen")
+    assert str(info.value) == (
+        "unknown builtin graph 'petersen'; choose from ['c7', 'fig1', 'fig2', "
+        "'h', 'h-double-prime', 'h-prime', 'h-tilde']"
+    )
 
 
 def test_builtin_shapes():
-    ng = named_graphs()
-    assert ng.fig1.n == 9 and len(ng.fig1.edges) == 8 and is_tree(ng.fig1)
-    assert sorted(ng.fig1.degree(v) for v in ng.fig1.vertices) == [
+    fig1, fig2, hpp = (builtin_graph(name) for name in ("fig1", "fig2", "h-double-prime"))
+    assert fig1.n == 9 and len(fig1.edges) == 8 and is_tree(fig1)
+    assert sorted(fig1.degree(v) for v in fig1.vertices) == [
         1, 1, 1, 1, 2, 2, 2, 3, 3,
     ]
-    assert ng.fig2.n == 8 and len(ng.fig2.edges) == 8
-    assert [len(c) for c in connected_components(ng.fig2)] == [4, 4]
-    assert all(ng.fig2.degree(v) == 2 for v in ng.fig2.vertices)
-    assert ng.h == path_graph(4)
-    assert ng.h_prime == path_graph(5)
-    assert ng.h_tilde == path_graph(6)
-    assert ng.h_double_prime.n == 6 and is_tree(ng.h_double_prime)
-    assert sorted(ng.h_double_prime.degree(v) for v in ng.h_double_prime.vertices) == [
-        1, 1, 1, 2, 2, 3,
-    ]
+    assert fig2.n == 8 and len(fig2.edges) == 8
+    assert [len(c) for c in connected_components(fig2)] == [4, 4]
+    assert all(fig2.degree(v) == 2 for v in fig2.vertices)
+    assert builtin_graph("h") == path_graph(4)
+    assert builtin_graph("h-prime") == path_graph(5)
+    assert builtin_graph("h-tilde") == path_graph(6)
+    assert hpp.n == 6 and is_tree(hpp)
+    assert sorted(hpp.degree(v) for v in hpp.vertices) == [1, 1, 1, 2, 2, 3]
     assert builtin_graph("c7") == cycle_graph(7)
 
 
