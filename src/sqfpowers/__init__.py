@@ -8,11 +8,15 @@ resolution / linear relatedness / linear quotients verdicts, a forest
 classification against three explicit templates, and ships an executable
 registry of theorem checks plus a CLI (``sqfpowers``).
 
-``import sqfpowers`` runs no submodule: each exported name loads its defining
-submodule on first use (PEP 562), so a caller pays only for what it touches.
+``import sqfpowers`` runs no submodule.  The package ``__getattr__`` (PEP 562)
+serves each exported name and each submodule name through ``_lazy_module``,
+which registers the submodule at once but runs its body only on first
+attribute use; so a caller, the CLI included, pays only for what it touches.
 """
 
-import importlib
+import importlib.util
+import sys
+from types import ModuleType
 
 __version__ = "0.1.0"
 
@@ -91,12 +95,27 @@ _EXPORTS = {
 __all__ = list(_EXPORTS)
 
 
+def _lazy_module(name: str) -> ModuleType:
+    """The submodule *name*, registered in sys.modules and on the package at
+    once, its body run on first attribute use; one already there as it is."""
+    fullname = f"{__name__}.{name}"
+    module = sys.modules.get(fullname)
+    if module is None:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[fullname] = module
+        spec.loader.exec_module(module)
+        globals()[name] = module
+    return module
+
+
 def __getattr__(name: str):
     module = _EXPORTS.get(name)
     if module is not None:
-        return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+        return getattr(_lazy_module(module), name)
     if name in _EXPORTS.values():  # sqfpowers.betti and the like, unimported
-        return importlib.import_module(f"{__name__}.{name}")
+        return _lazy_module(name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

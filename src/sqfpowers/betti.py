@@ -50,6 +50,7 @@ import time
 from contextlib import contextmanager
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
+from . import memo
 from .defaults import DEFAULT_CHARACTERISTIC, DEFAULT_NODE_BUDGET
 from .ideals import (
     MonomialIdeal,
@@ -57,7 +58,6 @@ from .ideals import (
     monomial_divides,
     monomial_sort_key,
 )
-from .memo import RequestMemo
 
 GENERATOR_CAP = 2000
 # read only by the benchmark's tracer, which counts gf_rank calls wider than
@@ -178,18 +178,15 @@ def gf_rank(matrix: Sequence[Sequence[int]], p: int) -> int:
 # ---------------------------------------------------------------------------
 # upper-Koszul complexes
 
-LATTICES = RequestMemo()
-
-
 def lcm_lattice(gens: Sequence[int]) -> list[int]:
     """All joins of nonempty generator subsets, sorted by degree then support.
 
-    While a request holds ``LATTICES`` open (see ``memo``), the lattice of
-    each generator tuple is built once and the same list is returned to every
-    caller, who must not change it.
+    Within a request (see ``memo``), the lattice of each generator tuple is
+    built once and the same list is returned to every caller, who must not
+    change it.
     """
     gens = tuple(gens)
-    return LATTICES.get(gens, lambda: _lattice_joins(gens))
+    return memo.get(gens, lambda: _lattice_joins(gens))
 
 
 def _lattice_joins(gens: tuple[int, ...]) -> list[int]:
@@ -348,22 +345,18 @@ class BettiTable(NamedTuple):
         )
 
 
-TABLES = RequestMemo()
-
-
 def multigraded_betti(
     I: MonomialIdeal, characteristic: int = DEFAULT_CHARACTERISTIC
 ) -> BettiTable:
     """Full multigraded Betti table of a squarefree monomial ideal.
 
-    The zero ideal gets the empty table.  While a request holds ``TABLES``
-    open (see ``memo``), each (n, gens, characteristic) is computed once and
-    the same table is returned to every caller, who must not change its
-    entries.
+    The zero ideal gets the empty table.  Within a request (see ``memo``),
+    each (n, gens, characteristic) is computed once and the same table is
+    returned to every caller, who must not change its entries.
     """
     if len(I.gens) > GENERATOR_CAP:
         raise ValueError(f"{len(I.gens)} generators exceed the cap {GENERATOR_CAP}")
-    return TABLES.get(
+    return memo.get(
         (I.n, I.gens, characteristic), lambda: _betti_table(I, characteristic)
     )
 

@@ -22,14 +22,14 @@ budget into one inconclusive report and of a crash into one failing report.
 
 ``run_checks`` makes one task of each collection check, then one of each
 graph with every check in scope of it, and runs them in a serial loop or a
-process pool.  Each process that runs tasks memoises the request's lcm
-lattices, Betti tables and squarefree powers via matchings (see ``memo``), so
-a lattice, table or power shared by the checks of a graph, or by induced
-subgraphs that recur across graphs, is computed once per process.  The checks about first
-syzygies (``first-syzygy-degree-bound``, ``taylor-witness`` and the
-homological side of ``linrel-oracle-agreement``) read b_{1,m} from these
-tables.  The ideal-side ``sqfree_power`` that ``power-matching-agreement``
-compares against is not memoised.
+process pool.  Each process that runs tasks holds the request's memo open
+(see ``memo``), so a lattice, table, power or matching number shared by the
+checks of a graph, or by induced subgraphs that recur across graphs, is
+computed once per process.  The checks about first syzygies
+(``first-syzygy-degree-bound``, ``taylor-witness`` and the homological side
+of ``linrel-oracle-agreement``) read b_{1,m} from these tables.  The
+ideal-side ``sqfree_power`` that ``power-matching-agreement`` compares
+against is not memoised.
 
 Reports serialize to ND-JSON lines {check, instance, outcome, witness?,
 millis} and instances are named re-runnably (graph6 strings, seeds).
@@ -44,9 +44,8 @@ import random
 import time
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
+from . import memo
 from .betti import (
-    LATTICES,
-    TABLES,
     BudgetExceeded,
     LinearQuotientsResult,
     _check_deadline,
@@ -63,7 +62,6 @@ from .betti import (
 )
 from .defaults import DEFAULT_CHARACTERISTIC, DEFAULT_NODE_BUDGET, DEFAULT_SEED
 from .edge_ideals import (
-    POWERS,
     classify_forest,
     colon_square_by_edge,
     edge_ideal,
@@ -111,7 +109,6 @@ from .matchings import (
     restricted_matching_number,
     tree_perfect_matching_criterion,
 )
-from .memo import opened
 
 PASS = "pass"
 FAIL = "fail"
@@ -1109,14 +1106,7 @@ def _run_task(
     return [r for name in names for r in run_check_on_instance(name, instance, ctx)]
 
 
-_MEMOS = (LATTICES, TABLES, POWERS)
 _POOL_CHUNK = 8  # tasks per pool message: fewer result batches to pickle and hold
-
-
-def _open_memos() -> None:
-    """Open the request's memos; the initializer of every pool worker."""
-    for memo in _MEMOS:
-        memo.open()
 
 
 def run_checks(
@@ -1127,10 +1117,10 @@ def run_checks(
 ) -> list[CheckReport]:
     """Run checks over a graph family; names=None runs the whole registry.
 
-    One task is a collection check, or one graph with all its checks; the
-    lattices, Betti tables and powers of the request are memoised in the
-    process that runs its tasks.  Reports come back sorted by (check, instance) so results
-    are independent of worker scheduling.
+    One task is a collection check, or one graph with all its checks; each
+    process that runs tasks holds the request's memo open (see ``memo``).
+    Reports come back sorted by (check, instance) so results are independent
+    of worker scheduling.
     """
     ctx = ctx or CheckContext()
     if names is None:
@@ -1144,7 +1134,7 @@ def run_checks(
         # Imported here: it loads multiprocessing, and only a pool needs it.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs, initializer=_open_memos) as pool:
+        with ProcessPoolExecutor(max_workers=jobs, initializer=memo.open) as pool:
             for batch in pool.map(
                 _run_task,
                 [task_names for task_names, _ in tasks],
@@ -1154,9 +1144,12 @@ def run_checks(
             ):
                 reports.extend(batch)
     else:
-        with opened(*_MEMOS):
+        memo.open()
+        try:
             for task_names, instance in tasks:
                 reports.extend(_run_task(task_names, instance, ctx))
+        finally:
+            memo.close()
     reports.sort(key=lambda r: (r.check, r.instance))
     return reports
 

@@ -14,42 +14,13 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import importlib.util
 import itertools
 import json
 import sys
 from pathlib import Path
-from types import ModuleType
 
+from . import betti, checks, edge_ideals, families, graphs, ideals, matchings
 from .defaults import DEFAULT_CHARACTERISTIC, DEFAULT_NODE_BUDGET, DEFAULT_SEED, FAMILY_HELP
-
-
-def _lazy_module(name: str) -> ModuleType:
-    """The submodule *name* of this package, its body run on first attribute use.
-
-    The module is registered in sys.modules (and on the package) at once, so
-    code that looks it up there finds it; a module already there is returned
-    as it is.  A command thus runs only the modules it uses.
-    """
-    fullname = f"{__package__}.{name}"
-    module = sys.modules.get(fullname)
-    if module is None:
-        spec = importlib.util.find_spec(fullname)
-        spec.loader = importlib.util.LazyLoader(spec.loader)
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[fullname] = module
-        spec.loader.exec_module(module)
-        setattr(sys.modules[__package__], name, module)
-    return module
-
-
-betti = _lazy_module("betti")
-checks = _lazy_module("checks")
-edge_ideals = _lazy_module("edge_ideals")
-families = _lazy_module("families")
-graphs = _lazy_module("graphs")
-ideals = _lazy_module("ideals")
-matchings = _lazy_module("matchings")
 
 GRAPH_SPEC_HELP = (
     "graph source: a builtin name (%s), 'builtin:NAME', 'g6:STRING', "

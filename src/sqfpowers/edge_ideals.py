@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from typing import NamedTuple
 
+from . import memo
 from .betti import is_linearly_related_combinatorial
 from .graphs import (
     Edge,
@@ -23,14 +24,10 @@ from .graphs import (
 )
 from .ideals import MonomialIdeal, _sorted_gens, intersect, minimalize, monomial
 from .matchings import edge_mask, enumerate_matchings, matching_number
-from .memo import RequestMemo
 
 
 def edge_ideal(G: Graph) -> MonomialIdeal:
     return MonomialIdeal.from_supports(G.n, G.edge_list)
-
-
-POWERS = RequestMemo()
 
 
 def sqfree_power_via_matchings(G: Graph, k: int) -> MonomialIdeal:
@@ -38,14 +35,13 @@ def sqfree_power_via_matchings(G: Graph, k: int) -> MonomialIdeal:
 
     Distinct matchings may share a support; generators are the distinct
     support monomials (all of degree 2k, hence automatically an antichain).
-    While a request holds ``POWERS`` open (see ``memo``), each (n, edges, k)
-    is computed once.
+    Within a request (see ``memo``), each (n, edges, k) is computed once.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
     if k == 0:
         return MonomialIdeal.unit(G.n)
-    return POWERS.get((G.n, G.edges, k), lambda: _power_from_matchings(G, k))
+    return memo.get((G.n, G.edges, k), lambda: _power_from_matchings(G, k))
 
 
 def _power_from_matchings(G: Graph, k: int) -> MonomialIdeal:

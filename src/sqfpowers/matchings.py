@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
+from . import memo
 from .graphs import (
     Edge,
     Graph,
@@ -178,7 +179,8 @@ def _mark_path(base: list[int], mate: list[int], parent: list[int], v: int, b: i
 
 
 def matching_number(G: Graph) -> int:
-    return _nu(G.adjacency, G.vertex_mask)
+    """Within a request (see ``memo``), computed once per (n, edges)."""
+    return memo.get((G.n, G.edges), lambda: _nu(G.adjacency, G.vertex_mask))
 
 
 def matching_number_within(G: Graph, vertices: Iterable[int]) -> int:

@@ -1,55 +1,48 @@
-"""Memos of finished results that live for one request.
+"""The memo of finished results that lives for one request.
 
-A ``RequestMemo`` starts closed, and a closed memo computes every value afresh
-and keeps nothing, so the library API and the single-object CLI commands
-never hold on to a result.  ``checks.run_checks`` opens the memos of lcm
-lattices (``betti.LATTICES``), of Betti tables (``betti.TABLES``) and of
-squarefree powers (``edge_ideals.POWERS``) for one request: around its serial
-loop, or in each pool worker for the life of the pool.  Only a finished value is stored; an exception raised while
+Closed, as it starts, the memo computes every value afresh and keeps nothing,
+so the library API and the single-object CLI commands never hold on to a
+result.  ``checks.run_checks`` opens it around its serial loop, and each pool
+worker opens it as its initializer, for the life of the pool.
+
+A call site asks for a value by key and gives the function that computes it.
+So are memoised the lcm lattice (by ``gens``), the Betti table (by ``(n,
+gens, p)``), the squarefree power via matchings (by ``(n, edges, k)``) and
+the matching number (by ``(n, edges)``).  Each call site has its own store,
+found by the code of its compute function, so equal keys of two call sites
+never meet.  Only a finished value is stored; an exception raised while
 computing (an exhausted budget, bad input) propagates and stores nothing.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Callable, Hashable, Iterator, TypeVar
+from typing import Callable, Hashable, TypeVar
 
 T = TypeVar("T")
 
 _MISSING = object()
+_stores: dict | None = None  # code of a compute function -> its store, while open
 
 
-class RequestMemo:
-    """Values by key while open; closed, every value is computed afresh."""
-
-    def __init__(self) -> None:
-        self._values: dict | None = None
-
-    def open(self) -> None:
-        """Start with no values; stays open until ``close``."""
-        self._values = {}
-
-    def close(self) -> None:
-        self._values = None
-
-    def get(self, key: Hashable, compute: Callable[[], T]) -> T:
-        """The value stored under key, else compute(), stored when open."""
-        values = self._values
-        if values is None:
-            return compute()
-        value = values.get(key, _MISSING)
-        if value is _MISSING:
-            value = values[key] = compute()
-        return value
+def open() -> None:
+    """Start a request with nothing stored; it lasts until ``close``."""
+    global _stores
+    _stores = {}
 
 
-@contextmanager
-def opened(*memos: RequestMemo) -> Iterator[None]:
-    """Hold the memos open for the body of a with statement."""
-    for memo in memos:
-        memo.open()
-    try:
-        yield
-    finally:
-        for memo in memos:
-            memo.close()
+def close() -> None:
+    global _stores
+    _stores = None
+
+
+def get(key: Hashable, compute: Callable[[], T]) -> T:
+    """The value this call site stored under key, else compute(), stored while open."""
+    if _stores is None:
+        return compute()
+    store = _stores.get(compute.__code__)
+    if store is None:
+        store = _stores[compute.__code__] = {}
+    value = store.get(key, _MISSING)
+    if value is _MISSING:
+        value = store[key] = compute()
+    return value

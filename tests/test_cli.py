@@ -837,6 +837,20 @@ def _modules_after(code: str, tmp_path: Path) -> tuple[set[str], set[str]]:
     return {name for name, _ in pairs}, {name for name, ran in pairs if ran == "1"}
 
 
+# Besides cli, defaults and graphs, the package modules whose bodies each
+# command runs: the Start-up table of the README
+EVERY_CALL = {"cli", "defaults", "graphs"}
+ALGEBRA = {"ideals", "matchings", "edge_ideals", "betti", "memo"}
+STARTUP = (
+    (["invariants", "c7"], {"matchings", "memo"}),
+    (["betti", "--ideal", "IDEAL"], {"ideals", "betti", "memo"}),
+    (["betti", "c7", "-k", "2", "--json"], ALGEBRA),
+    (["linquot", "c7", "-k", "2"], ALGEBRA),
+    (["verify", "nu0-lambda", "--family", "exhaustive-7", "--jobs", "1"],
+     ALGEBRA | {"checks", "families"}),
+)
+
+
 def test_import_does_not_load_numpy(tmp_path):
     # numpy is for the tests only, and the process pool only for
     # verify --jobs N with N > 1; neither may load on the way to a result.
@@ -845,32 +859,48 @@ def test_import_does_not_load_numpy(tmp_path):
     # command run the body of a package module it does not use: without
     # bytecode caches every module run is also compiled from source.
     for module in ("sqfpowers", "sqfpowers.cli"):
-        loaded, ran = _modules_after(f"import {module}", tmp_path)
+        loaded, _ = _modules_after(f"import {module}", tmp_path)
         for absent in ("numpy", "dataclasses", "inspect"):
             assert absent not in loaded, (module, absent)
-        if module == "sqfpowers":
-            assert not {name for name in ran if name.startswith("sqfpowers.")}
+    (tmp_path / "ideal.txt").write_text("n 3\n1 2\n2 3\n")
     call = "import sqfpowers.cli\nif sqfpowers.cli.main({!r}): raise SystemExit(1)"
-    for argv, idle in (
-        (
-            ["invariants", "c7"],
-            {"betti", "checks", "edge_ideals", "families", "ideals", "memo"},
-        ),
-        (["betti", "c7", "-k", "2", "--json"], {"checks", "families"}),
-        (["linquot", "c7", "-k", "2"], {"checks", "families"}),
-        (["verify", "nu0-lambda", "--family", "exhaustive-7", "--jobs", "1"], set()),
-    ):
+    for argv, runs in STARTUP:
+        argv = [str(tmp_path / "ideal.txt") if a == "IDEAL" else a for a in argv]
         loaded, ran = _modules_after(call.format(argv), tmp_path)
         for absent in ("concurrent.futures", "numpy", "dataclasses", "inspect"):
             assert absent not in loaded, (argv, absent)
-        assert not {f"sqfpowers.{name}" for name in idle} & ran, argv
-    # bench/tracer.py wraps functions of these modules and looks them up in
-    # sys.modules after importing sqfpowers.cli, which registers each of them
-    # there, lazily; the tracer's getattr then runs its body.
-    traced = {"cli", "families", "checks", "betti", "ideals", "edge_ideals",
-              "matchings"}
-    loaded, _ = _modules_after("import sqfpowers.cli", tmp_path)
-    assert {f"sqfpowers.{name}" for name in traced} <= loaded
+        package = {name[len("sqfpowers."):] for name in ran if name.startswith("sqfpowers.")}
+        assert package == EVERY_CALL | runs, argv
+
+
+# the modules cli.py imports; bench/tracer.py wraps functions of them and
+# looks them up in sys.modules after importing sqfpowers.cli
+CLI_MODULES = {"betti", "checks", "edge_ideals", "families", "graphs", "ideals", "matchings"}
+
+
+def test_import_registers_modules_without_running_them(tmp_path):
+    loaded, _ = _modules_after("import sqfpowers", tmp_path)
+    assert not {name for name in loaded if name.startswith("sqfpowers.")}
+    # the help text reads the builtin graph names, so graphs alone has run
+    loaded, ran = _modules_after("import sqfpowers.cli", tmp_path)
+    package = {name for name in loaded if name.startswith("sqfpowers.")}
+    assert package == {f"sqfpowers.{name}" for name in CLI_MODULES | {"cli", "defaults"}}
+    assert package & ran == {"sqfpowers.cli", "sqfpowers.defaults", "sqfpowers.graphs"}
+
+
+def test_submodule_resolves_before_any_import(tmp_path):
+    probe = (
+        "import sys, types, sqfpowers\n"
+        "betti = sqfpowers.betti\n"
+        "assert sys.modules['sqfpowers.betti'] is betti\n"
+        "assert type(betti) is not types.ModuleType  # registered, not yet run\n"
+        "assert betti.multigraded_betti is sqfpowers.multigraded_betti\n"
+        "assert type(betti) is types.ModuleType\n"
+        "from sqfpowers import betti as again\n"
+        "assert again is betti\n"
+    )
+    proc = _run_fresh(["-c", probe], tmp_path)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_runs_without_numpy(tmp_path):

@@ -1,23 +1,19 @@
-"""Betti tables and squarefree powers are computed once per request, and only then."""
+"""Lattices, Betti tables, squarefree powers and matching numbers are computed
+once per request, and only then."""
 
 import itertools
+import multiprocessing
+from contextlib import contextmanager
 
 import pytest
 
-from sqfpowers import betti, checks, edge_ideals
-from sqfpowers.betti import (
-    LATTICES,
-    TABLES,
-    BudgetExceeded,
-    lcm_lattice,
-    multigraded_betti,
-    time_budget,
-)
+from sqfpowers import betti, checks, edge_ideals, matchings, memo
+from sqfpowers.betti import BudgetExceeded, lcm_lattice, multigraded_betti, time_budget
 from sqfpowers.checks import CHECKS, PASS, Check, CheckContext, run_check_on_instance, run_checks
-from sqfpowers.edge_ideals import POWERS, edge_ideal, sqfree_power_via_matchings
+from sqfpowers.edge_ideals import edge_ideal, sqfree_power_via_matchings
 from sqfpowers.graphs import Graph, cycle_graph, path_graph
 from sqfpowers.ideals import MonomialIdeal, monomial
-from sqfpowers.memo import opened
+from sqfpowers.matchings import matching_number
 
 
 def _count_calls(monkeypatch, module, name) -> list[int]:
@@ -35,31 +31,65 @@ def _count_calls(monkeypatch, module, name) -> list[int]:
 
 @pytest.fixture
 def kernels(monkeypatch):
+    """Build counters of the lattices, tables, powers and matching numbers."""
     return (
+        _count_calls(monkeypatch, betti, "_lattice_joins"),
         _count_calls(monkeypatch, betti, "_betti_table"),
         _count_calls(monkeypatch, edge_ideals, "_power_from_matchings"),
+        _count_calls(monkeypatch, matchings, "_nu"),
     )
 
 
-def test_a_request_computes_each_table_and_power_once(monkeypatch, kernels):
-    tables, powers = kernels
+@contextmanager
+def request():
+    """Hold the memo open for the body, as run_checks does for its loop."""
+    memo.open()
+    try:
+        yield
+    finally:
+        memo.close()
 
-    def twice(G, ctx):
-        for _ in range(2):
-            multigraded_betti(sqfree_power_via_matchings(G, 1), ctx.characteristic)
-        yield "", True, None
 
-    monkeypatch.setitem(CHECKS, "fake-twice", Check("fake-twice", "theorem", "graph", "", twice))
-    # C5 recurs as a second instance: its table and power come from the memo
+def _twice(G, ctx):
+    for _ in range(2):
+        I = sqfree_power_via_matchings(G, 1)
+        multigraded_betti(I, ctx.characteristic)
+        lcm_lattice(I.gens)
+        matching_number(G)
+    yield "", True, None
+
+
+def test_a_request_computes_each_object_once(monkeypatch, kernels):
+    monkeypatch.setitem(CHECKS, "fake-twice", Check("fake-twice", "theorem", "graph", "", _twice))
+    # C5 recurs as a second instance: all it needs comes from the memo
     reports = run_checks(["fake-twice"], [cycle_graph(5), path_graph(4), cycle_graph(5)])
     assert [r.outcome for r in reports] == [PASS] * 3
-    assert tables[0] == 2 and powers[0] == 2
+    assert [calls[0] for calls in kernels] == [2, 2, 2, 2]
 
-    # outside run_checks every call computes afresh
-    G = cycle_graph(5)
-    for _ in range(2):
-        multigraded_betti(sqfree_power_via_matchings(G, 1))
-    assert tables[0] == 4 and powers[0] == 4
+    # outside run_checks nothing is held: every call computes afresh
+    list(_twice(cycle_graph(5), CheckContext()))
+    assert [calls[0] for calls in kernels] == [6, 4, 4, 4]
+
+
+def _identical(G, ctx):
+    # a value served from the memo is the very object stored
+    I = sqfree_power_via_matchings(G, 2)
+    yield "", (
+        I is sqfree_power_via_matchings(G, 2)
+        and lcm_lattice(I.gens) is lcm_lattice(I.gens)
+        and multigraded_betti(I) is multigraded_betti(I)
+    ), None
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the workers see the test's check only when forked",
+)
+def test_pool_workers_open_the_memo(monkeypatch):
+    monkeypatch.setitem(CHECKS, "fake-same", Check("fake-same", "theorem", "graph", "", _identical))
+    graphs = [cycle_graph(n) for n in range(4, 9)]
+    assert [r.outcome for r in run_checks(["fake-same"], graphs, jobs=2)] == [PASS] * 5
+    assert not next(_identical(cycle_graph(7), CheckContext()))[1]
 
 
 def test_first_syzygy_checks_read_one_table_per_power(monkeypatch):
@@ -67,18 +97,18 @@ def test_first_syzygy_checks_read_one_table_per_power(monkeypatch):
     # so the only lcm lattices built are those of the three powers of C7
     lattices = [_count_calls(monkeypatch, m, "lcm_lattice") for m in (betti, checks)]
     ctx = CheckContext()
-    with opened(TABLES, POWERS):
+    with request():
         for name in ("first-syzygy-degree-bound", "taylor-witness", "linrel-oracle-agreement"):
             reports = run_check_on_instance(name, cycle_graph(7), ctx)
             assert [r.outcome for r in reports] == [PASS] * len(reports), name
     assert sum(calls[0] for calls in lattices) == 3
 
 
-def test_a_request_builds_each_lattice_once(monkeypatch):
+def test_a_request_builds_each_lattice_once(monkeypatch, kernels):
     # restriction-table samples multidegrees from the lattice the table of
     # its power already built, and char2-cross-check reads one lattice at
     # both primes: one build per distinct generator tuple
-    builds = _count_calls(monkeypatch, betti, "_lattice_joins")
+    builds = kernels[0]
     asked: list[tuple[int, ...]] = []
     memoised = betti.lcm_lattice
 
@@ -92,20 +122,12 @@ def test_a_request_builds_each_lattice_once(monkeypatch):
     assert [r.outcome for r in reports] == [PASS] * len(reports)
     assert builds[0] == len(set(asked)) < len(asked)
 
-    # inside opened(...) one build serves both calls; outside, each builds
-    gens = sqfree_power_via_matchings(cycle_graph(7), 2).gens
-    with opened(LATTICES):
-        assert lcm_lattice(gens) is lcm_lattice(gens)
-    assert builds[0] == len(set(asked)) + 1
-    assert lcm_lattice(gens) == lcm_lattice(gens)
-    assert builds[0] == len(set(asked)) + 3
-
 
 def test_only_a_finished_table_is_stored(kernels):
-    tables, _ = kernels
+    _, tables, _, _ = kernels
     I = sqfree_power_via_matchings(cycle_graph(7), 2)
     fresh = multigraded_betti(I)
-    with opened(TABLES, POWERS):
+    with request():
         with pytest.raises(BudgetExceeded), time_budget(-1):
             multigraded_betti(I)
         assert multigraded_betti(I) == fresh
@@ -118,28 +140,28 @@ def test_only_a_finished_table_is_stored(kernels):
     assert tables[0] == 5
 
 
+def test_an_interrupted_lattice_is_not_stored(kernels):
+    # the lattice checks the budget once per generator joined in, so a
+    # budgeted check stops before the whole lattice is built
+    builds = kernels[0]
+    gens = sqfree_power_via_matchings(cycle_graph(7), 2).gens
+    with request():
+        with pytest.raises(BudgetExceeded), time_budget(-1):
+            lcm_lattice(gens)
+        assert lcm_lattice(gens) is lcm_lattice(gens)
+    assert builds[0] == 2
+
+
 def test_a_memoised_table_validates_the_characteristic_once(monkeypatch):
     # the table is the one place that validates it, and only on a memo miss
     calls = _count_calls(monkeypatch, betti, "_check_characteristic")
     I = sqfree_power_via_matchings(cycle_graph(7), 2)
-    with opened(TABLES):
+    with request():
         multigraded_betti(I)
         assert betti.regularity(I) == 5
         assert not betti.has_linear_resolution(I)
         assert betti.is_linearly_related_homological(I)
     assert calls[0] == 1
-
-
-def test_an_interrupted_lattice_is_not_stored(monkeypatch):
-    # the lattice checks the budget once per generator joined in, so a
-    # budgeted check stops before the whole lattice is built
-    builds = _count_calls(monkeypatch, betti, "_lattice_joins")
-    gens = sqfree_power_via_matchings(cycle_graph(7), 2).gens
-    with opened(LATTICES):
-        with pytest.raises(BudgetExceeded), time_budget(-1):
-            lcm_lattice(gens)
-        assert lcm_lattice(gens) is lcm_lattice(gens)
-    assert builds[0] == 2
 
 
 def test_the_characteristic_is_part_of_the_key():
@@ -154,15 +176,15 @@ def test_the_characteristic_is_part_of_the_key():
     )
     fresh = {p: multigraded_betti(rp2, p) for p in (2, 3)}
     assert fresh[2] != fresh[3]
-    with opened(TABLES, POWERS):
+    with request():
         assert {p: multigraded_betti(rp2, p) for p in (2, 3, 2, 3)} == fresh
         assert multigraded_betti(rp2, 3).characteristic == 3
 
 
 def test_the_number_of_variables_is_part_of_the_key(kernels):
-    tables, powers = kernels
+    _, tables, powers, nus = kernels
     edge = monomial([1, 2])
-    with opened(TABLES, POWERS):
+    with request():
         small = multigraded_betti(MonomialIdeal(2, (edge,)))
         large = multigraded_betti(MonomialIdeal(3, (edge,)))
         assert (small.n, large.n) == (2, 3)
@@ -170,4 +192,15 @@ def test_the_number_of_variables_is_part_of_the_key(kernels):
             G = Graph.from_edges(n, [(1, 2)])
             assert sqfree_power_via_matchings(G, 1) == edge_ideal(G)
             assert sqfree_power_via_matchings(G, 1).n == n
-    assert tables[0] == 2 and powers[0] == 2
+            assert matching_number(G) == matching_number(G) == 1
+    assert tables[0] == 2 and powers[0] == 2 and nus[0] == 2
+
+
+def test_call_sites_keep_apart_equal_keys():
+    # the table of the zero ideal in 3 variables over GF(2) and the second
+    # power of the edgeless graph on 3 vertices share the key (3, (), 2)
+    zero = MonomialIdeal.zero(3)
+    with request():
+        table = multigraded_betti(zero, 2)
+        assert sqfree_power_via_matchings(Graph.from_edges(3, []), 2) == zero
+        assert multigraded_betti(zero, 2) is table
