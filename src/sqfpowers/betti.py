@@ -242,7 +242,7 @@ def _face_levels(member: bytes | _DividingGenerators, m: int) -> list[list[int]]
     the membership table, or ``_DividingGenerators``.  The faces avoiding v
     are grown from their prefixes (see the module docstring); a face F is
     kept when F + v is not a face.  m = 1 has no variable, and its complex is
-    the empty face.
+    the empty face.  The request's time budget is checked once per level.
     """
     v = m & -m
     if not v:
@@ -251,6 +251,7 @@ def _face_levels(member: bytes | _DividingGenerators, m: int) -> list[list[int]]
     levels = []
     level = [0]
     while level:
+        _check_deadline()
         levels.append([f for f in level if not member[m ^ f ^ v]])
         grown = []
         for f in level:
@@ -368,7 +369,6 @@ def _betti_table(I: MonomialIdeal, characteristic: int) -> BettiTable:
     # the zero ideal has no multidegree to walk, so no table to build
     table = _membership_table(I) if lattice else None
     for m in lattice:
-        _check_deadline()
         member = table if table is not None else _DividingGenerators(I.gens, m)
         for i, dim in enumerate(_homology_dims(_face_levels(member, m), characteristic)):
             if dim:
@@ -500,18 +500,25 @@ def first_syzygy_witness(I: MonomialIdeal, m: int) -> SyzygyWitnessReport:
 # ---------------------------------------------------------------------------
 # linear quotients
 
+def _variable_quotients(gens: Sequence[int], u: int) -> int:
+    """The mask of the variables that are t : u for some t in gens."""
+    not_u = ~u
+    w = 0
+    for t in gens:
+        q = t & not_u
+        if q.bit_count() == 1:
+            w |= q
+    return w
+
+
 def _colon_is_linear(placed: Sequence[int], u: int) -> bool:
     """Whether the colon (placed) : u is generated by variables.
 
     It is exactly when every placed t with t : u != 1 admits a placed t' with
     t' : u a single variable dividing t : u.
     """
+    w = _variable_quotients(placed, u)
     not_u = ~u
-    w = 0
-    for t in placed:
-        q = t & not_u
-        if q.bit_count() == 1:
-            w |= q
     for t in placed:
         if t & not_u and not t & w:
             return False
@@ -559,14 +566,35 @@ def linear_quotients_order(
     return _search_linear_quotients(I, node_budget)
 
 
+def _precedence(gens: Sequence[int]) -> list[int]:
+    """Entry j: the mask of the generators that precede gens[j] in every
+    linear-quotients order.
+
+    Write t:u for t / gcd(t, u).  If t precedes u, the colon of the generators
+    placed before u contains t:u and is generated by variables, so some
+    generator s has s:u a variable dividing t:u.  So where no s:u that is a
+    variable divides t:u, u must precede t.  A linearly related ideal has no
+    such pair: the first step of a linear path from u to t inside lcm(u, t)
+    is such an s.
+    """
+    single = [_variable_quotients(gens, u) for u in gens]
+    return [
+        sum(1 << i for i, u in enumerate(gens) if i != j and not t & ~u & single[i])
+        for j, t in enumerate(gens)
+    ]
+
+
 def _search_linear_quotients(I: MonomialIdeal, node_budget: int) -> LinearQuotientsResult:
     """Search for a linear-quotients order of the generators.
 
     Whether a generator can be appended depends only on the set already
     placed, never on its order, so the search memoizes failed prefix sets and
-    backtracks chronologically.  Certified "none" requires exhausting the
-    search; running out of budget reports "inconclusive".  The theorem checks
-    that compare linear quotients with linear relatedness call this directly.
+    backtracks chronologically.  A generator is not tried before every
+    generator that ``_precedence`` puts before it is placed; such a subtree
+    holds no order, so this changes no result, only the nodes explored.
+    Certified "none" requires exhausting the search; running out of budget
+    reports "inconclusive".  The theorem checks that compare linear quotients
+    with linear relatedness call this directly.
     """
     if I.is_zero:
         return LinearQuotientsResult("found", (), 0)
@@ -581,6 +609,7 @@ def _search_linear_quotients(I: MonomialIdeal, node_budget: int) -> LinearQuotie
         for i in range(g)
     ]
     heuristic = sorted(range(g), key=lambda i: (-linear_mates[i], monomial_sort_key(gens[i])))
+    before = _precedence(gens)
     failed: set[int] = set()
     placed: list[int] = []  # the generators of the current prefix, in order
     nodes = 0
@@ -593,7 +622,7 @@ def _search_linear_quotients(I: MonomialIdeal, node_budget: int) -> LinearQuotie
             return False
         for j in heuristic:
             bit = 1 << j
-            if chosen & bit:
+            if chosen & bit or before[j] & ~chosen:
                 continue
             nodes += 1
             if nodes > node_budget:

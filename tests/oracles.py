@@ -3,8 +3,9 @@
 Everything here is deliberately written from first principles with different
 algorithms and data structures than the package: exhaustive edge-subset
 search for the matching invariants, the Taylor complex over the rationals for
-multigraded Betti numbers, permutation search for linear quotients, and
-induced-subset search for chordless cycles.  Slow but obviously correct.
+multigraded Betti numbers, permutation and unpruned prefix search for linear
+quotients, and induced-subset search for chordless cycles.  Slow but
+obviously correct.
 
 There are two exceptions.  ``generated_graphs``, the numpy generator that
 produced the package's bundled graph table, stays here to cross-check that
@@ -269,6 +270,24 @@ def brute_linear_quotients_orders(I: MonomialIdeal) -> list[tuple[int, ...]]:
         ):
             found.append(perm)
     return found
+
+
+def first_linear_quotients_order(ranking: list[int]) -> tuple[int, ...] | None:
+    """The first linear-quotients order of the generators in the order of
+    sequences that the ranking induces, or None when there is none: a
+    depth-first search over prefixes, with no pruning and no memo."""
+
+    def extend(prefix: tuple[int, ...], rest: list[int]) -> tuple[int, ...] | None:
+        if not rest:
+            return prefix
+        for i, u in enumerate(rest):
+            if _colon_is_variable_generated(prefix, u):
+                found = extend(prefix + (u,), rest[:i] + rest[i + 1 :])
+                if found is not None:
+                    return found
+        return None
+
+    return extend((), ranking)
 
 
 def brute_has_linear_quotients(I: MonomialIdeal) -> bool:

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from sqfpowers import betti
 from sqfpowers.betti import (
     DEFAULT_CHARACTERISTIC,
     GENERATOR_CAP,
@@ -32,8 +34,10 @@ from sqfpowers.betti import (
     _homology_dims,
     _is_prime,
     _membership_table,
+    _precedence,
     _search_linear_quotients,
 )
+from sqfpowers.checks import INCONCLUSIVE, CheckContext, CheckReport, run_check_on_instance
 from sqfpowers.defaults import DEFAULT_NODE_BUDGET
 from sqfpowers.edge_ideals import edge_ideal, lambda_number, sqfree_power_via_matchings
 from sqfpowers.families import all_graphs, random_graphs, random_squarefree_ideals
@@ -48,6 +52,7 @@ from sqfpowers.ideals import (
     MonomialIdeal,
     monomial,
     monomial_degree,
+    monomial_sort_key,
     monomial_vars,
     sqfree_power,
 )
@@ -435,6 +440,45 @@ def test_time_budget_restores_the_outer_bound():
     assert multigraded_betti(I).regularity() == 2
 
 
+def test_the_budget_is_checked_inside_one_face_walk(monkeypatch):
+    # a clock that stands still until a walk starts, then reads one tick
+    # later at each reading; a budget of 1.5 ticks expires at the second
+    # budget check inside the walks
+    I = sqfree_power_via_matchings(cycle_graph(7), 2)
+    table = _membership_table(I)
+    top = lcm_lattice(I.gens)[-1]
+    assert len(_face_levels(table, top)) >= 2
+    interrupted = []
+
+    def walk(member, m):
+        clock.started = True
+        try:
+            return _face_levels(member, m)
+        except BudgetExceeded:
+            interrupted.append(m)
+            raise
+
+    def monotonic():
+        clock.ticks += clock.started
+        return clock.ticks
+
+    monkeypatch.setattr(betti, "_face_levels", walk)
+    monkeypatch.setattr(betti, "time", SimpleNamespace(monotonic=monotonic))
+    clock = SimpleNamespace(started=False, ticks=0)
+    with pytest.raises(BudgetExceeded), time_budget(1.5):
+        betti._face_levels(table, top)
+    assert interrupted == [top]
+    # a budgeted check that runs out inside a walk reports inconclusive
+    clock = SimpleNamespace(started=False, ticks=0)
+    ctx = CheckContext(time_budget_s=1.5)
+    [report] = run_check_on_instance("first-syzygy-degree-bound", cycle_graph(7), ctx)
+    assert report._replace(millis=0) == CheckReport(
+        "first-syzygy-degree-bound", "g6:FhCKG", INCONCLUSIVE,
+        {"reason": "time budget exhausted"}, 0,
+    )
+    assert len(interrupted) == 2
+
+
 def test_time_budget_bounds_nested_library_calls():
     # lambda_number passes nothing on; its linear-relatedness tests read the
     # request's budget
@@ -597,6 +641,41 @@ def test_linear_quotients_certificate_agrees_with_search():
                     assert search.status == "none", (to_graph6(G), k)
                     certified += 1
     assert certified > 0
+
+
+def _search_ranking(I: MonomialIdeal) -> list[int]:
+    """The generators in the order the search tries them: those with the
+    most generators at linear distance first, then in monomial order."""
+    gens = I.gens
+    d = monomial_degree(gens[0])
+    mates = {u: sum(monomial_degree(t | u) == d + 1 for t in gens if t != u) for u in gens}
+    return sorted(gens, key=lambda u: (-mates[u], monomial_sort_key(u)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(squarefree_ideals_st(max_n=7, max_gens=7))
+@example(MonomialIdeal.from_supports(4, [(1, 2), (3, 4)]))
+@example(sqfree_power_via_matchings(path_graph(5), 2))
+def test_pruned_search_agrees_with_unpruned_oracle(I):
+    # the precedence constraints skip only subtrees that hold no order, so
+    # the search finds the first order of the unpruned depth-first search
+    res = _search_linear_quotients(I, DEFAULT_NODE_BUDGET)
+    assert res.status in ("found", "none")
+    assert res.order == oracles.first_linear_quotients_order(_search_ranking(I))
+
+
+def test_a_linearly_related_ideal_gets_no_precedence_constraint():
+    constrained = 0
+    for n in range(2, 7):
+        for G in all_graphs(n):
+            for k in range(1, matching_number(G) + 1):
+                P = sqfree_power_via_matchings(G, k)
+                before = _precedence(P.gens)
+                if is_linearly_related_combinatorial(P):
+                    assert not any(before), (to_graph6(G), k)
+                else:
+                    constrained += any(before)
+    assert constrained > 0
 
 
 def test_linear_quotients_implies_linear_resolution():
