@@ -10,6 +10,7 @@ code of ``main`` is seen as a process exit status.
 
 from __future__ import annotations
 
+import argparse
 import ast
 import importlib
 import importlib.metadata
@@ -64,6 +65,136 @@ def run_json(argv: list[str]) -> dict:
     payload = json.loads(out)
     jsonschema.validate(payload, SCHEMA)
     return payload
+
+
+# ---------------------------------------------------------------------------
+# the parser: every subcommand with every option set, and on its defaults
+
+_PARSED = [
+    (
+        ["invariants", "c7", "--json"],
+        {"subcommand": "invariants", "graph": "c7", "json": True,
+         "func": "cmd_invariants"},
+    ),
+    (
+        ["invariants", "c7"],
+        {"subcommand": "invariants", "graph": "c7", "json": False,
+         "func": "cmd_invariants"},
+    ),
+    (
+        ["power", "c7", "-k", "3", "--json"],
+        {"subcommand": "power", "graph": "c7", "k": 3, "json": True,
+         "func": "cmd_power"},
+    ),
+    (
+        ["power", "c7", "-k", "2"],
+        {"subcommand": "power", "graph": "c7", "k": 2, "json": False,
+         "func": "cmd_power"},
+    ),
+    (
+        ["betti", "c7", "-k", "2", "--ideal", "I.txt", "--char", "5", "--json"],
+        {"subcommand": "betti", "graph": "c7", "k": 2, "ideal": "I.txt",
+         "char": 5, "json": True, "func": "cmd_betti"},
+    ),
+    (
+        ["betti"],
+        {"subcommand": "betti", "graph": None, "k": 1, "ideal": None,
+         "char": 32003, "json": False, "func": "cmd_betti"},
+    ),
+    (
+        ["linrel", "c7", "-k", "2", "--ideal", "-", "--char", "7",
+         "--method", "both", "--json"],
+        {"subcommand": "linrel", "graph": "c7", "k": 2, "ideal": "-", "char": 7,
+         "method": "both", "json": True, "func": "cmd_linrel"},
+    ),
+    (
+        ["linrel"],
+        {"subcommand": "linrel", "graph": None, "k": 1, "ideal": None,
+         "char": 32003, "method": "combinatorial", "json": False,
+         "func": "cmd_linrel"},
+    ),
+    (
+        ["linquot", "c7", "-k", "3", "--ideal", "I.txt", "--node-budget", "9",
+         "--time-budget", "1.5", "--json"],
+        {"subcommand": "linquot", "graph": "c7", "k": 3, "ideal": "I.txt",
+         "node_budget": 9, "time_budget": 1.5, "json": True,
+         "func": "cmd_linquot"},
+    ),
+    (
+        ["linquot"],
+        {"subcommand": "linquot", "graph": None, "k": 1, "ideal": None,
+         "node_budget": 10_000_000, "time_budget": None, "json": False,
+         "func": "cmd_linquot"},
+    ),
+    (
+        ["lambda", "fig1", "--json"],
+        {"subcommand": "lambda", "graph": "fig1", "json": True,
+         "func": "cmd_lambda"},
+    ),
+    (
+        ["lambda", "fig1"],
+        {"subcommand": "lambda", "graph": "fig1", "json": False,
+         "func": "cmd_lambda"},
+    ),
+    (
+        ["colon", "c7", "-k", "3", "-l", "1", "-e", "1", "2", "--json"],
+        {"subcommand": "colon", "graph": "c7", "k": 3, "l": 1, "edge": [1, 2],
+         "json": True, "func": "cmd_colon"},
+    ),
+    (
+        ["colon", "c7", "--edge", "2", "3"],
+        {"subcommand": "colon", "graph": "c7", "k": 2, "l": None, "edge": [2, 3],
+         "json": False, "func": "cmd_colon"},
+    ),
+    (
+        ["colon", "c7"],
+        {"subcommand": "colon", "graph": "c7", "k": 2, "l": None, "edge": None,
+         "json": False, "func": "cmd_colon"},
+    ),
+    (
+        ["classify", "fig1", "--json"],
+        {"subcommand": "classify", "graph": "fig1", "json": True,
+         "func": "cmd_classify"},
+    ),
+    (
+        ["classify", "fig1"],
+        {"subcommand": "classify", "graph": "fig1", "json": False,
+         "func": "cmd_classify"},
+    ),
+    (
+        ["verify", "nu0-lambda,matching-chain", "--family", "exhaustive-3",
+         "--list", "--jobs", "2", "--seed", "11", "--char", "3",
+         "--node-budget", "4", "--time-budget", "0", "--random-ideals", "6",
+         "--random-graphs", "7", "--ndjson", "out.ndjson", "--json"],
+        {"subcommand": "verify", "checks": "nu0-lambda,matching-chain",
+         "family": "exhaustive-3", "list": True, "jobs": 2, "seed": 11,
+         "char": 3, "node_budget": 4, "time_budget": 0.0, "random_ideals": 6,
+         "random_graphs": 7, "ndjson": "out.ndjson", "json": True,
+         "func": "cmd_verify"},
+    ),
+    (
+        ["verify"],
+        {"subcommand": "verify", "checks": "all", "family": None, "list": False,
+         "jobs": 1, "seed": 0x5EED5EED5EED5EED, "char": 32003, "node_budget": 10_000_000,
+         "time_budget": None, "random_ideals": 500, "random_graphs": 1000,
+         "ndjson": None, "json": False, "func": "cmd_verify"},
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, expected", _PARSED, ids=[" ".join(argv) for argv, _ in _PARSED]
+)
+def test_parser_namespaces(argv, expected):
+    parsed = vars(cli.build_parser().parse_args(argv))
+    parsed["func"] = parsed["func"].__name__
+    assert parsed == expected
+
+
+def test_every_subcommand_is_pinned():
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert {argv[0] for argv, _ in _PARSED} == set(sub.choices)
 
 
 # ---------------------------------------------------------------------------
