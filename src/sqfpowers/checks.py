@@ -83,6 +83,7 @@ from .graphs import (
     is_chordal,
     is_forest,
     is_tree,
+    isolated_vertices,
     to_graph6,
 )
 from .ideals import (
@@ -324,7 +325,7 @@ def _run_ratliff_surprised(G: Graph, ctx: CheckContext):
     "I(G)^[k] : I(G)^[2] = I(G)^[k] for 2 < k <= nu(G), no isolated vertices",
 )
 def _run_ratliff_easy(G: Graph, ctx: CheckContext):
-    if not G.edges or any(G.adjacency[v] == 0 for v in G.vertices):
+    if not G.edges or isolated_vertices(G):
         return VACUOUS
     nu = matching_number(G)
     if nu < 3:
@@ -811,7 +812,7 @@ def _run_nu0_perfect_tree(G: Graph, ctx: CheckContext):
 def _run_forest_five_way(G: Graph, ctx: CheckContext):
     if not is_forest(G) or not G.edges:
         return VACUOUS
-    if any(G.adjacency[v] == 0 for v in G.vertices):
+    if isolated_vertices(G):
         return VACUOUS
     if G.n == 2:
         return VACUOUS

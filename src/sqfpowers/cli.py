@@ -7,7 +7,8 @@ subcommand accepts ``--json`` for machine-readable output conforming to
 ``schemas/output.schema.json``.
 
 Exit codes: 0 success, 1 theorem-check failure (``verify`` only), 2 usage or
-input error.
+input error.  An input error is any ``ValueError`` or ``OSError`` a command
+raises; ``main`` prints it as one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -29,10 +30,6 @@ GRAPH_SPEC_HELP = (
 ) % ", ".join(graphs.BUILTIN_GRAPH_NAMES)
 
 
-class InputError(Exception):
-    """Bad input that should exit with status 2."""
-
-
 def load_graph(spec: str) -> graphs.Graph:
     if spec.startswith("builtin:"):
         return graphs.builtin_graph(spec.split(":", 1)[1])
@@ -45,7 +42,7 @@ def load_graph(spec: str) -> graphs.Graph:
     else:
         path = Path(spec)
         if not path.exists():
-            raise InputError(
+            raise ValueError(
                 f"graph spec {spec!r} is not a builtin name, a g6: string, "
                 "or an existing file"
             )
@@ -53,9 +50,9 @@ def load_graph(spec: str) -> graphs.Graph:
     try:
         parsed = graphs.parse_graphs(text)
     except ValueError as exc:
-        raise InputError(f"cannot parse graph from {spec!r}: {exc}") from exc
+        raise ValueError(f"cannot parse graph from {spec!r}: {exc}") from exc
     if len(parsed) != 1:
-        raise InputError(
+        raise ValueError(
             f"{spec!r} holds {len(parsed)} graphs; this command needs exactly one"
         )
     return parsed[0]
@@ -66,7 +63,7 @@ def load_ideal(path_spec: str) -> ideals.MonomialIdeal:
     try:
         return ideals.parse_ideal(text)
     except ValueError as exc:
-        raise InputError(f"cannot parse ideal from {path_spec!r}: {exc}") from exc
+        raise ValueError(f"cannot parse ideal from {path_spec!r}: {exc}") from exc
 
 
 _WRITE_BLOCK = 1024  # encoder chunks per write, about 8 KB of indented JSON
@@ -93,33 +90,26 @@ def _gens_as_lists(I: ideals.MonomialIdeal) -> list[list[int]]:
     return [list(ideals.monomial_vars(g)) for g in I.gens]
 
 
-def _power_ideal(args: argparse.Namespace) -> tuple[graphs.Graph, ideals.MonomialIdeal]:
-    G = load_graph(args.graph)
-    return G, edge_ideals.sqfree_power_via_matchings(G, args.k)
-
-
 def _node_budget(args: argparse.Namespace) -> int:
     if args.node_budget < 0:
-        raise InputError(f"--node-budget must be >= 0, got {args.node_budget}")
+        raise ValueError(f"--node-budget must be >= 0, got {args.node_budget}")
     return args.node_budget
 
 
 def _time_budget(args: argparse.Namespace) -> float | None:
     """The --time-budget in seconds; 0 is a budget that is already spent."""
     if args.time_budget is not None and not args.time_budget >= 0:
-        raise InputError(f"--time-budget must be >= 0 seconds, got {args.time_budget}")
+        raise ValueError(f"--time-budget must be >= 0 seconds, got {args.time_budget}")
     return args.time_budget
 
 
-def _ideal_for_algebra(
-    args: argparse.Namespace,
-) -> tuple[graphs.Graph | None, ideals.MonomialIdeal]:
+def _ideal_for_algebra(args: argparse.Namespace) -> ideals.MonomialIdeal:
     """Shared input handling for betti/linrel/linquot: a graph power or an ideal file."""
     if args.ideal is not None:
-        return None, load_ideal(args.ideal)
+        return load_ideal(args.ideal)
     if args.graph is None:
-        raise InputError("provide a GRAPH argument or --ideal FILE")
-    return _power_ideal(args)
+        raise ValueError("provide a GRAPH argument or --ideal FILE")
+    return edge_ideals.sqfree_power_via_matchings(load_graph(args.graph), args.k)
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +144,8 @@ def cmd_invariants(args: argparse.Namespace) -> int:
 
 
 def cmd_power(args: argparse.Namespace) -> int:
-    G, I = _power_ideal(args)
+    G = load_graph(args.graph)
+    I = edge_ideals.sqfree_power_via_matchings(G, args.k)
     payload = {
         "command": "power",
         "graph6": graphs.to_graph6(G),
@@ -191,7 +182,7 @@ def _betti_payload(I: ideals.MonomialIdeal, characteristic: int) -> tuple[dict, 
 
 
 def cmd_betti(args: argparse.Namespace) -> int:
-    _, I = _ideal_for_algebra(args)
+    I = _ideal_for_algebra(args)
     fields, diagram = _betti_payload(I, args.char)
     payload = {"command": "betti", **fields}
     lines = [diagram]
@@ -205,7 +196,7 @@ def cmd_betti(args: argparse.Namespace) -> int:
 
 
 def cmd_linrel(args: argparse.Namespace) -> int:
-    _, I = _ideal_for_algebra(args)
+    I = _ideal_for_algebra(args)
     comb = homo = None
     if args.method in ("combinatorial", "both"):
         comb = betti.is_linearly_related_combinatorial(I)
@@ -230,7 +221,7 @@ def cmd_linrel(args: argparse.Namespace) -> int:
 
 
 def cmd_linquot(args: argparse.Namespace) -> int:
-    _, I = _ideal_for_algebra(args)
+    I = _ideal_for_algebra(args)
     node_budget = _node_budget(args)
     with betti.time_budget(_time_budget(args)):
         result = betti.linear_quotients_order(I, node_budget)
@@ -259,7 +250,7 @@ def cmd_linquot(args: argparse.Namespace) -> int:
 def cmd_lambda(args: argparse.Namespace) -> int:
     G = load_graph(args.graph)
     if not G.edges:
-        raise InputError("lambda needs a graph with at least one edge")
+        raise ValueError("lambda needs a graph with at least one edge")
     nu = matchings.matching_number(G)
     per_power = [
         {
@@ -291,13 +282,13 @@ def cmd_lambda(args: argparse.Namespace) -> int:
 def cmd_colon(args: argparse.Namespace) -> int:
     G = load_graph(args.graph)
     if (args.l is None) == (args.edge is None):
-        raise InputError("colon needs exactly one of -l L or --edge U V")
+        raise ValueError("colon needs exactly one of -l L or --edge U V")
     I = edge_ideals.sqfree_power_via_matchings(G, args.k)
     equals_power = derived_edges = matches = None
     if args.l is not None:
         J = edge_ideals.sqfree_power_via_matchings(G, args.l)
         if J.is_zero:
-            raise InputError(
+            raise ValueError(
                 f"I(G)^[{args.l}] is the zero ideal; the colon is undefined"
             )
         quotient = ideals.colon_ideal(I, J)
@@ -306,7 +297,7 @@ def cmd_colon(args: argparse.Namespace) -> int:
     else:
         u, v = args.edge
         if not G.has_edge(u, v):
-            raise InputError(f"({u}, {v}) is not an edge of the graph")
+            raise ValueError(f"({u}, {v}) is not an edge of the graph")
         quotient = ideals.colon_by_monomial(I, ideals.monomial((u, v)))
         notes = []
         if args.k == 2:
@@ -335,8 +326,6 @@ def cmd_colon(args: argparse.Namespace) -> int:
 
 def cmd_classify(args: argparse.Namespace) -> int:
     G = load_graph(args.graph)
-    if not graphs.is_forest(G):
-        raise InputError("classification applies to forests only")
     result = edge_ideals.classify_forest(G)
     payload = {
         "command": "classify",
@@ -388,20 +377,20 @@ def cmd_verify(args: argparse.Namespace) -> int:
         ("--jobs", args.jobs, 1),
     ):
         if value < least:
-            raise InputError(f"{flag} must be >= {least}, got {value}")
+            raise ValueError(f"{flag} must be >= {least}, got {value}")
     if args.family is None:
-        raise InputError("verify needs --family (or --list)")
+        raise ValueError("verify needs --family (or --list)")
     if args.checks == "all":
         names = None
     else:
         names = [n for n in args.checks.split(",") if n]
         unknown = [n for n in names if n not in checks.CHECKS]
         if unknown:
-            raise InputError(
+            raise ValueError(
                 f"unknown checks {unknown}; run 'verify --list' for the registry"
             )
         if not names:
-            raise InputError("no check names given")
+            raise ValueError("no check names given")
     ctx = checks.CheckContext(
         characteristic=args.char,
         seed=args.seed,
@@ -410,10 +399,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         random_ideal_count=args.random_ideals,
         random_graph_count=args.random_graphs,
     )
-    try:
-        family_graphs = families.resolve_family(args.family, seed=args.seed)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    family_graphs = families.resolve_family(args.family, seed=args.seed)
     # Opened before the sweep, so that a path that cannot be written fails at once.
     with open(args.ndjson, "w") if args.ndjson else contextlib.nullcontext() as ndjson:
         reports = checks.run_checks(names, family_graphs, ctx, jobs=args.jobs)
@@ -461,39 +447,34 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # parser wiring
 
-def _add_graph_arg(p: argparse.ArgumentParser, optional: bool = False) -> None:
-    if optional:
-        p.add_argument("graph", nargs="?", default=None, help=GRAPH_SPEC_HELP)
-    else:
-        p.add_argument("graph", help=GRAPH_SPEC_HELP)
-
-
-def _add_algebra_inputs(p: argparse.ArgumentParser, default_k: int | None) -> None:
-    _add_graph_arg(p, optional=True)
-    p.add_argument(
-        "-k",
-        type=int,
-        default=default_k,
-        help=f"squarefree power exponent (default {default_k})",
+def build_parser() -> argparse.ArgumentParser:
+    # Each option group shared by several subcommands is declared once, as a parent.
+    graph = argparse.ArgumentParser(add_help=False)
+    graph.add_argument("graph", help=GRAPH_SPEC_HELP)
+    algebra = argparse.ArgumentParser(add_help=False)
+    algebra.add_argument("graph", nargs="?", default=None, help=GRAPH_SPEC_HELP)
+    algebra.add_argument(
+        "-k", type=int, default=1, help="squarefree power exponent (default 1)"
     )
-    p.add_argument(
+    algebra.add_argument(
         "--ideal",
         default=None,
         metavar="FILE",
         help="operate on an ideal file instead of a graph power ('-' for stdin)",
     )
-
-
-def _add_char(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
+    char = argparse.ArgumentParser(add_help=False)
+    char.add_argument(
         "--char",
         type=int,
         default=DEFAULT_CHARACTERISTIC,
         help=f"prime field characteristic (default {DEFAULT_CHARACTERISTIC})",
     )
+    budgets = argparse.ArgumentParser(add_help=False)
+    budgets.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
+    budgets.add_argument("--time-budget", type=float, default=None, metavar="SECONDS")
+    as_json = argparse.ArgumentParser(add_help=False)
+    as_json.add_argument("--json", action="store_true")
 
-
-def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sqfpowers",
         description=(
@@ -503,55 +484,35 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("invariants", help="matching and structural invariants")
-    _add_graph_arg(p)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_invariants)
+    def command(name: str, func, help: str, *parents: argparse.ArgumentParser):
+        p = sub.add_parser(name, help=help, parents=[*parents, as_json])
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("power", help="generators of the k-th squarefree power")
-    _add_graph_arg(p)
+    command("invariants", cmd_invariants, "matching and structural invariants", graph)
+    p = command("power", cmd_power, "generators of the k-th squarefree power", graph)
     p.add_argument("-k", type=int, required=True, help="power exponent")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_power)
-
-    p = sub.add_parser("betti", help="multigraded Betti table and derived data")
-    _add_algebra_inputs(p, default_k=1)
-    _add_char(p)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_betti)
-
-    p = sub.add_parser("linrel", help="are the first syzygies linear?")
-    _add_algebra_inputs(p, default_k=1)
-    _add_char(p)
+    command(
+        "betti", cmd_betti, "multigraded Betti table and derived data", algebra, char
+    )
+    p = command("linrel", cmd_linrel, "are the first syzygies linear?", algebra, char)
     p.add_argument(
         "--method",
         choices=("combinatorial", "homological", "both"),
         default="combinatorial",
     )
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_linrel)
-
-    p = sub.add_parser("linquot", help="search for a linear-quotients order")
-    _add_algebra_inputs(p, default_k=1)
-    p.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
-    p.add_argument(
-        "--time-budget", type=float, default=None, metavar="SECONDS"
+    command(
+        "linquot", cmd_linquot, "search for a linear-quotients order", algebra, budgets
     )
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_linquot)
-
-    p = sub.add_parser(
-        "lambda", help="least k with all powers from k on linearly related"
+    command(
+        "lambda", cmd_lambda, "least k with all powers from k on linearly related", graph
     )
-    _add_graph_arg(p)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_lambda)
-
-    p = sub.add_parser(
+    p = command(
         "colon",
-        help="quotient of a squarefree power by a lower power or by an edge",
+        cmd_colon,
+        "quotient of a squarefree power by a lower power or by an edge",
+        graph,
     )
-    _add_graph_arg(p)
     p.add_argument("-k", type=int, default=2, help="power exponent (default 2)")
     p.add_argument(
         "-l",
@@ -568,15 +529,10 @@ def build_parser() -> argparse.ArgumentParser:
         metavar=("U", "V"),
         help="edge whose monomial divides out (alternative to -l)",
     )
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_colon)
-
-    p = sub.add_parser("classify", help="match a forest against the templates")
-    _add_graph_arg(p)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_classify)
-
-    p = sub.add_parser("verify", help="run the theorem checks over a family")
+    command("classify", cmd_classify, "match a forest against the templates", graph)
+    p = command(
+        "verify", cmd_verify, "run the theorem checks over a family", char, budgets
+    )
     p.add_argument(
         "checks",
         nargs="?",
@@ -587,28 +543,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--list", action="store_true", help="print the registry and exit")
     p.add_argument("--jobs", type=int, default=1, help="worker processes")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    _add_char(p)
-    p.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
-    p.add_argument("--time-budget", type=float, default=None, metavar="SECONDS")
     p.add_argument("--random-ideals", type=int, default=500)
     p.add_argument("--random-graphs", type=int, default=1000)
     p.add_argument(
         "--ndjson", default=None, metavar="PATH", help="write one report per line"
     )
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_verify)
-
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

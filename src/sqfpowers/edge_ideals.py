@@ -124,21 +124,12 @@ def l_degree_hypothesis(G: Graph, e: Edge, k: int) -> bool:
     a, b = e
     if not G.has_edge(a, b):
         raise ValueError(f"edge {e} not present")
-    targets = (G.neighbors(a) | G.neighbors(b)) - {a, b}
     ab = edge_mask(e)
+    targets = (G.adjacency[a] | G.adjacency[b]) & ~ab
     for M in enumerate_matchings(remove_edge(G, e), k):
-        found = False
-        for j, ej in enumerate(M):
-            rest_mask = 0
-            for i, f in enumerate(M):
-                if i != j:
-                    rest_mask |= edge_mask(f)
-            if rest_mask & ab:
-                continue
-            if targets & set(ej):
-                found = True
-                break
-        if not found:
+        masks = [edge_mask(f) for f in M]
+        union = sum(masks)  # the edges of a matching are disjoint
+        if not any(m & targets and not (union ^ m) & ab for m in masks):
             return False
     return True
 
@@ -227,33 +218,31 @@ def classify_forest(G: Graph) -> ForestClassification:
     return ForestClassification(tuple(sorted(matches, key=lambda m: (m.kind, m.spine))))
 
 
+def _leaves_on(
+    G: Graph, spine: tuple[int, ...], hosts: tuple[int, ...]
+) -> tuple[tuple[int, ...], ...] | None:
+    """Leaves per host; None unless each vertex off the spine is a leaf on a host."""
+    leaves: dict[int, list[int]] = {x: [] for x in hosts}
+    for v in G.vertices:
+        if v in spine:
+            continue
+        if G.degree(v) != 1:
+            return None
+        (nb,) = G.neighbors(v)
+        if nb not in leaves:
+            return None
+        leaves[nb].append(v)
+    return tuple(tuple(leaves[x]) for x in hosts)
+
+
 def _g1_matches(G: Graph) -> list[TemplateMatch]:
     out = []
     for x2 in G.vertices:
         for x1, x3 in itertools.combinations(sorted(G.neighbors(x2)), 2):
-            spine = {x1, x2, x3}
-            bouquets: dict[int, list[int]] = {x1: [], x2: [], x3: []}
-            ok = True
-            for v in G.vertices:
-                if v in spine:
-                    continue
-                if G.degree(v) != 1:
-                    ok = False
-                    break
-                (nb,) = G.neighbors(v)
-                if nb in spine:
-                    bouquets[nb].append(v)
-                else:
-                    ok = False
-                    break
-            if ok:
-                out.append(
-                    TemplateMatch(
-                        "G1",
-                        (x1, x2, x3),
-                        (tuple(bouquets[x1]), tuple(bouquets[x2]), tuple(bouquets[x3])),
-                    )
-                )
+            spine = (x1, x2, x3)
+            bouquets = _leaves_on(G, spine, spine)
+            if bouquets is not None:
+                out.append(TemplateMatch("G1", spine, bouquets))
     return out
 
 
@@ -267,26 +256,10 @@ def _g2_matches(G: Graph) -> list[TemplateMatch]:
             (x4,) = G.neighbors(x3) - {x2}
             if x1 > x4 or len({x1, x2, x3, x4}) != 4:
                 continue
-            spine = {x1, x2, x3, x4}
-            A: list[int] = []
-            B: list[int] = []
-            ok = True
-            for w in G.vertices:
-                if w in spine:
-                    continue
-                if G.degree(w) != 1:
-                    ok = False
-                    break
-                (nb,) = G.neighbors(w)
-                if nb == x1:
-                    A.append(w)
-                elif nb == x4:
-                    B.append(w)
-                else:
-                    ok = False
-                    break
-            if ok and A and B:
-                out.append(TemplateMatch("G2", (x1, x2, x3, x4), (tuple(A), tuple(B))))
+            spine = (x1, x2, x3, x4)
+            bouquets = _leaves_on(G, spine, (x1, x4))
+            if bouquets is not None and all(bouquets):
+                out.append(TemplateMatch("G2", spine, bouquets))
     return out
 
 

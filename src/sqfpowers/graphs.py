@@ -398,9 +398,14 @@ def parse_graph6(line: str) -> Graph:
         body = data[1:]
     if n > MAX_VERTICES:
         raise ValueError(f"graph6 graph has {n} > {MAX_VERTICES} vertices")
-    need = (n * (n - 1) // 2 + 5) // 6
-    if len(body) < need:
-        raise ValueError("truncated graph6 body")
+    pairs = n * (n - 1) // 2
+    need = (pairs + 5) // 6
+    if len(body) != need:
+        raise ValueError(
+            f"graph6 body length {len(body)}, expected {need} for {n} vertices"
+        )
+    if body and body[-1] & ((1 << (6 * need - pairs)) - 1):
+        raise ValueError(f"nonzero graph6 padding bits in {line!r}")
     bits = []
     for b in body:
         bits.extend((b >> shift) & 1 for shift in range(5, -1, -1))

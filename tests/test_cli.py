@@ -250,7 +250,9 @@ def test_graph_spec_forms_agree(tmp_path, monkeypatch):
 def test_graph_spec_errors(tmp_path):
     two = tmp_path / "two.g6"
     two.write_text("A_\nA?\n")
-    for spec in ("/nonexistent/file.g6", "builtin:nope", str(two), "g6:C"):
+    # g6:A_zzzz runs past the body of the one-edge graph; g6:A` sets a padding bit
+    for spec in ("/nonexistent/file.g6", "builtin:nope", str(two), "g6:C", "g6:A_zzzz",
+                 "g6:A`"):
         code, out, err = run(["invariants", spec])
         assert code == 2, spec
         assert out == "" and err.startswith("error:")

@@ -1,6 +1,7 @@
 """Graph type, surgery operations, predicates, and text formats."""
 
 import pickle
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -371,6 +372,18 @@ def test_graph6_errors():
         parse_graph6("C~\x19")  # character below the graph6 range
     with pytest.raises(ValueError):
         parse_graph6("~?B?" + "?" * 1000)  # n = 128 exceeds the cap
+    with pytest.raises(ValueError):
+        parse_graph6("A_zzzz")  # characters after the body of the one-edge graph
+    with pytest.raises(ValueError):
+        parse_graph6("A`")  # a padding bit is set
+
+
+def test_graph6_roundtrip_every_order():
+    rng = random.Random(6)
+    for n in range(65):  # n >= 63 takes the 4-byte header
+        pairs = [(i, j) for j in range(2, n + 1) for i in range(1, j)]
+        G = Graph.from_edges(n, [e for e in pairs if rng.random() < 0.5])
+        assert parse_graph6(to_graph6(G)) == G, n
 
 
 @settings(max_examples=150, deadline=None)
