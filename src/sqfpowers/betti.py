@@ -30,9 +30,8 @@ kernel: each face mask becomes a signed column {row: +-1}, and the columns
 are reduced by their lowest nonzero row in exact Python integers, so every p
 is exact.  The maps are reduced from the top level down, and a face that was
 a pivot row of the map above is skipped (clearing), because its column would
-reduce to zero.  The characteristic is recorded in every table because Betti
-numbers may depend on it.  Primality is decided by deterministic
-Miller-Rabin, and characteristics from 2^64 up are rejected.
+reduce to zero.  Primality is decided by deterministic Miller-Rabin, and
+characteristics from 2^64 up are rejected.
 
 Nonzero Betti numbers occur only at lattice multidegrees, so tables store a
 sparse map (i, m) -> b_{i,m} and derive regularity, projective dimension,
@@ -313,8 +312,6 @@ def _homology_dims(levels: list[list[int]], p: int) -> list[int]:
 class BettiTable(NamedTuple):
     """Sparse multigraded Betti numbers of a squarefree ideal, empty when it is zero."""
 
-    n: int
-    characteristic: int
     entries: dict[tuple[int, int], int]  # (homological index, multidegree mask) -> value
     gen_degree: int | None = None  # common generator degree, None when mixed
 
@@ -352,14 +349,14 @@ def multigraded_betti(
     """Full multigraded Betti table of a squarefree monomial ideal.
 
     The zero ideal gets the empty table.  Within a request (see ``memo``),
-    each (n, gens, characteristic) is computed once and the same table is
-    returned to every caller, who must not change its entries.
+    each (gens, characteristic) is computed once and the same table is
+    returned to every caller, who must not change its entries.  The number of
+    variables is left out of the key: the walk of K^m visits only divisors of
+    m, so n decides how membership is looked up, never an entry.
     """
     if len(I.gens) > GENERATOR_CAP:
         raise ValueError(f"{len(I.gens)} generators exceed the cap {GENERATOR_CAP}")
-    return memo.get(
-        (I.n, I.gens, characteristic), lambda: _betti_table(I, characteristic)
-    )
+    return memo.get((I.gens, characteristic), lambda: _betti_table(I, characteristic))
 
 
 def _betti_table(I: MonomialIdeal, characteristic: int) -> BettiTable:
@@ -377,9 +374,7 @@ def _betti_table(I: MonomialIdeal, characteristic: int) -> BettiTable:
         gen_degree = I.pure_degree()
     except ValueError:
         gen_degree = None
-    return BettiTable(
-        n=I.n, characteristic=characteristic, entries=entries, gen_degree=gen_degree
-    )
+    return BettiTable(entries, gen_degree)
 
 
 def regularity(I: MonomialIdeal, characteristic: int = DEFAULT_CHARACTERISTIC) -> int:
@@ -471,7 +466,6 @@ class SyzygyWitnessReport(NamedTuple):
     when no such generator exists.
     """
 
-    m: int
     pairs: tuple[tuple[int, int, int | None], ...]
 
     @property
@@ -494,7 +488,7 @@ def first_syzygy_witness(I: MonomialIdeal, m: int) -> SyzygyWitnessReport:
                     witness = w
                     break
             pairs.append((u, v, witness))
-    return SyzygyWitnessReport(m=m, pairs=tuple(pairs))
+    return SyzygyWitnessReport(tuple(pairs))
 
 
 # ---------------------------------------------------------------------------

@@ -456,14 +456,12 @@ def _run_betti_induced_monotone(G: Graph, ctx: CheckContext):
             H = induced_subgraph(G, W)
             if not H.edges:
                 continue
-            source = H.source_vertices
-            assert source is not None
             for k in range(1, matching_number(H) + 1):
                 sub = multigraded_betti(
                     sqfree_power_via_matchings(H, k), ctx.characteristic
                 )
                 for (i, a), v in sub.entries.items():
-                    lifted = monomial(source[x - 1] for x in monomial_vars(a))
+                    lifted = monomial(W[x - 1] for x in monomial_vars(a))
                     if v > big_tables[k].entries.get((i, lifted), 0):
                         bad.append({"W": list(W), "k": k, "i": i, "a": list(monomial_vars(a))})
     yield "", not bad, {"violations": bad}

@@ -106,6 +106,8 @@ def _time_budget(args: argparse.Namespace) -> float | None:
 def _ideal_for_algebra(args: argparse.Namespace) -> ideals.MonomialIdeal:
     """Shared input handling for betti/linrel/linquot: a graph power or an ideal file."""
     if args.ideal is not None:
+        if args.graph is not None:
+            raise ValueError("give either a GRAPH argument or --ideal FILE, not both")
         return load_ideal(args.ideal)
     if args.graph is None:
         raise ValueError("provide a GRAPH argument or --ideal FILE")

@@ -3,8 +3,8 @@
 Vertices are 1-based integers and n is capped at 64 so that vertex sets fit
 into machine-word bitmasks (bit v-1 stands for vertex v).  Graphs are
 immutable; every surgery operation returns a new graph.  Induced subgraphs
-relabel their vertices order-preservingly to {1, ..., |W|} and remember the
-original labels in ``source_vertices``.
+relabel their vertices order-preservingly to {1, ..., |W|}: the new vertex i
+is the i-th smallest vertex of W.
 """
 
 from __future__ import annotations
@@ -24,32 +24,18 @@ def _canon_edge(u: int, v: int) -> Edge:
 
 
 class Graph:
-    """Immutable simple graph; ``edges`` holds sorted pairs (u, v) with u < v.
-
-    Equality and hashing read n and edges only: ``source_vertices`` holds the
-    original labels of the vertices when this graph arose as an induced
-    subgraph (source_vertices[i-1] is the old name of the new vertex i), and
-    is left out so that G restricted to all of V(G) still equals G.
-    """
+    """Immutable simple graph; ``edges`` holds sorted pairs (u, v) with u < v."""
 
     n: int
     edges: frozenset[Edge]
-    source_vertices: tuple[int, ...] | None
 
-    def __init__(
-        self,
-        n: int,
-        edges: frozenset[Edge],
-        source_vertices: tuple[int, ...] | None = None,
-    ) -> None:
+    def __init__(self, n: int, edges: frozenset[Edge]) -> None:
         if not 0 <= n <= MAX_VERTICES:
             raise ValueError(f"vertex count {n} outside 0..{MAX_VERTICES}")
         for u, v in edges:
             if not (1 <= u < v <= n):
                 raise ValueError(f"edge ({u}, {v}) is not canonical for n={n}")
-        if source_vertices is not None and len(source_vertices) != n:
-            raise ValueError("source_vertices length must equal n")
-        self.__dict__.update(n=n, edges=edges, source_vertices=source_vertices)
+        self.__dict__.update(n=n, edges=edges)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -66,20 +52,12 @@ class Graph:
         return hash((self.n, self.edges))
 
     def __repr__(self) -> str:
-        return (
-            f"Graph(n={self.n!r}, edges={self.edges!r}, "
-            f"source_vertices={self.source_vertices!r})"
-        )
+        return f"Graph(n={self.n!r}, edges={self.edges!r})"
 
     @staticmethod
-    def from_edges(
-        n: int,
-        edges: Iterable[Sequence[int]],
-        source_vertices: tuple[int, ...] | None = None,
-    ) -> "Graph":
+    def from_edges(n: int, edges: Iterable[Sequence[int]]) -> "Graph":
         """Build a graph from unordered vertex pairs, canonicalizing each."""
-        canon = frozenset(_canon_edge(u, v) for u, v in edges)
-        return Graph(n, canon, source_vertices)
+        return Graph(n, frozenset(_canon_edge(u, v) for u, v in edges))
 
     @cached_property
     def edge_list(self) -> tuple[Edge, ...]:
@@ -137,10 +115,7 @@ def vertices_to_mask(vertices: Iterable[int]) -> int:
 # surgery
 
 def induced_subgraph(G: Graph, W: Iterable[int]) -> Graph:
-    """Subgraph induced on W, relabeled order-preservingly to 1..|W|.
-
-    The old label of new vertex i is recorded as source_vertices[i-1].
-    """
+    """Subgraph induced on W, relabeled order-preservingly to 1..|W|."""
     keep = sorted(set(W))
     for v in keep:
         G._check_vertex(v)
@@ -151,7 +126,7 @@ def induced_subgraph(G: Graph, W: Iterable[int]) -> Graph:
         for u, v in G.edge_list
         if u in keep_set and v in keep_set
     ]
-    return Graph.from_edges(len(keep), edges, source_vertices=tuple(keep))
+    return Graph.from_edges(len(keep), edges)
 
 
 def remove_vertices(G: Graph, W: Iterable[int]) -> Graph:

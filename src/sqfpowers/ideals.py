@@ -285,6 +285,8 @@ def parse_ideal(text: str) -> MonomialIdeal:
         vars_ = tuple(int(p) for p in parts)
         if any(v < 1 or v > n for v in vars_):
             raise ValueError(f"variable outside 1..{n}: {raw!r}")
+        if len(set(vars_)) != len(vars_):
+            raise ValueError(f"repeated variable in a squarefree generator: {raw!r}")
         supports.append(vars_)
     if n is None:
         raise ValueError("ideal file must contain a header line 'n <count>'")

@@ -179,8 +179,8 @@ def _mark_path(base: list[int], mate: list[int], parent: list[int], v: int, b: i
 
 
 def matching_number(G: Graph) -> int:
-    """Within a request (see ``memo``), computed once per (n, edges)."""
-    return memo.get((G.n, G.edges), lambda: _nu(G.adjacency, G.vertex_mask))
+    """Within a request (see ``memo``), computed once per edge set."""
+    return memo.get(G.edges, lambda: _nu(G.adjacency, G.vertex_mask))
 
 
 def matching_number_within(G: Graph, vertices: Iterable[int]) -> int:

@@ -6,11 +6,13 @@ result.  ``checks.run_checks`` opens it around its serial loop, and each pool
 worker opens it as its initializer, for the life of the pool.
 
 A call site asks for a value by key and gives the function that computes it.
-So are memoised the lcm lattice (by ``gens``), the Betti table (by ``(n,
-gens, p)``), the squarefree power via matchings (by ``(n, edges, k)``) and
-the matching number (by ``(n, edges)``).  Each call site has its own store,
-found by the code of its compute function, so equal keys of two call sites
-never meet.  Only a finished value is stored; an exception raised while
+So are memoised the lcm lattice (by ``gens``), the Betti table (by ``(gens,
+p)``), the squarefree power via matchings (by ``(n, edges, k)``, as the power
+carries n) and the matching number (by ``edges``).  A key holds only what the
+value depends on, so an ideal or graph that recurs on more variables, as an
+induced subgraph or beside isolated vertices, is computed once.  Each call
+site has its own store, found by the code of its compute function, so equal
+keys of two call sites never meet.  Only a finished value is stored; an exception raised while
 computing (an exhausted budget, bad input) propagates and stores nothing.
 """
 

@@ -373,6 +373,23 @@ def test_betti_mixed_degrees(tmp_path):
         assert code == 2 and out == "" and "mixed degrees (1, 2)" in err
 
 
+def test_betti_rejects_a_repeated_variable(tmp_path):
+    # the line "1 1" is x1 * x1, whose ideal (x1^2) is not squarefree
+    path = tmp_path / "square.ideal"
+    path.write_text("n 2\n1 1\n")
+    code, out, err = run(["betti", "--ideal", str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["betti", "linrel", "linquot"])
+def test_a_graph_and_an_ideal_file_are_not_both_taken(tmp_path, command):
+    path = tmp_path / "p3.ideal"
+    path.write_text("n 3\n1 2\n2 3\n")
+    code, out, err = run([command, "c7", "-k", "2", "--ideal", str(path)])
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
 def test_betti_large_characteristic():
     _, want, _ = run(["betti", "c7", "-k", "2"])
     code, out, err = run(["betti", "c7", "-k", "2", "--char", str(2**61 - 1)])

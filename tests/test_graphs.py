@@ -70,29 +70,24 @@ def test_vertex_cap():
     Graph.from_edges(64, [(1, 64)])  # at the cap is fine
 
 
-def test_source_vertices_length_checked():
-    with pytest.raises(ValueError):
-        Graph(2, frozenset(), source_vertices=(1,))
-
-
 def test_graph_value_semantics():
     G = Graph.from_edges(3, [(1, 2), (2, 3)])
-    same = Graph(3, frozenset({(2, 3), (1, 2)}), source_vertices=(4, 5, 6))
-    assert G == same and hash(G) == hash(same)  # source_vertices is not compared
+    same = Graph(3, frozenset({(2, 3), (1, 2)}))
+    assert G == same and hash(G) == hash(same)
     assert G != Graph.from_edges(4, [(1, 2), (2, 3)])
     assert G != Graph.from_edges(3, [(1, 2)])
     assert G != (3, G.edges)
     assert len({G, same, Graph.from_edges(3, [])}) == 2
     assert G.adjacency == (0, 0b10, 0b101, 0b10)
-    for name in ("n", "edges", "source_vertices", "edge_list"):
+    for name in ("n", "edges", "edge_list"):
         with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
             setattr(G, name, None)
         with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
             delattr(G, name)
     assert G.n == 3 and G.edge_list == ((1, 2), (2, 3))
-    assert repr(same) == f"Graph(n=3, edges={same.edges!r}, source_vertices=(4, 5, 6))"
+    assert repr(same) == f"Graph(n=3, edges={same.edges!r})"
     back = pickle.loads(pickle.dumps(same))
-    assert back == G and back.source_vertices == (4, 5, 6)
+    assert back == G
     assert back.edge_list == G.edge_list and back.adjacency == G.adjacency
     with pytest.raises(AttributeError):
         back.n = 4
@@ -101,7 +96,6 @@ def test_graph_value_semantics():
         ((-1, frozenset()), "vertex count -1 outside 0..64"),
         ((3, frozenset({(2, 1)})), r"edge \(2, 1\) is not canonical for n=3"),
         ((3, frozenset({(1, 4)})), r"edge \(1, 4\) is not canonical for n=3"),
-        ((2, frozenset(), (1,)), "source_vertices length must equal n"),
     ):
         with pytest.raises(ValueError, match=message):
             Graph(*args)
@@ -139,9 +133,9 @@ def test_induced_subgraph_relabels_order_preservingly():
     G = path_graph(5)
     H = induced_subgraph(G, [2, 4, 5])
     assert H.n == 3
-    assert H.source_vertices == (2, 4, 5)
-    # only the edge 4-5 survives, relabeled to 2-3
+    # 2, 4, 5 become 1, 2, 3: only the edge 4-5 survives, relabeled to 2-3
     assert H.edge_list == ((2, 3),)
+    assert induced_subgraph(G, [5, 2, 4]) == H  # the order of W is not read
 
 
 def test_induced_subgraph_rejects_unknown_vertex():

@@ -384,6 +384,14 @@ def test_parse_ideal_errors():
         parse_ideal("n 3\n0 1\n")
 
 
+def test_parse_ideal_rejects_a_repeated_variable():
+    # "1 1" is x1 * x1, which is not squarefree
+    for text in ("n 2\n1 1\n", "n 3\n1 2\n2 3 2\n"):
+        with pytest.raises(ValueError, match="repeated variable"):
+            parse_ideal(text)
+    assert parse_ideal("n 2\n2 1\n") == parse_ideal("n 2\n1 2\n")
+
+
 @settings(max_examples=80, deadline=None)
 @given(mixed_ideals_st(max_n=8))
 def test_parse_format_roundtrip_property(I):
