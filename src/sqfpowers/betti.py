@@ -420,10 +420,15 @@ def is_linearly_related_combinatorial(I: MonomialIdeal) -> bool:
 
     Combinatorial route: for every pair of generators u, v there must be a
     path from u to v inside the set of generators dividing lcm(u, v), stepping
-    only between generators whose pairwise lcm has degree d + 1.
+    only between generators whose pairwise lcm has degree d + 1.  Within a
+    request (see ``memo``), each generator tuple is decided once; a mixed
+    degree raises on every call.
     """
     d = I.pure_degree()
-    gens = I.gens
+    return memo.get(I.gens, lambda: _linearly_related(I.gens, d))
+
+
+def _linearly_related(gens: tuple[int, ...], d: int | None) -> bool:
     g = len(gens)
     adj = [0] * g
     for i in range(g):

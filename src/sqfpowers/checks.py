@@ -23,9 +23,9 @@ budget into one inconclusive report and of a crash into one failing report.
 ``run_checks`` makes one task of each collection check, then one of each
 graph with every check in scope of it, and runs them in a serial loop or a
 process pool.  Each process that runs tasks holds the request's memo open
-(see ``memo``), so a lattice, table, power or matching number shared by the
-checks of a graph, or by induced subgraphs that recur across graphs, is
-computed once per process.  The checks about first syzygies
+(see ``memo``), so a lattice, table, power, edge ideal, matching number or
+verdict shared by the checks of a graph, or by induced subgraphs that recur
+across graphs, is computed once per process.  The checks about first syzygies
 (``first-syzygy-degree-bound``, ``taylor-witness`` and the homological side
 of ``linrel-oracle-agreement``) read b_{1,m} from these tables.  The
 ideal-side ``sqfree_power`` that ``power-matching-agreement`` compares

@@ -27,6 +27,11 @@ from .matchings import edge_mask, enumerate_matchings, matching_number
 
 
 def edge_ideal(G: Graph) -> MonomialIdeal:
+    """I(G); within a request (see ``memo``), built once per (n, edges)."""
+    return memo.get((G.n, G.edges), lambda: _edge_ideal(G))
+
+
+def _edge_ideal(G: Graph) -> MonomialIdeal:
     return MonomialIdeal.from_supports(G.n, G.edge_list)
 
 

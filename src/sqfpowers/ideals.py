@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
+from . import memo
 from .graphs import MAX_VERTICES
 
 
@@ -245,9 +246,16 @@ def restrict(I: MonomialIdeal, m: int) -> MonomialIdeal:
 
 
 def ratliff_check(I: MonomialIdeal, k: int, l: int) -> bool | None:
-    """Whether I^[k] : I^[l] = I^[k]; None when I^[l] is zero (vacuous)."""
+    """Whether I^[k] : I^[l] = I^[k]; None when I^[l] is zero (vacuous).
+
+    Within a request (see ``memo``), decided once per (gens, k, l).
+    """
     if not 1 <= l <= k:
         raise ValueError("need 1 <= l <= k")
+    return memo.get((I.gens, k, l), lambda: _ratliff(I, k, l))
+
+
+def _ratliff(I: MonomialIdeal, k: int, l: int) -> bool | None:
     Il = sqfree_power(I, l)
     if Il.is_zero:
         return None

@@ -216,7 +216,14 @@ def is_gap_free(G: Graph) -> bool:
 
 
 def induced_matching_number(G: Graph) -> int:
-    """Largest matching whose edges pairwise form gaps."""
+    """Largest matching whose edges pairwise form gaps.
+
+    Within a request (see ``memo``), computed once per edge set.
+    """
+    return memo.get(G.edges, lambda: _induced_nu(G))
+
+
+def _induced_nu(G: Graph) -> int:
     edges = G.edge_list
     if not edges:
         return 0
@@ -240,7 +247,12 @@ def restricted_matching_number(G: Graph) -> int:
 
     The edges forming a gap with e = (a, b) are exactly the edges of
     G - N[a] - N[b], so the answer is 1 + max over e of nu(G - N[a] - N[b]).
+    Within a request (see ``memo``), computed once per edge set.
     """
+    return memo.get(G.edges, lambda: _restricted_nu(G))
+
+
+def _restricted_nu(G: Graph) -> int:
     if not G.edges:
         return 0
     adj, full = G.adjacency, G.vertex_mask
@@ -289,7 +301,14 @@ def enumerate_maximal_matchings(G: Graph) -> Iterator[Matching]:
 
 
 def is_equimatchable(G: Graph) -> bool:
-    """Every maximal matching has maximum size."""
+    """Every maximal matching has maximum size.
+
+    Within a request (see ``memo``), decided once per edge set.
+    """
+    return memo.get(G.edges, lambda: _equimatchable(G))
+
+
+def _equimatchable(G: Graph) -> bool:
     nu = matching_number(G)
     return all(len(M) == nu for M in enumerate_maximal_matchings(G))
 

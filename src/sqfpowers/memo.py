@@ -6,14 +6,24 @@ result.  ``checks.run_checks`` opens it around its serial loop, and each pool
 worker opens it as its initializer, for the life of the pool.
 
 A call site asks for a value by key and gives the function that computes it.
-So are memoised the lcm lattice (by ``gens``), the Betti table (by ``(gens,
-p)``), the squarefree power via matchings (by ``(n, edges, k)``, as the power
-carries n) and the matching number (by ``edges``).  A key holds only what the
-value depends on, so an ideal or graph that recurs on more variables, as an
-induced subgraph or beside isolated vertices, is computed once.  Each call
-site has its own store, found by the code of its compute function, so equal
-keys of two call sites never meet.  Only a finished value is stored; an exception raised while
-computing (an exhausted budget, bad input) propagates and stores nothing.
+So are memoised, each by its key:
+
+- the lcm lattice, by ``gens``;
+- the Betti table, by ``(gens, p)``;
+- the combinatorial linear-relatedness verdict, by ``gens``;
+- the squarefree power via matchings, by ``(n, edges, k)``, and the edge
+  ideal, by ``(n, edges)``, as an ideal carries n;
+- the matching numbers nu, nu0 and nu1 and equimatchability, each by
+  ``edges``;
+- the Ratliff verdict I^[k] : I^[l] = I^[k], by ``(gens, k, l)``.
+
+A key holds only what the value depends on, so an ideal or graph that recurs
+on more variables, as an induced subgraph or beside isolated vertices, is
+computed once.  Each call site has its own store, found by the code of its
+compute function, so equal keys of two call sites never meet.  Only a finished
+value is stored; an exception raised while computing (an exhausted budget,
+bad input) propagates and stores nothing.  Input checks that raise stay
+outside the compute function, so they run on every call.
 """
 
 from __future__ import annotations

@@ -1,5 +1,12 @@
-"""Lattices, Betti tables, squarefree powers and matching numbers are computed
-once per request, and only then."""
+"""Each memoised object is computed once per request, and only then.
+
+The objects and their keys: the lcm lattice (``gens``), the Betti table
+(``(gens, p)``), the power I(G)^[k] via matchings (``(n, edges, k)``), the
+edge ideal I(G) (``(n, edges)``), the matching numbers nu, nu0 and nu1 and
+equimatchability (each by ``edges``), the combinatorial linear-relatedness
+verdict (``gens``) and the Ratliff verdict of ``ratliff_check``
+(``(gens, k, l)``).
+"""
 
 import itertools
 import multiprocessing
@@ -7,13 +14,25 @@ from contextlib import contextmanager
 
 import pytest
 
-from sqfpowers import betti, checks, edge_ideals, matchings, memo
-from sqfpowers.betti import BudgetExceeded, lcm_lattice, multigraded_betti, time_budget
+from sqfpowers import betti, checks, edge_ideals, ideals, matchings, memo
+from sqfpowers.betti import (
+    BudgetExceeded,
+    is_linearly_related_combinatorial,
+    lcm_lattice,
+    linear_quotients_order,
+    multigraded_betti,
+    time_budget,
+)
 from sqfpowers.checks import CHECKS, PASS, Check, CheckContext, run_check_on_instance, run_checks
 from sqfpowers.edge_ideals import edge_ideal, sqfree_power_via_matchings
 from sqfpowers.graphs import Graph, cycle_graph, path_graph
-from sqfpowers.ideals import MonomialIdeal, monomial
-from sqfpowers.matchings import matching_number
+from sqfpowers.ideals import MonomialIdeal, monomial, ratliff_check
+from sqfpowers.matchings import (
+    induced_matching_number,
+    is_equimatchable,
+    matching_number,
+    restricted_matching_number,
+)
 
 
 def _count_calls(monkeypatch, module, name) -> list[int]:
@@ -69,6 +88,43 @@ def test_a_request_computes_each_object_once(monkeypatch, kernels):
     # outside run_checks nothing is held: every call computes afresh
     list(_twice(cycle_graph(5), CheckContext()))
     assert [calls[0] for calls in kernels] == [6, 4, 4, 4]
+
+
+@pytest.fixture
+def verdicts(monkeypatch):
+    """Build counters of the edge ideals and the verdicts computed."""
+    return (
+        _count_calls(monkeypatch, edge_ideals, "_edge_ideal"),
+        _count_calls(monkeypatch, betti, "_linearly_related"),
+        _count_calls(monkeypatch, matchings, "_restricted_nu"),
+        _count_calls(monkeypatch, matchings, "_induced_nu"),
+        _count_calls(monkeypatch, matchings, "_equimatchable"),
+        _count_calls(monkeypatch, ideals, "_ratliff"),
+    )
+
+
+def _verdicts_twice(G, ctx):
+    for _ in range(2):
+        I = edge_ideal(G)
+        is_linearly_related_combinatorial(I)
+        restricted_matching_number(G)
+        induced_matching_number(G)
+        is_equimatchable(G)
+        ratliff_check(I, 2, 1)
+    yield "", True, None
+
+
+def test_a_request_decides_each_verdict_once(monkeypatch, verdicts):
+    monkeypatch.setitem(
+        CHECKS, "fake-verdicts", Check("fake-verdicts", "theorem", "graph", "", _verdicts_twice)
+    )
+    reports = run_checks(["fake-verdicts"], [cycle_graph(5), path_graph(4), cycle_graph(5)])
+    assert [r.outcome for r in reports] == [PASS] * 3
+    assert [calls[0] for calls in verdicts] == [2] * 6
+
+    # outside run_checks nothing is held: every call computes afresh
+    list(_verdicts_twice(cycle_graph(5), CheckContext()))
+    assert [calls[0] for calls in verdicts] == [4] * 6
 
 
 def _identical(G, ctx):
@@ -140,6 +196,28 @@ def test_only_a_finished_table_is_stored(kernels):
     assert tables[0] == 5
 
 
+def test_only_a_finished_verdict_is_stored(verdicts):
+    _, linrel, _, _, _, ratliff = verdicts
+    I = sqfree_power_via_matchings(cycle_graph(7), 2)
+    fresh = linear_quotients_order(I)
+    mixed = MonomialIdeal.from_supports(3, [[1], [2, 3]])
+    with request():
+        # the verdict checks the budget once per generator, so the first
+        # call stops inside it and the search never starts
+        with time_budget(-1):
+            assert linear_quotients_order(I).status == "inconclusive"
+        assert linear_quotients_order(I) == fresh
+        assert linear_quotients_order(I) == fresh
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                is_linearly_related_combinatorial(mixed)
+            with pytest.raises(ValueError):
+                ratliff_check(I, 1, 2)
+    # fresh, interrupted, then full once; neither bad input reached a compute
+    assert linrel[0] == 3
+    assert ratliff[0] == 0
+
+
 def test_an_interrupted_lattice_is_not_stored(kernels):
     # the lattice checks the budget once per generator joined in, so a
     # budgeted check stops before the whole lattice is built
@@ -201,10 +279,17 @@ def test_tables_and_nu_are_keyed_without_the_number_of_variables(kernels):
 
 
 def test_call_sites_keep_apart_equal_keys():
-    # the table of the zero ideal in 3 variables over GF(2) and the second
-    # power of the edgeless graph on 3 vertices share the key (3, (), 2)
-    zero = MonomialIdeal.zero(3)
-    with request():
-        table = multigraded_betti(zero, 2)
-        assert sqfree_power_via_matchings(Graph.from_edges(3, []), 2) == zero
-        assert multigraded_betti(zero, 2) is table
+    # nu, nu0, nu1 and equimatchability are all keyed by the edge set; on P4
+    # (nu = 2, nu0 = nu1 = 1, not equimatchable) each call site must return
+    # its own value, whichever of them stores its value first
+    P4 = path_graph(4)
+    expected = [
+        (matching_number, 2),
+        (restricted_matching_number, 1),
+        (induced_matching_number, 1),
+        (is_equimatchable, False),
+    ]
+    for order in (expected, expected[::-1]):
+        with request():
+            for _ in range(2):
+                assert [f(P4) for f, _ in order] == [value for _, value in order]
