@@ -9,16 +9,18 @@ scope (graph, tree, forest, ideal collections, builtin fixtures) and kind
 without affecting exit codes).  Declaration order is the registry order that
 ``verify --list`` prints.
 
-A runner takes ``(G, ctx)``, or ``(ctx)`` for a collection, and builds no
-reports.  It returns ``VACUOUS`` when the hypotheses are unmet, or yields one
-``(label, verdict, witness)`` per report.  For graph scopes the label is a
-suffix of the graph's ``g6:`` name (``";k=2"``, or ``""``); for collection
-scopes it is the whole instance name.  The verdict is a bool or an explicit
-outcome.  ``run_check_on_instance`` does the rest: instance names, per-report
-timing, pass / fail from a bool (a passing bool drops its witness, an explicit
-outcome keeps it), one ``betti.time_budget`` scope around the runner, which
-bounds every library call made inside it, and the conversion of an exhausted
-budget into one inconclusive report and of a crash into one failing report.
+A runner takes ``(G, ctx)``, or ``(ctx)`` for a collection, builds no
+reports and yields one ``(label, verdict, witness)`` per report.  For graph
+scopes the label is a suffix of the graph's ``g6:`` name (``";k=2"``, or
+``""``); for collection scopes it is the whole instance name.  The verdict is
+a bool or an explicit outcome.  A runner yields nothing when the hypotheses
+are unmet, and the registry alone decides scope.  ``run_check_on_instance``
+does the rest: one vacuous report for an instance outside the scope or a
+runner that yields nothing, instance names, per-report timing, pass / fail
+from a bool (a passing bool drops its witness, an explicit outcome keeps it),
+one ``betti.time_budget`` scope around the runner, which bounds every library
+call made inside it, and the conversion of an exhausted budget into one
+inconclusive report and of a crash into one failing report.
 
 ``run_checks`` makes one task of each collection check, then one of each
 graph with every check in scope of it, and runs them in a serial loop or a
@@ -42,12 +44,13 @@ import itertools
 import json
 import random
 import time
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import memo
 from .betti import (
     BudgetExceeded,
     LinearQuotientsResult,
+    _check_characteristic,
     _check_deadline,
     _search_linear_quotients,
     first_syzygy_witness,
@@ -60,7 +63,13 @@ from .betti import (
     regularity,
     time_budget,
 )
-from .defaults import DEFAULT_CHARACTERISTIC, DEFAULT_NODE_BUDGET, DEFAULT_SEED
+from .defaults import (
+    DEFAULT_CHARACTERISTIC,
+    DEFAULT_NODE_BUDGET,
+    DEFAULT_RANDOM_GRAPHS,
+    DEFAULT_RANDOM_IDEALS,
+    DEFAULT_SEED,
+)
 from .edge_ideals import (
     classify_forest,
     colon_square_by_edge,
@@ -141,14 +150,14 @@ class CheckReport(NamedTuple):
 
 
 class CheckContext(NamedTuple):
-    """Knobs shared by every runner; defaults match the shipped suite."""
+    """Parameters shared by every runner; the defaults are those of ``verify``."""
 
     characteristic: int = DEFAULT_CHARACTERISTIC
     seed: int = DEFAULT_SEED
     node_budget: int = DEFAULT_NODE_BUDGET
     time_budget_s: float | None = None
-    random_ideal_count: int = 500
-    random_graph_count: int = 1000
+    random_ideal_count: int = DEFAULT_RANDOM_IDEALS
+    random_graph_count: int = DEFAULT_RANDOM_GRAPHS
 
 
 class Check(NamedTuple):
@@ -161,7 +170,8 @@ class Check(NamedTuple):
 
 CHECKS: dict[str, Check] = {}
 
-GRAPH_SCOPES = {"graph", "tree", "forest"}
+# which graphs each graph scope holds; every other scope is a collection
+GRAPH_SCOPES = {"graph": lambda G: True, "tree": is_tree, "forest": is_forest}
 
 
 def check(name: str, kind: str, scope: str, statement: str) -> Callable:
@@ -213,8 +223,6 @@ def _powers_upto_nu(G: Graph) -> list[tuple[int, MonomialIdeal]]:
 )
 def _run_lower_bound(G: Graph, ctx: CheckContext):
     nu1 = induced_matching_number(G)
-    if nu1 == 0:
-        return VACUOUS
     for k in range(1, nu1 + 1):
         I = sqfree_power_via_matchings(G, k)
         reg = multigraded_betti(I, ctx.characteristic).regularity()
@@ -230,7 +238,7 @@ def _run_lower_bound(G: Graph, ctx: CheckContext):
 def _run_upper_bound_k2(G: Graph, ctx: CheckContext):
     nu = matching_number(G)
     if nu < 2:
-        return VACUOUS
+        return
     I = sqfree_power_via_matchings(G, 2)
     reg = multigraded_betti(I, ctx.characteristic).regularity()
     yield "", reg <= 2 + nu, {"reg": reg, "nu": nu}
@@ -243,8 +251,6 @@ def _run_upper_bound_k2(G: Graph, ctx: CheckContext):
     "searched bound reg(I(G)^[k]) <= k + nu(G) for k <= nu(G); never asserted",
 )
 def _run_upper_question(G: Graph, ctx: CheckContext):
-    if not G.edges:
-        return VACUOUS
     nu = matching_number(G)
     for k, I in _powers_upto_nu(G):
         reg = multigraded_betti(I, ctx.characteristic).regularity()
@@ -259,7 +265,7 @@ def _run_upper_question(G: Graph, ctx: CheckContext):
 )
 def _run_linrel_monotone(G: Graph, ctx: CheckContext):
     if not G.edges:
-        return VACUOUS
+        return
     verdicts = [
         is_linearly_related_combinatorial(I)
         for _, I in _powers_upto_nu(G)
@@ -276,7 +282,7 @@ def _run_linrel_monotone(G: Graph, ctx: CheckContext):
 )
 def _run_nu0_lambda(G: Graph, ctx: CheckContext):
     if not G.edges:
-        return VACUOUS
+        return
     lam = lambda_number(G)
     nu0 = restricted_matching_number(G)
     yield "", lam >= nu0, {"lambda": lam, "nu0": nu0}
@@ -290,7 +296,7 @@ def _run_nu0_lambda(G: Graph, ctx: CheckContext):
 )
 def _run_nu0_le_2_linrel(G: Graph, ctx: CheckContext):
     if not G.edges or restricted_matching_number(G) > 2:
-        return VACUOUS
+        return
     bad = []
     for k, I in _powers_upto_nu(G):
         if k >= 2 and not is_linearly_related_combinatorial(I):
@@ -298,11 +304,12 @@ def _run_nu0_le_2_linrel(G: Graph, ctx: CheckContext):
     yield "", not bad, {"failing_k": bad}
 
 
-def _ratliff_colons(G: Graph, pairs: Iterable[tuple[int, int]]):
-    """One verdict on I(G)^[k] : I(G)^[l] = I(G)^[k] over all the pairs."""
-    I = edge_ideal(G)
-    bad = [[k, l] for k, l in pairs if ratliff_check(I, k, l) is False]
-    yield "", not bad, {"failing_pairs": bad}
+def _ratliff_colons(G: Graph, pairs: list[tuple[int, int]]):
+    """One verdict on I(G)^[k] : I(G)^[l] = I(G)^[k] over the pairs, if any."""
+    if pairs:
+        I = edge_ideal(G)
+        bad = [[k, l] for k, l in pairs if ratliff_check(I, k, l) is False]
+        yield "", not bad, {"failing_pairs": bad}
 
 
 @check(
@@ -313,8 +320,6 @@ def _ratliff_colons(G: Graph, pairs: Iterable[tuple[int, int]]):
 )
 def _run_ratliff_surprised(G: Graph, ctx: CheckContext):
     nu = matching_number(G)
-    if nu < 2:
-        return VACUOUS
     yield from _ratliff_colons(G, [(k, 1) for k in range(2, nu + 1)])
 
 
@@ -325,11 +330,9 @@ def _run_ratliff_surprised(G: Graph, ctx: CheckContext):
     "I(G)^[k] : I(G)^[2] = I(G)^[k] for 2 < k <= nu(G), no isolated vertices",
 )
 def _run_ratliff_easy(G: Graph, ctx: CheckContext):
-    if not G.edges or isolated_vertices(G):
-        return VACUOUS
+    if isolated_vertices(G):
+        return
     nu = matching_number(G)
-    if nu < 3:
-        return VACUOUS
     yield from _ratliff_colons(G, [(k, 2) for k in range(3, nu + 1)])
 
 
@@ -340,11 +343,9 @@ def _run_ratliff_easy(G: Graph, ctx: CheckContext):
     "equimatchable G: I(G)^[k] : I(G)^[l] = I(G)^[k] for 1 <= l < k <= nu(G)",
 )
 def _run_ratliff_equimatchable(G: Graph, ctx: CheckContext):
-    if not G.edges or not is_equimatchable(G):
-        return VACUOUS
+    if not is_equimatchable(G):
+        return
     nu = matching_number(G)
-    if nu < 2:
-        return VACUOUS
     yield from _ratliff_colons(
         G, [(k, l) for k in range(2, nu + 1) for l in range(1, k)]
     )
@@ -373,7 +374,7 @@ def _run_ratliff_random(ctx: CheckContext):
 )
 def _run_generator_unimodality(G: Graph, ctx: CheckContext):
     if not G.edges:
-        return VACUOUS
+        return
     counts = [len(I.gens) for _, I in _powers_upto_nu(G)]
     ok = True
     decreased = False
@@ -395,7 +396,7 @@ def _run_generator_unimodality(G: Graph, ctx: CheckContext):
 def _run_first_syzygy_degree_bound(G: Graph, ctx: CheckContext):
     nu = matching_number(G)
     if nu < 2:
-        return VACUOUS
+        return
     bad = []
     for k in range(2, nu + 1):
         I = sqfree_power_via_matchings(G, k)
@@ -415,8 +416,6 @@ def _run_first_syzygy_degree_bound(G: Graph, ctx: CheckContext):
     "Betti table of the restriction I^{<= m} equals the sub-table at divisors of m",
 )
 def _run_restriction_table(G: Graph, ctx: CheckContext):
-    if not G.edges:
-        return VACUOUS
     rng = random.Random((ctx.seed, _graph6(G)).__repr__())
     for k, I in _powers_upto_nu(G):
         table = multigraded_betti(I, ctx.characteristic)
@@ -444,7 +443,7 @@ def _run_restriction_table(G: Graph, ctx: CheckContext):
 )
 def _run_betti_induced_monotone(G: Graph, ctx: CheckContext):
     if not G.edges:
-        return VACUOUS
+        return
     big_tables = {
         k: multigraded_betti(I, ctx.characteristic)
         for k, I in _powers_upto_nu(G)
@@ -486,8 +485,6 @@ def _run_froberg(G: Graph, ctx: CheckContext):
     "combinatorial and homological linear-relatedness verdicts agree",
 )
 def _run_linrel_oracle_agreement(G: Graph, ctx: CheckContext):
-    if not G.edges:
-        return VACUOUS
     for k, I in _powers_upto_nu(G):
         comb = is_linearly_related_combinatorial(I)
         homo = is_linearly_related_homological(I, ctx.characteristic)
@@ -502,7 +499,7 @@ def _run_linrel_oracle_agreement(G: Graph, ctx: CheckContext):
 )
 def _run_top_power_linear_quotients(G: Graph, ctx: CheckContext):
     if not G.edges:
-        return VACUOUS
+        return
     nu = matching_number(G)
     I = sqfree_power_via_matchings(G, nu)
     result = _search_linear_quotients(I, ctx.node_budget)
@@ -547,7 +544,7 @@ def _run_power_matching_agreement(G: Graph, ctx: CheckContext):
 )
 def _run_colon_formula(G: Graph, ctx: CheckContext):
     if not G.edges:
-        return VACUOUS
+        return
     I2 = sqfree_power_via_matchings(G, 2)
     bad = []
     for e in G.edge_list:
@@ -566,7 +563,7 @@ def _run_colon_formula(G: Graph, ctx: CheckContext):
 )
 def _run_colon_regularity(G: Graph, ctx: CheckContext):
     if not G.edges:
-        return VACUOUS
+        return
     nu = matching_number(G)
     bad = []
     for e in G.edge_list:
@@ -583,8 +580,6 @@ def _run_colon_regularity(G: Graph, ctx: CheckContext):
     "under the degree hypothesis the edge intersection ideal is generated in degree 2k+1 with the predicted shape",
 )
 def _run_l_ideal_shape(G: Graph, ctx: CheckContext):
-    if not G.edges:
-        return VACUOUS
     nu = matching_number(G)
     bad = []
     ran = False
@@ -596,9 +591,8 @@ def _run_l_ideal_shape(G: Graph, ctx: CheckContext):
             L = l_ideal(G, e, k)
             if L != l_ideal_shape(G, e, k) or not is_generated_in_degree(L, 2 * k + 1):
                 bad.append({"edge": list(e), "k": k})
-    if not ran:
-        return VACUOUS
-    yield "", not bad, {"violations": bad}
+    if ran:
+        yield "", not bad, {"violations": bad}
 
 
 @check(
@@ -609,7 +603,7 @@ def _run_l_ideal_shape(G: Graph, ctx: CheckContext):
 )
 def _run_taylor_witness(G: Graph, ctx: CheckContext):
     if not G.edges:
-        return VACUOUS
+        return
     bad = []
     for k, I in _powers_upto_nu(G):
         # a covered witness can only be wrong where b_{1,m} != 0
@@ -631,7 +625,7 @@ def _run_taylor_witness(G: Graph, ctx: CheckContext):
 )
 def _run_equimatchable_extension(G: Graph, ctx: CheckContext):
     if not G.edges or not is_equimatchable(G):
-        return VACUOUS
+        return
     rng = random.Random((ctx.seed, _graph6(G)).__repr__())
     vertex_sets = [set()]
     for _ in range(3):
@@ -665,7 +659,7 @@ def _run_equimatchable_extension(G: Graph, ctx: CheckContext):
 def _run_generated_by_variables(G: Graph, ctx: CheckContext):
     I2 = sqfree_power_via_matchings(G, 2)
     if I2.is_zero:
-        return VACUOUS
+        return
     edges = edge_ideal(G).gens
     bad = []
     for i in range(1, len(edges)):
@@ -715,8 +709,8 @@ def _has_chordless_cycle(G: Graph) -> bool:
     "records the truth pattern of the four ideal conditions on non-forests",
 )
 def _run_five_way_nonforest(G: Graph, ctx: CheckContext):
-    if is_forest(G) or not G.edges:
-        return VACUOUS
+    if is_forest(G):
+        return
     I2 = sqfree_power_via_matchings(G, 2)
     search = linear_quotients_order(I2, ctx.node_budget)
     if search.status == "inconclusive":
@@ -744,8 +738,6 @@ def _second_power_conditions(
     "graded Betti tables over GF(2) compared against the default characteristic",
 )
 def _run_char2_cross_check(G: Graph, ctx: CheckContext):
-    if not G.edges:
-        return VACUOUS
     for k, I in _powers_upto_nu(G):
         base = multigraded_betti(I, ctx.characteristic).graded()
         char2 = multigraded_betti(I, 2).graded()
@@ -765,8 +757,6 @@ def _run_char2_cross_check(G: Graph, ctx: CheckContext):
     "vertex-deletion criterion matches brute-force perfect matching on trees",
 )
 def _run_tree_criterion_agreement(G: Graph, ctx: CheckContext):
-    if not is_tree(G):
-        return VACUOUS
     crit = tree_perfect_matching_criterion(G)
     brute = has_perfect_matching(G)
     yield "", crit == brute, {"criterion": crit, "brute": brute}
@@ -779,8 +769,8 @@ def _run_tree_criterion_agreement(G: Graph, ctx: CheckContext):
     "trees with a perfect matching: I^[nu0] has a linear resolution",
 )
 def _run_tree_perfect_linres(G: Graph, ctx: CheckContext):
-    if not is_tree(G) or not has_perfect_matching(G):
-        return VACUOUS
+    if not has_perfect_matching(G):
+        return
     nu0 = restricted_matching_number(G)
     I = sqfree_power_via_matchings(G, nu0)
     ok = has_linear_resolution(I, ctx.characteristic)
@@ -794,8 +784,8 @@ def _run_tree_perfect_linres(G: Graph, ctx: CheckContext):
     "trees with a perfect matching and n > 2 have nu0 = nu - 1",
 )
 def _run_nu0_perfect_tree(G: Graph, ctx: CheckContext):
-    if not is_tree(G) or G.n <= 2 or not has_perfect_matching(G):
-        return VACUOUS
+    if G.n <= 2 or not has_perfect_matching(G):
+        return
     nu0 = restricted_matching_number(G)
     nu = matching_number(G)
     yield "", nu0 == nu - 1, {"nu0": nu0, "nu": nu}
@@ -808,12 +798,8 @@ def _run_nu0_perfect_tree(G: Graph, ctx: CheckContext):
     "for forests (no isolated vertices, not a single edge) the five second-power conditions coincide",
 )
 def _run_forest_five_way(G: Graph, ctx: CheckContext):
-    if not is_forest(G) or not G.edges:
-        return VACUOUS
-    if isolated_vertices(G):
-        return VACUOUS
-    if G.n == 2:
-        return VACUOUS
+    if not G.edges or isolated_vertices(G) or G.n == 2:
+        return
     I2 = sqfree_power_via_matchings(G, 2)
     search = _search_linear_quotients(I2, ctx.node_budget)
     if search.status == "inconclusive":
@@ -1029,36 +1015,34 @@ def _run_matching_chain_random(ctx: CheckContext):
 # ---------------------------------------------------------------------------
 # execution
 
-def _verdicts(items: Iterable) -> Iterator[tuple[str, bool | str, dict | None]]:
-    """A runner's items, or one vacuous item when the runner returns VACUOUS."""
-    if (yield from items) == VACUOUS:
-        yield "", VACUOUS, None
-
-
 def run_check_on_instance(
     name: str, instance: Graph | None, ctx: CheckContext
 ) -> list[CheckReport]:
     """Run one check on one instance and turn its runner's items into reports.
 
-    The runner and its reports run under ``time_budget(ctx.time_budget_s)``,
-    so every library call they make is bounded; the budget is also checked
-    before the runner starts and before each report.  An exhausted budget keeps the reports already finished and adds
-    one inconclusive report; a crash replaces the instance's reports by one
-    failing report.
+    A graph outside the check's scope, or a runner that yields nothing, gives
+    one vacuous report.  The runner and its reports run under
+    ``time_budget(ctx.time_budget_s)``, so every library call they make is
+    bounded; the budget is also checked before the runner starts and before
+    each report.  An exhausted budget keeps the reports already finished and
+    adds one inconclusive report; a crash replaces the instance's reports by
+    one failing report.
     """
     check = CHECKS[name]
     label = _gid(instance) if instance is not None else f"collection:seed={ctx.seed}"
+    holds = GRAPH_SCOPES.get(check.scope)  # None for a collection
     t0 = start = time.monotonic()
     reports = []
     try:
         with time_budget(ctx.time_budget_s):
             _check_deadline()
-            if check.scope in GRAPH_SCOPES:
-                assert instance is not None
-                prefix, items = label, check.runner(instance, ctx)
-            else:
+            if holds is None:
                 prefix, items = "", check.runner(ctx)
-            for suffix, verdict, witness in _verdicts(items):
+            else:
+                assert instance is not None
+                items = check.runner(instance, ctx) if holds(instance) else ()
+                prefix = label
+            for suffix, verdict, witness in items:
                 _check_deadline()
                 if isinstance(verdict, bool):
                     verdict, witness = (PASS, None) if verdict else (FAIL, witness)
@@ -1066,6 +1050,9 @@ def run_check_on_instance(
                     CheckReport(name, prefix + suffix, verdict, witness, _ms(start))
                 )
                 start = time.monotonic()
+            if not reports:
+                _check_deadline()
+                reports.append(CheckReport(name, label, VACUOUS, None, _ms(start)))
     except BudgetExceeded as exc:
         reports.append(
             CheckReport(name, label, INCONCLUSIVE, {"reason": str(exc)}, _ms(start))
@@ -1092,8 +1079,7 @@ def _tasks_for(
     ]
     graph_names = [name for name in names if CHECKS[name].scope in GRAPH_SCOPES]
     for G in graphs:
-        in_scope = {"graph": True, "tree": is_tree(G), "forest": is_forest(G)}
-        own = tuple(name for name in graph_names if in_scope[CHECKS[name].scope])
+        own = tuple(n for n in graph_names if GRAPH_SCOPES[CHECKS[n].scope](G))
         if own:
             tasks.append((own, G))
     return tasks
@@ -1127,6 +1113,7 @@ def run_checks(
     unknown = [n for n in names if n not in CHECKS]
     if unknown:
         raise ValueError(f"unknown checks: {unknown}; known: {sorted(CHECKS)}")
+    _check_characteristic(ctx.characteristic)
     tasks = _tasks_for(names, graphs)
     reports: list[CheckReport] = []
     if jobs > 1:

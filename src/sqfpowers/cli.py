@@ -21,7 +21,14 @@ import sys
 from pathlib import Path
 
 from . import betti, checks, edge_ideals, families, graphs, ideals, matchings
-from .defaults import DEFAULT_CHARACTERISTIC, DEFAULT_NODE_BUDGET, DEFAULT_SEED, FAMILY_HELP
+from .defaults import (
+    DEFAULT_CHARACTERISTIC,
+    DEFAULT_NODE_BUDGET,
+    DEFAULT_RANDOM_GRAPHS,
+    DEFAULT_RANDOM_IDEALS,
+    DEFAULT_SEED,
+    FAMILY_HELP,
+)
 
 GRAPH_SPEC_HELP = (
     "graph source: a builtin name (%s), 'builtin:NAME', 'g6:STRING', "
@@ -545,8 +552,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--list", action="store_true", help="print the registry and exit")
     p.add_argument("--jobs", type=int, default=1, help="worker processes")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--random-ideals", type=int, default=500)
-    p.add_argument("--random-graphs", type=int, default=1000)
+    p.add_argument("--random-ideals", type=int, default=DEFAULT_RANDOM_IDEALS)
+    p.add_argument("--random-graphs", type=int, default=DEFAULT_RANDOM_GRAPHS)
     p.add_argument(
         "--ndjson", default=None, metavar="PATH", help="write one report per line"
     )

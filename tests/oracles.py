@@ -21,7 +21,6 @@ from __future__ import annotations
 import functools
 import itertools
 from collections import defaultdict
-from fractions import Fraction
 
 from sqfpowers import Graph, MonomialIdeal
 from sqfpowers.families import GRAPH_ENUM_CAP, _edge_slots, _graph_from_code
@@ -307,28 +306,26 @@ def brute_has_linear_quotients(I: MonomialIdeal) -> bool:
 # multigraded Betti numbers from the Taylor complex over the rationals
 
 def rational_rank(rows: list[list[int]]) -> int:
-    """Exact Gaussian elimination over Q."""
-    if not rows or not rows[0]:
-        return 0
-    mat = [[Fraction(x) for x in row] for row in rows]
-    n_rows, n_cols = len(mat), len(mat[0])
-    rank = 0
-    row = 0
-    for col in range(n_cols):
-        pivot = next((r for r in range(row, n_rows) if mat[r][col] != 0), None)
+    """Exact rank over Q, by fraction-free (Bareiss) elimination over Z.
+
+    After j pivots every entry below them is a (j+1)-minor of the input, so
+    each division by the previous pivot is exact and no entry leaves Z.
+    """
+    mat = [list(row) for row in rows]
+    n_rows = len(mat)
+    rank, previous = 0, 1
+    for col in range(len(mat[0]) if mat else 0):
+        pivot = next((r for r in range(rank, n_rows) if mat[r][col]), None)
         if pivot is None:
             continue
-        mat[row], mat[pivot] = mat[pivot], mat[row]
-        inv = 1 / mat[row][col]
-        mat[row] = [x * inv for x in mat[row]]
-        for r in range(n_rows):
-            if r != row and mat[r][col] != 0:
-                factor = mat[r][col]
-                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[row])]
-        row += 1
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        top = mat[rank]
+        p = top[col]
+        for r in range(rank + 1, n_rows):
+            a = mat[r][col]
+            mat[r] = [(p * x - a * y) // previous for x, y in zip(mat[r], top)]
+        previous = p
         rank += 1
-        if row == n_rows:
-            break
     return rank
 
 

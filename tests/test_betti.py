@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -285,6 +286,37 @@ def test_rp2_table_depends_on_the_characteristic():
         (2, full): 1,
         (3, full): 1,
     }
+
+
+def _fraction_rank(rows):
+    """Rank over Q by Gauss-Jordan elimination on Fractions."""
+    mat = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(mat[0]) if mat else 0):
+        pivot = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        top = [x / mat[rank][col] for x in mat[rank]]
+        mat[rank] = top
+        for r in range(len(mat)):
+            factor = mat[r][col]
+            if r != rank and factor:
+                mat[r] = [a - factor * b for a, b in zip(mat[r], top)]
+        rank += 1
+    return rank
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 7).flatmap(
+        lambda cols: st.lists(
+            st.lists(st.integers(-4, 4), min_size=cols, max_size=cols), max_size=7
+        )
+    )
+)
+def test_oracle_rank_agrees_with_fraction_elimination(rows):
+    assert oracles.rational_rank(rows) == _fraction_rank(rows)
 
 
 def _sorted_levels(levels):

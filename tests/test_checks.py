@@ -101,6 +101,54 @@ def test_run_checks_rejects_unknown_names():
         run_checks(["no-such-check"], [])
 
 
+@pytest.mark.parametrize("characteristic", [4, 1])
+def test_run_checks_rejects_a_bad_characteristic(characteristic, monkeypatch):
+    def never(G, ctx):
+        raise AssertionError("a task ran")
+
+    monkeypatch.setitem(CHECKS, "fake-never", Check("fake-never", "theorem", "graph", "", never))
+    with pytest.raises(ValueError, match="not prime"):
+        run_checks(
+            ["froberg", "fake-never"],
+            resolve_family("exhaustive-3"),
+            CheckContext(characteristic=characteristic),
+        )
+
+
+def test_every_selected_check_reports_on_every_instance_in_its_scope():
+    # a runner that yields nothing, or a collection with nothing in it, still
+    # gives its instance one (vacuous) report
+    graphs = resolve_family("exhaustive-4")
+    ctx = CheckContext(random_ideal_count=0, random_graph_count=0)
+    reports = run_checks(None, graphs, ctx)
+    named = {(r.check, r.instance.split(";")[0]) for r in reports}
+    for c in CHECKS.values():
+        if c.scope not in GRAPH_SCOPES:
+            assert any(check == c.name for check, _ in named), c.name
+            continue
+        for G in graphs:
+            if GRAPH_SCOPES[c.scope](G):
+                assert (c.name, checks._gid(G)) in named, (c.name, G)
+    assert [r.instance for r in reports if r.check == "ratliff-random"] == [
+        f"collection:seed={ctx.seed}"
+    ]
+
+
+def test_a_graph_outside_the_scope_is_vacuous_without_a_run(monkeypatch):
+    def yes(G, ctx):
+        yield "", True, None
+
+    monkeypatch.setitem(CHECKS, "fake-tree", Check("fake-tree", "theorem", "tree", "", yes))
+    reports = run_check_on_instance("fake-tree", path_graph(4), CheckContext())
+    assert [r.outcome for r in reports] == [PASS]
+    for name in CHECKS:
+        if CHECKS[name].scope in ("tree", "forest"):
+            reports = run_check_on_instance(name, cycle_graph(4), CheckContext())
+            assert [(r.instance, r.outcome, r.witness) for r in reports] == [
+                ("g6:Cl", VACUOUS, None)
+            ], name
+
+
 def _strip_millis(reports):
     return [(r.check, r.instance, r.outcome, r.witness) for r in reports]
 

@@ -782,6 +782,19 @@ def test_verify_ndjson_agrees_across_jobs(tmp_path):
     assert rows[0] == rows[1] and len(rows[0]) > 100
 
 
+def test_a_check_with_nothing_to_run_gives_one_vacuous_report(tmp_path):
+    nd = tmp_path / "reports.ndjson"
+    code, out, err = run(
+        ["verify", "ratliff-random", "--family", "exhaustive-2",
+         "--random-ideals", "0", "--seed", "7", "--ndjson", str(nd)]
+    )
+    assert code == 0, err
+    assert out.rstrip("\n").split("\n")[-1] == "3 graphs, 1 reports, 0 theorem failures"
+    assert _ndjson_without_millis(nd) == [
+        {"check": "ratliff-random", "instance": "collection:seed=7", "outcome": "vacuous"}
+    ]
+
+
 def test_verify_ndjson_path_is_checked_before_the_sweep(tmp_path, monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("the sweep ran before the --ndjson path was opened")
