@@ -30,10 +30,9 @@ _EXPORTS = {
             """
             BettiTable BudgetExceeded LinearQuotientsResult SyzygyWitnessReport
             first_syzygy_witness gf_rank has_linear_resolution
-            is_linear_quotients_order is_linearly_related_combinatorial
-            is_linearly_related_homological lcm_lattice linear_quotients_order
-            multigraded_betti projective_dimension regularity render_betti_diagram
-            time_budget
+            is_linearly_related_combinatorial is_linearly_related_homological
+            lcm_lattice linear_quotients_order multigraded_betti
+            projective_dimension regularity render_betti_diagram time_budget
             """,
         ),
         (
@@ -64,9 +63,9 @@ _EXPORTS = {
             """
             BUILTIN_GRAPH_NAMES MAX_VERTICES Graph builtin_graph complement
             complete_graph connected_components cycle_graph disjoint_union
-            format_edge_list induced_subgraph is_chordal is_connected is_forest
-            is_tree parse_edge_list parse_graph6 parse_graphs path_graph
-            proliferate_leaf remove_edge remove_vertices star_graph to_graph6
+            induced_subgraph is_chordal is_connected is_forest is_tree
+            parse_edge_list parse_graph6 parse_graphs path_graph remove_edge
+            remove_vertices star_graph to_graph6
             """,
         ),
         (
@@ -83,7 +82,7 @@ _EXPORTS = {
             """
             enumerate_matchings enumerate_maximal_matchings
             greedy_matching_extension has_perfect_matching induced_matching_number
-            is_equimatchable is_gap is_gap_free is_matching matching_number
+            is_equimatchable is_gap_free matching_number
             matching_number_within restricted_matching_number
             tree_perfect_matching_criterion
             """,

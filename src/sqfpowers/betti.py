@@ -190,9 +190,10 @@ def lcm_lattice(gens: Sequence[int]) -> list[int]:
 
 def _lattice_joins(gens: tuple[int, ...]) -> list[int]:
     # after joining in g_1..g_i, the set holds the joins of the nonempty
-    # generator sets with at most one member outside g_1..g_i
+    # generator sets with at most one member outside g_1..g_i; every set has
+    # at most one member, g_g, outside g_1..g_{g-1}, so g - 1 passes suffice
     lattice = set(gens)
-    for g in gens:
+    for g in gens[:-1]:
         _check_deadline()
         lattice |= {m | g for m in lattice}
     return sorted(lattice, key=lambda m: (m.bit_count(), monomial_sort_key(m)))
@@ -524,11 +525,6 @@ def _colon_is_linear(placed: Sequence[int], u: int) -> bool:
     return True
 
 
-def is_linear_quotients_order(gens: Sequence[int]) -> bool:
-    """Whether the given generator sequence has linear quotients."""
-    return all(_colon_is_linear(gens[:j], gens[j]) for j in range(1, len(gens)))
-
-
 class LinearQuotientsResult(NamedTuple):
     status: str  # "found" | "none" | "inconclusive"
     order: tuple[int, ...] | None
@@ -576,9 +572,9 @@ def _precedence(gens: Sequence[int]) -> list[int]:
     such pair: the first step of a linear path from u to t inside lcm(u, t)
     is such an s.
     """
-    single = [_variable_quotients(gens, u) for u in gens]
+    single = [_variable_quotients(gens, u) for u in gens]  # variables outside u
     return [
-        sum(1 << i for i, u in enumerate(gens) if i != j and not t & ~u & single[i])
+        sum(1 << i for i, u in enumerate(gens) if i != j and not t & single[i])
         for j, t in enumerate(gens)
     ]
 

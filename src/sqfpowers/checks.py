@@ -998,8 +998,11 @@ def _run_lambda_counterexamples(ctx: CheckContext):
     "nu1 <= nu0 <= nu on seeded random graphs up to 12 vertices",
 )
 def _run_matching_chain_random(ctx: CheckContext):
+    graphs = random_graphs(ctx.random_graph_count, RANDOM_GRAPH_MAX_N, ctx.seed)
+    if not graphs:
+        return
     bad = []
-    for G in random_graphs(ctx.random_graph_count, RANDOM_GRAPH_MAX_N, ctx.seed):
+    for G in graphs:
         nu1 = induced_matching_number(G)
         nu0 = restricted_matching_number(G)
         nu = matching_number(G)
@@ -1114,6 +1117,9 @@ def run_checks(
     if unknown:
         raise ValueError(f"unknown checks: {unknown}; known: {sorted(CHECKS)}")
     _check_characteristic(ctx.characteristic)
+    for field in ("random_ideal_count", "random_graph_count"):
+        if (count := getattr(ctx, field)) < 0:
+            raise ValueError(f"{field} must be >= 0, got {count}")
     tasks = _tasks_for(names, graphs)
     reports: list[CheckReport] = []
     if jobs > 1:

@@ -165,21 +165,6 @@ def disjoint_union(G: Graph, H: Graph) -> Graph:
     return Graph.from_edges(G.n + H.n, list(G.edge_list) + shifted)
 
 
-def proliferate_leaf(G: Graph, a: int, t: int) -> Graph:
-    """Replace the leaf a by t leaves hanging off the same support vertex."""
-    if G.degree(a) != 1:
-        raise ValueError(f"vertex {a} is not a leaf")
-    if t < 1:
-        raise ValueError("t must be >= 1")
-    (support,) = G.neighbors(a)
-    if G.n + t - 1 > MAX_VERTICES:
-        raise ValueError("proliferation exceeds the vertex cap")
-    edges = list(G.edge_list)
-    for i in range(t - 1):
-        edges.append((support, G.n + 1 + i))
-    return Graph.from_edges(G.n + t - 1, edges)
-
-
 def isolated_vertices(G: Graph) -> frozenset[int]:
     return frozenset(v for v in G.vertices if G.adjacency[v] == 0)
 
@@ -345,12 +330,6 @@ def parse_edge_list(text: str) -> Graph:
     if max_seen > n:
         raise ValueError(f"edge vertex {max_seen} exceeds declared n={n}")
     return Graph.from_edges(n, edges)
-
-
-def format_edge_list(G: Graph) -> str:
-    lines = [f"n {G.n}"]
-    lines.extend(f"{u} {v}" for u, v in G.edge_list)
-    return "\n".join(lines) + "\n"
 
 
 def parse_graph6(line: str) -> Graph:

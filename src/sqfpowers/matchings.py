@@ -57,18 +57,6 @@ def enumerate_matchings(G: Graph, k: int) -> Iterator[Matching]:
     yield from rec(0, 0)
 
 
-def is_matching(G: Graph, edges: Iterable[Edge]) -> bool:
-    used = 0
-    for e in edges:
-        if not G.has_edge(*e):
-            return False
-        mask = edge_mask(e)
-        if mask & used:
-            return False
-        used |= mask
-    return True
-
-
 def _nu(adj: tuple[int, ...], avail: int) -> int:
     """Matching number of the subgraph on the vertices in `avail`.
 
@@ -191,14 +179,6 @@ def matching_number_within(G: Graph, vertices: Iterable[int]) -> int:
 def _closed_edge_mask(G: Graph, e: Edge) -> int:
     adj = G.adjacency
     return adj[e[0]] | adj[e[1]] | edge_mask(e)
-
-
-def is_gap(G: Graph, e: Edge, f: Edge) -> bool:
-    """True when e and f induce a 2-matching (no edge of G joins them)."""
-    for edge in (e, f):
-        if not G.has_edge(*edge):
-            raise ValueError(f"edge {edge} not present")
-    return edge_mask(f) & _closed_edge_mask(G, e) == 0
 
 
 def is_gap_free(G: Graph) -> bool:

@@ -3,17 +3,19 @@
 Everything here is deliberately written from first principles with different
 algorithms and data structures than the package: exhaustive edge-subset
 search for the matching invariants, the Taylor complex over the rationals for
-multigraded Betti numbers, permutation and unpruned prefix search for linear
-quotients, and induced-subset search for chordless cycles.  Slow but
-obviously correct.
+multigraded Betti numbers, the minimal generators of each colon and unpruned
+prefix search for linear quotients, and induced-subset search for chordless
+cycles.  Slow but obviously correct.
 
-There are two exceptions.  ``generated_graphs``, the numpy generator that
+There are three exceptions.  ``generated_graphs``, the numpy generator that
 produced the package's bundled graph table, stays here to cross-check that
 table, beside ``canonical_code``, the least edge code of a graph over all
 relabelings, which checks the enumerations for isomorphic duplicates.
 ``gap_mates_restricted_matching_number`` is the package's earlier nu0: it
 scans the gap-mates of each edge by hand but takes their matching number from
 the package, and is fast enough to cross-check nu0 on 30 vertices.
+``format_edge_list`` is no oracle at all: it writes the edge-list format that
+the tests read back.
 """
 
 from __future__ import annotations
@@ -39,6 +41,10 @@ def _pairwise_disjoint(edges: tuple[Edge, ...]) -> bool:
             return False
         seen.update((u, v))
     return True
+
+
+def is_matching(G: Graph, edges: list[Edge] | tuple[Edge, ...]) -> bool:
+    return _pairwise_disjoint(edges) and all(G.has_edge(*e) for e in edges)
 
 
 def brute_matching_number(G: Graph) -> int:
@@ -251,24 +257,18 @@ def minimal_masks(masks: set[int]) -> set[int]:
 
 
 # ---------------------------------------------------------------------------
-# linear quotients by permutation search
+# linear quotients from the minimal generators of each colon
 
 def _colon_is_variable_generated(prefix: tuple[int, ...], u: int) -> bool:
     quotients = {t & ~u for t in prefix}
     return all(q.bit_count() == 1 for q in minimal_masks(quotients))
 
 
-def brute_linear_quotients_orders(I: MonomialIdeal) -> list[tuple[int, ...]]:
-    """Every linear-quotients order of the generators (permutation search)."""
-    gens = I.gens
-    found = []
-    for perm in itertools.permutations(gens):
-        if all(
-            _colon_is_variable_generated(perm[:j], perm[j])
-            for j in range(1, len(perm))
-        ):
-            found.append(perm)
-    return found
+def is_linear_quotients_order(gens: tuple[int, ...]) -> bool:
+    """Whether each colon (g_1, ..., g_{j-1}) : g_j is generated by variables."""
+    return all(
+        _colon_is_variable_generated(gens[:j], gens[j]) for j in range(1, len(gens))
+    )
 
 
 def first_linear_quotients_order(ranking: list[int]) -> tuple[int, ...] | None:
@@ -289,17 +289,12 @@ def first_linear_quotients_order(ranking: list[int]) -> tuple[int, ...] | None:
     return extend((), ranking)
 
 
-def brute_has_linear_quotients(I: MonomialIdeal) -> bool:
-    if I.is_zero or len(I.gens) == 1:
-        return True
-    gens = I.gens
-    return any(
-        all(
-            _colon_is_variable_generated(perm[:j], perm[j])
-            for j in range(1, len(perm))
-        )
-        for perm in itertools.permutations(gens)
-    )
+# ---------------------------------------------------------------------------
+# the edge-list text format, written
+
+def format_edge_list(G: Graph) -> str:
+    """G in the edge-list format that ``parse_edge_list`` and the CLI read."""
+    return "".join([f"n {G.n}\n", *(f"{u} {v}\n" for u, v in G.edge_list)])
 
 
 # ---------------------------------------------------------------------------

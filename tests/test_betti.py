@@ -1,6 +1,8 @@
 """Multigraded Betti numbers over GF(p) against an exact-arithmetic oracle."""
 
+import functools
 import itertools
+import operator
 import random
 from fractions import Fraction
 from types import SimpleNamespace
@@ -20,7 +22,6 @@ from sqfpowers.betti import (
     first_syzygy_witness,
     gf_rank,
     has_linear_resolution,
-    is_linear_quotients_order,
     is_linearly_related_combinatorial,
     is_linearly_related_homological,
     lcm_lattice,
@@ -199,6 +200,27 @@ def test_is_prime_against_trial_division():
 # ---------------------------------------------------------------------------
 # lcm lattice
 
+def _subset_joins(gens):
+    """The join of each nonempty subset of gens, one subset at a time."""
+    return {
+        functools.reduce(operator.or_, combo)
+        for r in range(1, len(gens) + 1)
+        for combo in itertools.combinations(gens, r)
+    }
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 255), unique=True, max_size=8))
+@example([1, 2, 4])
+@example([1 << v for v in range(8)])
+def test_lattice_joins_are_the_joins_of_all_generator_subsets(gens):
+    # g - 1 join passes suffice; dropping one more loses the joins of the
+    # subsets with two members outside the generators joined in, as the
+    # distinct variables of the examples show
+    want = sorted(_subset_joins(gens), key=lambda m: (m.bit_count(), monomial_sort_key(m)))
+    assert betti._lattice_joins(tuple(gens)) == want
+
+
 def test_lcm_lattice_matches_subset_joins():
     rng = random.Random(3)
     for _ in range(20):
@@ -209,15 +231,8 @@ def test_lcm_lattice_matches_subset_joins():
                 for _ in range(rng.randint(1, 5))
             }
         )
-        want = set()
-        for r in range(1, len(gens) + 1):
-            for combo in itertools.combinations(gens, r):
-                m = 0
-                for g in combo:
-                    m |= g
-                want.add(m)
         got = lcm_lattice(gens)
-        assert set(got) == want
+        assert set(got) == _subset_joins(gens)
         assert got == sorted(got, key=lambda m: (monomial_degree(m), monomial_vars(m)))
 
 
@@ -624,11 +639,11 @@ def test_witness_soundness():
 
 def test_is_linear_quotients_order_knowns():
     x12, x23, x34 = monomial([1, 2]), monomial([2, 3]), monomial([3, 4])
-    assert is_linear_quotients_order((x12, x23))
-    assert is_linear_quotients_order((x12, x23, x34))
-    assert not is_linear_quotients_order((x12, x34))
-    assert is_linear_quotients_order(())
-    assert is_linear_quotients_order((x12,))
+    assert oracles.is_linear_quotients_order((x12, x23))
+    assert oracles.is_linear_quotients_order((x12, x23, x34))
+    assert not oracles.is_linear_quotients_order((x12, x34))
+    assert oracles.is_linear_quotients_order(())
+    assert oracles.is_linear_quotients_order((x12,))
 
 
 def test_linear_quotients_search_knowns():
@@ -639,7 +654,7 @@ def test_linear_quotients_search_knowns():
     # the path ideal does, in some order
     J = edge_ideal(path_graph(4))
     res = linear_quotients_order(J)
-    assert res.found and is_linear_quotients_order(res.order)
+    assert res.found and oracles.is_linear_quotients_order(res.order)
     assert set(res.order) == set(J.gens)
     # the square of the 7-cycle is linearly related but has no linear
     # quotients (its resolution is not linear)
@@ -648,7 +663,7 @@ def test_linear_quotients_search_knowns():
     # the top power does
     T = sqfree_power_via_matchings(cycle_graph(7), 3)
     res = linear_quotients_order(T)
-    assert res.found and is_linear_quotients_order(res.order)
+    assert res.found and oracles.is_linear_quotients_order(res.order)
 
 
 def test_linear_quotients_edge_cases():
@@ -734,5 +749,5 @@ def test_linear_quotients_implies_linear_resolution():
                 res = linear_quotients_order(P)
                 assert res.status in ("found", "none"), (to_graph6(G), k)
                 if res.found:
-                    assert is_linear_quotients_order(res.order)
+                    assert oracles.is_linear_quotients_order(res.order)
                     assert has_linear_resolution(P), (to_graph6(G), k)

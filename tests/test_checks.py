@@ -115,6 +115,20 @@ def test_run_checks_rejects_a_bad_characteristic(characteristic, monkeypatch):
         )
 
 
+@pytest.mark.parametrize("field", ["random_ideal_count", "random_graph_count"])
+def test_run_checks_rejects_a_negative_random_count(field, monkeypatch):
+    def never(G, ctx):
+        raise AssertionError("a task ran")
+
+    monkeypatch.setitem(CHECKS, "fake-never", Check("fake-never", "theorem", "graph", "", never))
+    with pytest.raises(ValueError, match=f"{field} must be >= 0"):
+        run_checks(
+            ["ratliff-random", "matching-chain-random", "fake-never"],
+            resolve_family("exhaustive-3"),
+            CheckContext(**{field: -5}),
+        )
+
+
 def test_every_selected_check_reports_on_every_instance_in_its_scope():
     # a runner that yields nothing, or a collection with nothing in it, still
     # gives its instance one (vacuous) report
@@ -129,9 +143,10 @@ def test_every_selected_check_reports_on_every_instance_in_its_scope():
         for G in graphs:
             if GRAPH_SCOPES[c.scope](G):
                 assert (c.name, checks._gid(G)) in named, (c.name, G)
-    assert [r.instance for r in reports if r.check == "ratliff-random"] == [
-        f"collection:seed={ctx.seed}"
-    ]
+    for name in ("ratliff-random", "matching-chain-random"):
+        assert [(r.instance, r.outcome) for r in reports if r.check == name] == [
+            (f"collection:seed={ctx.seed}", "vacuous")
+        ], name
 
 
 def test_a_graph_outside_the_scope_is_vacuous_without_a_run(monkeypatch):

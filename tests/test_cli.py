@@ -784,15 +784,19 @@ def test_verify_ndjson_agrees_across_jobs(tmp_path):
 
 def test_a_check_with_nothing_to_run_gives_one_vacuous_report(tmp_path):
     nd = tmp_path / "reports.ndjson"
-    code, out, err = run(
-        ["verify", "ratliff-random", "--family", "exhaustive-2",
-         "--random-ideals", "0", "--seed", "7", "--ndjson", str(nd)]
-    )
-    assert code == 0, err
-    assert out.rstrip("\n").split("\n")[-1] == "3 graphs, 1 reports, 0 theorem failures"
-    assert _ndjson_without_millis(nd) == [
-        {"check": "ratliff-random", "instance": "collection:seed=7", "outcome": "vacuous"}
-    ]
+    for name, flag in (
+        ("ratliff-random", "--random-ideals"),
+        ("matching-chain-random", "--random-graphs"),
+    ):
+        code, out, err = run(
+            ["verify", name, "--family", "exhaustive-2",
+             flag, "0", "--seed", "7", "--ndjson", str(nd)]
+        )
+        assert code == 0, err
+        assert out.rstrip("\n").split("\n")[-1] == "3 graphs, 1 reports, 0 theorem failures"
+        assert _ndjson_without_millis(nd) == [
+            {"check": name, "instance": "collection:seed=7", "outcome": "vacuous"}
+        ]
 
 
 def test_verify_ndjson_path_is_checked_before_the_sweep(tmp_path, monkeypatch):

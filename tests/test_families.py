@@ -28,7 +28,6 @@ from sqfpowers.graphs import (
     Graph,
     builtin_graph,
     cycle_graph,
-    format_edge_list,
     induced_subgraph,
     is_forest,
     is_tree,
@@ -37,7 +36,7 @@ from sqfpowers.graphs import (
     star_graph,
     to_graph6,
 )
-from oracles import _perm_powers, canonical_code, generated_graphs
+from oracles import _perm_powers, canonical_code, format_edge_list, generated_graphs
 from strategies import graphs_st
 
 # counts of non-isomorphic graphs, trees, forests (no isolated vertices)

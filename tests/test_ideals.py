@@ -12,7 +12,7 @@ import oracles
 from sqfpowers import ideals
 from sqfpowers.edge_ideals import edge_ideal
 from sqfpowers.families import all_graphs, random_squarefree_ideals
-from sqfpowers.graphs import to_graph6
+from sqfpowers.graphs import cycle_graph, to_graph6
 from sqfpowers.ideals import (
     MonomialIdeal,
     colon_by_monomial,
@@ -330,6 +330,39 @@ def test_ratliff_check_validation():
     assert ratliff_check(I, 3, 3) is None  # colon by the zero power is vacuous
     assert ratliff_check(I, 3, 1) is True  # zero ideal colons to itself
     assert ratliff_check(I, 2, 1) is True
+
+
+def test_ratliff_check_is_false_when_the_colon_is_the_unit_ideal():
+    # I^[k] : I^[k] is the unit ideal, so it equals I^[k] only when I^[k] is
+    # the unit ideal or zero (and then the check is vacuous)
+    I = edge_ideal(cycle_graph(5))
+    assert ratliff_check(I, 1, 1) is False
+    assert ratliff_check(I, 2, 2) is False
+    assert ratliff_check(I, 3, 3) is None
+    assert ratliff_check(MonomialIdeal.unit(3), 1, 1) is True
+
+
+def _brute_ratliff(I, k, ell):
+    """I^[k] : I^[l] = I^[k], decided on the squarefree members of both powers.
+
+    Both sides are generated by squarefree monomials, and a squarefree ideal
+    holds a monomial exactly when it holds its support."""
+    Ik = oracles.brute_sqfree_power_members(I, k)
+    Il = oracles.brute_sqfree_power_members(I, ell)
+    if not Il:
+        return None
+    return {m for m in range(1 << I.n) if all(m | v in Ik for v in Il)} == Ik
+
+
+def test_ratliff_check_matches_membership_on_random_ideals():
+    outcomes = set()
+    for I in random_squarefree_ideals(25, max_n=6, max_gens=6, seed=19):
+        for k in (1, 2, 3):
+            for ell in range(1, k + 1):
+                want = _brute_ratliff(I, k, ell)
+                assert ratliff_check(I, k, ell) is want, (format_ideal(I), k, ell)
+                outcomes.add(want)
+    assert outcomes == {True, False, None}
 
 
 def test_colon_stability_on_random_ideals():

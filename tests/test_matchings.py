@@ -27,9 +27,7 @@ from sqfpowers.matchings import (
     has_perfect_matching,
     induced_matching_number,
     is_equimatchable,
-    is_gap,
     is_gap_free,
-    is_matching,
     matching_number,
     matching_number_within,
     restricted_matching_number,
@@ -180,16 +178,15 @@ def test_enumerate_matchings_are_matchings_and_sorted():
     assert len(seen) == len(set(seen))
     assert seen == sorted(seen)
     for M in seen:
-        assert is_matching(G, M)
-        assert oracles._pairwise_disjoint(M)
+        assert oracles.is_matching(G, M)
 
 
 def test_is_matching():
     G = path_graph(4)
-    assert is_matching(G, [(1, 2), (3, 4)])
-    assert not is_matching(G, [(1, 2), (2, 3)])  # shared vertex
-    assert not is_matching(G, [(1, 3)])  # not an edge
-    assert is_matching(G, [])
+    assert oracles.is_matching(G, [(1, 2), (3, 4)])
+    assert not oracles.is_matching(G, [(1, 2), (2, 3)])  # shared vertex
+    assert not oracles.is_matching(G, [(1, 3)])  # not an edge
+    assert oracles.is_matching(G, [])
 
 
 def test_enumerate_maximal_matchings():
@@ -212,15 +209,6 @@ def test_enumerate_maximal_matchings():
 
 # ---------------------------------------------------------------------------
 # gaps
-
-def test_is_gap():
-    G = path_graph(6)
-    assert is_gap(G, (1, 2), (4, 5))
-    assert not is_gap(G, (1, 2), (3, 4))  # joined by the edge 2-3
-    assert is_gap(G, (1, 2), (5, 6))
-    with pytest.raises(ValueError):
-        is_gap(G, (1, 3), (4, 5))
-
 
 def test_is_gap_free():
     assert is_gap_free(complete_graph(5))
