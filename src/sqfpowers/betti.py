@@ -73,12 +73,22 @@ class BudgetExceeded(RuntimeError):
 _deadline: float | None = None  # the time.monotonic() bound of the request
 
 
+def _check_budgets(node_budget: int = 0, seconds: float | None = None) -> None:
+    """Nodes are an int >= 0; seconds are None or a number >= 0, not NaN."""
+    if not isinstance(node_budget, int) or node_budget < 0:
+        raise ValueError(f"node budget must be an int >= 0, got {node_budget!r}")
+    if seconds is not None and not seconds >= 0:
+        raise ValueError(f"time budget must be >= 0 seconds, got {seconds!r}")
+
+
 @contextmanager
 def time_budget(seconds: float | None) -> Iterator[None]:
     """Raise ``BudgetExceeded`` in the body's computations after *seconds*.
 
-    ``None`` sets no bound; the outer bound comes back on exit.
+    ``None`` sets no bound and 0 is spent at the first check; a negative or
+    NaN budget raises ``ValueError``.  The outer bound comes back on exit.
     """
+    _check_budgets(seconds=seconds)
     global _deadline
     outer = _deadline
     _deadline = None if seconds is None else time.monotonic() + seconds
@@ -89,7 +99,7 @@ def time_budget(seconds: float | None) -> Iterator[None]:
 
 
 def _check_deadline() -> None:
-    if _deadline is not None and time.monotonic() > _deadline:
+    if _deadline is not None and time.monotonic() >= _deadline:
         raise BudgetExceeded("time budget exhausted")
 
 
@@ -552,6 +562,7 @@ def linear_quotients_order(
     out of the request's ``time_budget`` in either, or of node_budget in the
     search, reports "inconclusive".
     """
+    _check_budgets(node_budget)
     try:
         related = is_linearly_related_combinatorial(I)
     except BudgetExceeded:

@@ -13,8 +13,10 @@ A runner takes ``(G, ctx)``, or ``(ctx)`` for a collection, builds no
 reports and yields one ``(label, verdict, witness)`` per report.  For graph
 scopes the label is a suffix of the graph's ``g6:`` name (``";k=2"``, or
 ``""``); for collection scopes it is the whole instance name.  The verdict is
-a bool or an explicit outcome.  A runner yields nothing when the hypotheses
-are unmet, and the registry alone decides scope.  ``run_check_on_instance``
+a bool or an explicit outcome.  A runner yields a verdict only over a
+nonempty set of cases, so it yields nothing when the hypotheses are unmet or
+there is nothing to compare, and the registry alone decides scope.
+``run_check_on_instance``
 does the rest: one vacuous report for an instance outside the scope or a
 runner that yields nothing, instance names, per-report timing, pass / fail
 from a bool (a passing bool drops its witness, an explicit outcome keeps it),
@@ -22,12 +24,11 @@ one ``betti.time_budget`` scope around the runner, which bounds every library
 call made inside it, and the conversion of an exhausted budget into one
 inconclusive report and of a crash into one failing report.
 
-``run_checks`` makes one task of each collection check, then one of each
-graph with every check in scope of it, and runs them in a serial loop or a
-process pool.  Each process that runs tasks holds the request's memo open
-(see ``memo``), so a lattice, table, power, edge ideal, matching number or
-verdict shared by the checks of a graph, or by induced subgraphs that recur
-across graphs, is computed once per process.  The checks about first syzygies
+``run_checks`` validates the request (``validate_request``), makes one task
+of each collection check, then one of each graph with every check in scope
+of it, and runs them in a serial loop or a process pool.  Each process that
+runs tasks holds the request's memo open, so each value ``memo`` lists is
+computed once per process.  The checks about first syzygies
 (``first-syzygy-degree-bound``, ``taylor-witness`` and the homological side
 of ``linrel-oracle-agreement``) read b_{1,m} from these tables.  The
 ideal-side ``sqfree_power`` that ``power-matching-agreement`` compares
@@ -50,6 +51,7 @@ from . import memo
 from .betti import (
     BudgetExceeded,
     LinearQuotientsResult,
+    _check_budgets,
     _check_characteristic,
     _check_deadline,
     _search_linear_quotients,
@@ -264,7 +266,7 @@ def _run_upper_question(G: Graph, ctx: CheckContext):
     "once I(G)^[k] is linearly related, so is I(G)^[k+1] (k < nu)",
 )
 def _run_linrel_monotone(G: Graph, ctx: CheckContext):
-    if not G.edges:
+    if matching_number(G) < 2:  # no pair of powers to compare
         return
     verdicts = [
         is_linearly_related_combinatorial(I)
@@ -295,7 +297,7 @@ def _run_nu0_lambda(G: Graph, ctx: CheckContext):
     "nu0(G) <= 2 implies I(G)^[k] linearly related for all 2 <= k <= nu(G)",
 )
 def _run_nu0_le_2_linrel(G: Graph, ctx: CheckContext):
-    if not G.edges or restricted_matching_number(G) > 2:
+    if matching_number(G) < 2 or restricted_matching_number(G) > 2:
         return
     bad = []
     for k, I in _powers_upto_nu(G):
@@ -442,7 +444,7 @@ def _run_restriction_table(G: Graph, ctx: CheckContext):
     "b_{i,a}(I(G_W)^[k]) <= b_{i,a}(I(G)^[k]) for induced subgraphs G_W",
 )
 def _run_betti_induced_monotone(G: Graph, ctx: CheckContext):
-    if not G.edges:
+    if not G.edges or G.n < 3:  # no proper induced subgraph with an edge
         return
     big_tables = {
         k: multigraded_betti(I, ctx.characteristic)
@@ -602,7 +604,7 @@ def _run_l_ideal_shape(G: Graph, ctx: CheckContext):
     "witnessed pairs at m force b_{1,m} = 0",
 )
 def _run_taylor_witness(G: Graph, ctx: CheckContext):
-    if not G.edges:
+    if len(G.edges) < 2:  # a principal ideal has no (1, m) entry
         return
     bad = []
     for k, I in _powers_upto_nu(G):
@@ -825,14 +827,14 @@ def _run_forest_five_way(G: Graph, ctx: CheckContext):
 def _run_ratliff_powers_exploration(ctx: CheckContext):
     ideals = random_squarefree_ideals(100, max_n=8, max_gens=6, seed=ctx.seed)
     for idx, I in enumerate(ideals):
-        findings = []
+        pairs = []
         for k in range(3, 5):
             if sqfree_power(I, k).is_zero:
                 break
-            for l in range(2, k):
-                verdict = ratliff_check(I, k, l)
-                if verdict is False:
-                    findings.append([k, l])
+            pairs += [(k, l) for l in range(2, k)]
+        if not pairs:  # I^[3] = 0: nothing to check
+            continue
+        findings = [[k, l] for k, l in pairs if ratliff_check(I, k, l) is False]
         yield (
             f"seed={ctx.seed};index={idx};{_iid(I)}",
             not findings,
@@ -1097,6 +1099,27 @@ def _run_task(
 _POOL_CHUNK = 8  # tasks per pool message: fewer result batches to pickle and hold
 
 
+def validate_request(
+    names: Sequence[str] | None, ctx: CheckContext, jobs: int = 1
+) -> list[str]:
+    """The checks a request runs (None: all), or ``ValueError`` for unknown or
+    no names, a bad characteristic, count, jobs or budget."""
+    names = list(CHECKS) if names is None else list(names)
+    unknown = [n for n in names if n not in CHECKS]
+    if unknown:
+        raise ValueError(f"unknown checks {unknown}; 'verify --list' prints the registry")
+    if not names:
+        raise ValueError("no check names given")
+    _check_characteristic(ctx.characteristic)
+    for field in ("random_ideal_count", "random_graph_count"):
+        if (count := getattr(ctx, field)) < 0:
+            raise ValueError(f"{field} must be >= 0, got {count}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    _check_budgets(ctx.node_budget, ctx.time_budget_s)
+    return names
+
+
 def run_checks(
     names: Sequence[str] | None,
     graphs: Sequence[Graph],
@@ -1111,16 +1134,7 @@ def run_checks(
     of worker scheduling.
     """
     ctx = ctx or CheckContext()
-    if names is None:
-        names = list(CHECKS)
-    unknown = [n for n in names if n not in CHECKS]
-    if unknown:
-        raise ValueError(f"unknown checks: {unknown}; known: {sorted(CHECKS)}")
-    _check_characteristic(ctx.characteristic)
-    for field in ("random_ideal_count", "random_graph_count"):
-        if (count := getattr(ctx, field)) < 0:
-            raise ValueError(f"{field} must be >= 0, got {count}")
-    tasks = _tasks_for(names, graphs)
+    tasks = _tasks_for(validate_request(names, ctx, jobs), graphs)
     reports: list[CheckReport] = []
     if jobs > 1:
         # Imported here: it loads multiprocessing, and only a pool needs it.

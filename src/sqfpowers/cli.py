@@ -97,19 +97,6 @@ def _gens_as_lists(I: ideals.MonomialIdeal) -> list[list[int]]:
     return [list(ideals.monomial_vars(g)) for g in I.gens]
 
 
-def _node_budget(args: argparse.Namespace) -> int:
-    if args.node_budget < 0:
-        raise ValueError(f"--node-budget must be >= 0, got {args.node_budget}")
-    return args.node_budget
-
-
-def _time_budget(args: argparse.Namespace) -> float | None:
-    """The --time-budget in seconds; 0 is a budget that is already spent."""
-    if args.time_budget is not None and not args.time_budget >= 0:
-        raise ValueError(f"--time-budget must be >= 0 seconds, got {args.time_budget}")
-    return args.time_budget
-
-
 def _ideal_for_algebra(args: argparse.Namespace) -> ideals.MonomialIdeal:
     """Shared input handling for betti/linrel/linquot: a graph power or an ideal file."""
     if args.ideal is not None:
@@ -143,11 +130,7 @@ def cmd_invariants(args: argparse.Namespace) -> int:
         "is_chordal": graphs.is_chordal(G),
         "complement_chordal": graphs.is_chordal(graphs.complement(G)),
     }
-    order = (
-        "graph6 n edge_count nu nu1 nu0 equimatchable has_perfect_matching "
-        "gap_free is_forest is_tree is_chordal complement_chordal"
-    ).split()
-    text = "\n".join(f"{key}: {payload[key]}" for key in order)
+    text = "\n".join(f"{key}: {value}" for key, value in payload.items() if key != "command")
     _emit(payload, args.json, text)
     return 0
 
@@ -231,9 +214,8 @@ def cmd_linrel(args: argparse.Namespace) -> int:
 
 def cmd_linquot(args: argparse.Namespace) -> int:
     I = _ideal_for_algebra(args)
-    node_budget = _node_budget(args)
-    with betti.time_budget(_time_budget(args)):
-        result = betti.linear_quotients_order(I, node_budget)
+    with betti.time_budget(args.time_budget):
+        result = betti.linear_quotients_order(I, args.node_budget)
     payload = {
         "command": "linquot",
         "status": result.status,
@@ -258,8 +240,6 @@ def cmd_linquot(args: argparse.Namespace) -> int:
 
 def cmd_lambda(args: argparse.Namespace) -> int:
     G = load_graph(args.graph)
-    if not G.edges:
-        raise ValueError("lambda needs a graph with at least one edge")
     nu = matchings.matching_number(G)
     per_power = [
         {
@@ -296,10 +276,6 @@ def cmd_colon(args: argparse.Namespace) -> int:
     equals_power = derived_edges = matches = None
     if args.l is not None:
         J = edge_ideals.sqfree_power_via_matchings(G, args.l)
-        if J.is_zero:
-            raise ValueError(
-                f"I(G)^[{args.l}] is the zero ideal; the colon is undefined"
-            )
         quotient = ideals.colon_ideal(I, J)
         equals_power = quotient == I
         notes = [f"# equals I(G)^[{args.k}]: {equals_power}"]
@@ -379,35 +355,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
             for c in checks.CHECKS.values():
                 print(f"{c.name:32s} [{c.kind}/{c.scope}] {c.statement}")
         return 0
-    betti._check_characteristic(args.char)
-    for flag, value, least in (
-        ("--random-ideals", args.random_ideals, 0),
-        ("--random-graphs", args.random_graphs, 0),
-        ("--jobs", args.jobs, 1),
-    ):
-        if value < least:
-            raise ValueError(f"{flag} must be >= {least}, got {value}")
     if args.family is None:
         raise ValueError("verify needs --family (or --list)")
-    if args.checks == "all":
-        names = None
-    else:
-        names = [n for n in args.checks.split(",") if n]
-        unknown = [n for n in names if n not in checks.CHECKS]
-        if unknown:
-            raise ValueError(
-                f"unknown checks {unknown}; run 'verify --list' for the registry"
-            )
-        if not names:
-            raise ValueError("no check names given")
     ctx = checks.CheckContext(
         characteristic=args.char,
         seed=args.seed,
-        node_budget=_node_budget(args),
-        time_budget_s=_time_budget(args),
+        node_budget=args.node_budget,
+        time_budget_s=args.time_budget,
         random_ideal_count=args.random_ideals,
         random_graph_count=args.random_graphs,
     )
+    names = None if args.checks == "all" else [n for n in args.checks.split(",") if n]
+    names = checks.validate_request(names, ctx, args.jobs)
     family_graphs = families.resolve_family(args.family, seed=args.seed)
     # Opened before the sweep, so that a path that cannot be written fails at once.
     with open(args.ndjson, "w") if args.ndjson else contextlib.nullcontext() as ndjson:

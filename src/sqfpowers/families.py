@@ -3,9 +3,10 @@
 Exhaustive families list pairwise non-isomorphic graphs (n <= 8) from the
 bundled table ``data/graphs.txt``: the least edge code over all relabelings of
 each isomorphism class, in increasing order, read for one n on its first use.
-Trees come from leaf extension deduplicated by center-rooted canonical forms,
-and forests without isolated vertices from multisets of trees.  Random
-families draw from a recorded 64-bit seed so every run is reproducible.
+Trees (n <= 12) come from leaf extension deduplicated by center-rooted
+canonical forms, and forests without isolated vertices from multisets of
+trees.  Random families draw from a recorded 64-bit seed so every run is
+reproducible.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .graphs import Graph, disjoint_union, is_tree, parse_graphs
 from .ideals import MonomialIdeal, minimalize, monomial
 
 GRAPH_ENUM_CAP = 8
+TREE_ENUM_CAP = 12  # trees and forests; the tree count grows about 2.7x per vertex
 
 
 # ---------------------------------------------------------------------------
@@ -108,6 +110,8 @@ def all_trees(n: int) -> tuple[Graph, ...]:
     """Non-isomorphic trees on exactly n vertices via leaf extension."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    if n > TREE_ENUM_CAP:
+        raise ValueError(f"tree enumeration capped at n = {TREE_ENUM_CAP}")
     if n == 1:
         return (Graph.from_edges(1, []),)
     seen: dict[tuple, Graph] = {}

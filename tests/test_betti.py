@@ -452,7 +452,7 @@ def test_input_validation():
         multigraded_betti(I, characteristic=1)
     with pytest.raises(ValueError):
         multigraded_betti(I, characteristic=2**89 - 1)  # prime, above 2^64
-    with pytest.raises(BudgetExceeded), time_budget(-1):
+    with pytest.raises(BudgetExceeded), time_budget(0):
         multigraded_betti(I)
 
 
@@ -474,7 +474,7 @@ def test_every_homological_route_rejects_a_bad_characteristic():
                     route(J, bad)
     assert is_linearly_related_homological(I)
     # the route reads the Betti table, so it keeps the table's budget and cap
-    with pytest.raises(BudgetExceeded), time_budget(-1):
+    with pytest.raises(BudgetExceeded), time_budget(0):
         is_linearly_related_homological(I)
     big = MonomialIdeal.from_supports(14, itertools.combinations(range(1, 15), 5))
     assert len(big.gens) == 2002 > GENERATOR_CAP
@@ -485,16 +485,16 @@ def test_every_homological_route_rejects_a_bad_characteristic():
 def test_time_budget_restores_the_outer_bound():
     I = edge_ideal(path_graph(3))
     with time_budget(600):
-        with time_budget(-1):
+        with time_budget(0):
             with pytest.raises(BudgetExceeded):
                 multigraded_betti(I)
         assert multigraded_betti(I).regularity() == 2
-        with pytest.raises(RuntimeError), time_budget(-1):
+        with pytest.raises(RuntimeError), time_budget(0):
             raise RuntimeError("left by an exception")
         assert multigraded_betti(I).regularity() == 2
         with time_budget(None):
             assert multigraded_betti(I).regularity() == 2
-    with pytest.raises(BudgetExceeded), time_budget(-1):
+    with pytest.raises(BudgetExceeded), time_budget(0):
         with time_budget(600):
             assert multigraded_betti(I).regularity() == 2
         multigraded_betti(I)
@@ -546,6 +546,28 @@ def test_time_budget_bounds_nested_library_calls():
     with pytest.raises(BudgetExceeded), time_budget(0):
         lambda_number(cycle_graph(7))
     assert lambda_number(cycle_graph(7)) == 2
+
+
+@pytest.mark.parametrize("seconds", [float("nan"), -1, -0.5])
+def test_time_budget_rejects_a_negative_or_nan_budget(seconds):
+    with pytest.raises(ValueError, match="time budget"):
+        with time_budget(seconds):
+            raise AssertionError("the body ran")
+
+
+def test_a_zero_time_budget_is_spent_at_the_first_check(monkeypatch):
+    # a clock that stands still: the deadline is the moment of entry
+    monkeypatch.setattr(betti, "time", SimpleNamespace(monotonic=lambda: 5.0))
+    with pytest.raises(BudgetExceeded), time_budget(0):
+        betti._check_deadline()
+    with time_budget(1):
+        betti._check_deadline()
+
+
+@pytest.mark.parametrize("node_budget", [-1, 1.5])
+def test_linear_quotients_order_rejects_a_bad_node_budget(node_budget):
+    with pytest.raises(ValueError, match="node budget"):
+        linear_quotients_order(edge_ideal(cycle_graph(4)), node_budget)
 
 
 def test_regularity_knowns():

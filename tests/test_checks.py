@@ -23,10 +23,12 @@ from sqfpowers.checks import (
     summarize,
     theorem_failures,
 )
+from sqfpowers.edge_ideals import edge_ideal
 from sqfpowers.families import (
     all_forests_up_to,
     all_graphs_up_to,
     all_trees_up_to,
+    disjoint_edges_graph,
     random_graphs,
     resolve_family,
 )
@@ -129,6 +131,26 @@ def test_run_checks_rejects_a_negative_random_count(field, monkeypatch):
         )
 
 
+@pytest.mark.parametrize(
+    "names, ctx, jobs, message",
+    [
+        (["fake-never"], CheckContext(), 0, "jobs must be >= 1"),
+        (["fake-never"], CheckContext(), -3, "jobs must be >= 1"),
+        ([], CheckContext(), 1, "no check names"),
+        (["fake-never"], CheckContext(time_budget_s=float("nan")), 1, "time budget"),
+        (["fake-never"], CheckContext(time_budget_s=-1.0), 1, "time budget"),
+        (["fake-never"], CheckContext(node_budget=-1), 1, "node budget"),
+    ],
+)
+def test_run_checks_rejects_a_bad_request_before_any_task(names, ctx, jobs, message, monkeypatch):
+    def never(G, ctx):
+        raise AssertionError("a task ran")
+
+    monkeypatch.setitem(CHECKS, "fake-never", Check("fake-never", "theorem", "graph", "", never))
+    with pytest.raises(ValueError, match=message):
+        run_checks(names, resolve_family("exhaustive-3"), ctx, jobs=jobs)
+
+
 def test_every_selected_check_reports_on_every_instance_in_its_scope():
     # a runner that yields nothing, or a collection with nothing in it, still
     # gives its instance one (vacuous) report
@@ -210,6 +232,36 @@ def test_budget_exhaustion_becomes_inconclusive(monkeypatch):
     assert theorem_failures(reports) == []
 
 
+@pytest.mark.parametrize(
+    "name, G",
+    [
+        ("linrel-monotone", path_graph(3)),  # nu = 1: no pair of powers
+        ("nu0-le-2-linrel", path_graph(3)),  # nu = 1: no k in 2..nu
+        ("taylor-witness", path_graph(2)),  # one generator: no (1, m) entry
+        ("betti-induced-monotone", path_graph(2)),  # no proper induced subgraph
+    ],
+)
+def test_a_runner_with_no_case_to_check_is_vacuous(name, G):
+    reports = run_check_on_instance(name, G, CheckContext())
+    assert [(r.instance, r.outcome) for r in reports] == [(checks._gid(G), VACUOUS)]
+
+
+def test_ratliff_powers_exploration_reports_only_ideals_with_a_pair(monkeypatch):
+    # I^[3] = 0 for a path on four vertices, I^[3] != 0 for three disjoint edges
+    zero_cube = edge_ideal(path_graph(4))
+    cube = edge_ideal(disjoint_edges_graph(3))
+    monkeypatch.setattr(
+        checks, "random_squarefree_ideals", lambda *args, **kwargs: [zero_cube, cube]
+    )
+    reports = run_check_on_instance("ratliff-powers-exploration", None, CheckContext())
+    assert [r.instance.split(";")[1] for r in reports] == ["index=1"]
+    monkeypatch.setattr(
+        checks, "random_squarefree_ideals", lambda *args, **kwargs: [zero_cube]
+    )
+    reports = run_check_on_instance("ratliff-powers-exploration", None, CheckContext())
+    assert [r.outcome for r in reports] == [VACUOUS]
+
+
 def test_zero_time_budget_is_inconclusive_not_failing():
     ctx = CheckContext(time_budget_s=0.0)
     reports = run_check_on_instance("linrel-oracle-agreement", cycle_graph(7), ctx)
@@ -219,7 +271,7 @@ def test_zero_time_budget_is_inconclusive_not_failing():
 
 @pytest.mark.parametrize("name", sorted(CHECKS))
 def test_regularity_runners_honour_the_time_budget(name):
-    ctx = CheckContext(time_budget_s=-1.0)
+    ctx = CheckContext(time_budget_s=0.0)
     instance = cycle_graph(7) if CHECKS[name].scope in GRAPH_SCOPES else None
     reports = run_check_on_instance(name, instance, ctx)
     assert {r.outcome for r in reports} == {INCONCLUSIVE}

@@ -838,6 +838,14 @@ def test_verify_bad_input(argv):
     assert code == 2 and out == "" and err.startswith("error:")
 
 
+@pytest.mark.parametrize("family", ["trees-13", "forests-13"])
+def test_verify_rejects_a_tree_family_beyond_the_cap(family):
+    # uncapped, trees-30 would list about 1.5 * 10^10 trees before any check ran
+    code, out, err = run(["verify", "nu0-lambda", "--family", family])
+    assert code == 2 and out == "" and err.startswith("error:")
+    assert "capped at n = 12" in err
+
+
 @pytest.mark.parametrize("text", ["", "# no graphs here\n\n"])
 def test_a_family_file_without_a_graph_is_rejected(tmp_path, text):
     empty = tmp_path / "EMPTY.g6"

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from sqfpowers.families import (
     DEFAULT_SEED,
+    TREE_ENUM_CAP,
     all_forests,
     all_forests_up_to,
     all_graphs,
@@ -101,6 +102,13 @@ def test_graph_enumeration_validates():
         all_graphs(9)
     with pytest.raises(ValueError):
         canonical_code(Graph.from_edges(9, []))
+
+
+def test_tree_and_forest_enumeration_is_capped():
+    assert TREE_ENUM_CAP == max(TREE_COUNTS)
+    for enumerate_ in (all_trees, all_forests):
+        with pytest.raises(ValueError, match="capped at n = 12"):
+            enumerate_(TREE_ENUM_CAP + 1)
 
 
 def test_tree_counts():
