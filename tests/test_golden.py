@@ -4,8 +4,9 @@ Each single-object command on c7 or fig1 has its exact standard output in
 ``golden/<name>.txt``, where the name is the argument list joined by "_" with
 leading dashes dropped.  Larger outputs are pinned by their sha256 in
 ``golden/sha256.json``: the ``betti --json`` payloads of the three large
-instances, and the ND-JSON of a small ``verify all`` sweep with the ``millis``
-timings removed from every report.
+instances, the ND-JSON of two ``verify all`` sweeps with the ``millis``
+timings removed from every report, and the graph6 lines (one per graph, in
+order) of the largest exhaustive, tree and forest families.
 
 To refresh a pinned output after an intended change, write the new standard
 output (or digest) of the same arguments into its file.
@@ -22,6 +23,8 @@ from pathlib import Path
 import pytest
 
 from sqfpowers.cli import main
+from sqfpowers.families import resolve_family
+from sqfpowers.graphs import to_graph6
 
 GOLDEN = Path(__file__).parent / "golden"
 DIGESTS = json.loads((GOLDEN / "sha256.json").read_text())
@@ -96,3 +99,9 @@ def test_sweep_ndjson_digest(args, tmp_path):
     run(args.split() + ["--ndjson", str(nd)])
     digest = hashlib.sha256(ndjson_without_millis(nd)).hexdigest()
     assert digest == DIGESTS["ndjson_without_millis"][args]
+
+
+@pytest.mark.parametrize("spec", sorted(DIGESTS["family_graph6"]))
+def test_family_listing_digest(spec):
+    text = "".join(to_graph6(G) + "\n" for G in resolve_family(spec))
+    assert hashlib.sha256(text.encode()).hexdigest() == DIGESTS["family_graph6"][spec]
