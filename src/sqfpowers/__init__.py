@@ -53,8 +53,7 @@ _EXPORTS = {
         (
             "families",
             """
-            all_forests all_forests_up_to all_graphs all_graphs_up_to all_trees
-            all_trees_up_to disjoint_edges_graph random_graphs
+            all_forests all_graphs all_trees disjoint_edges_graph random_graphs
             random_squarefree_ideals resolve_family tree_canonical_form
             """,
         ),

@@ -44,8 +44,6 @@ def sqfree_power_via_matchings(G: Graph, k: int) -> MonomialIdeal:
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    if k == 0:
-        return MonomialIdeal.unit(G.n)
     return memo.get((G.n, G.edges, k), lambda: _power_from_matchings(G, k))
 
 
@@ -87,11 +85,8 @@ def l_ideal(G: Graph, e: Edge, k: int) -> MonomialIdeal:
     first = sqfree_power_via_matchings(remove_edge(G, e), k)
     ab = edge_mask(e)
     inner = edges_within(G, set(G.vertices) - {a, b})
-    if k == 1:
-        second = MonomialIdeal(G.n, (ab,))
-    else:
-        factor = sqfree_power_via_matchings(inner, k - 1)
-        second = minimalize(G.n, (ab | u for u in factor.gens))
+    factor = sqfree_power_via_matchings(inner, k - 1)
+    second = minimalize(G.n, (ab | u for u in factor.gens))
     return intersect(first, second)
 
 
@@ -111,9 +106,6 @@ def l_ideal_shape(G: Graph, e: Edge, k: int) -> MonomialIdeal:
     for c in sorted((G.neighbors(a) | G.neighbors(b)) - {a, b}):
         base = ab | monomial([c])
         rest = edges_within(G, set(G.vertices) - {a, b, c})
-        if k == 1:
-            gens.add(base)
-            continue
         for u in sqfree_power_via_matchings(rest, k - 1).gens:
             gens.add(base | u)
     return minimalize(G.n, gens)

@@ -5,8 +5,9 @@ bundled table ``data/graphs.txt``: the least edge code over all relabelings of
 each isomorphism class, in increasing order, read for one n on its first use.
 Trees (n <= 12) come from leaf extension deduplicated by center-rooted
 canonical forms, and forests without isolated vertices from multisets of
-trees.  Random families draw from a recorded 64-bit seed so every run is
-reproducible.
+trees.  ``resolve_family`` lists these three sized families from one table,
+``SIZED_FAMILIES``, and checks the size against it before listing anything.
+Random families draw from a recorded 64-bit seed so every run is reproducible.
 """
 
 from __future__ import annotations
@@ -65,13 +66,6 @@ def _table_codes(n: int) -> list[int]:
         ]
 
 
-def all_graphs_up_to(n: int) -> list[Graph]:
-    out: list[Graph] = []
-    for k in range(1, n + 1):
-        out.extend(all_graphs(k))
-    return out
-
-
 def tree_centers(G: Graph) -> list[int]:
     """The one or two middle vertices of a tree, by repeated leaf stripping."""
     if G.n == 1:
@@ -124,13 +118,6 @@ def all_trees(n: int) -> tuple[Graph, ...]:
     return tuple(seen[k] for k in sorted(seen))
 
 
-def all_trees_up_to(n: int) -> list[Graph]:
-    out: list[Graph] = []
-    for k in range(1, n + 1):
-        out.extend(all_trees(k))
-    return out
-
-
 def _partitions_min2(n: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:
     if max_part is None:
         max_part = n
@@ -144,33 +131,22 @@ def _partitions_min2(n: int, max_part: int | None = None) -> Iterator[tuple[int,
 
 @functools.lru_cache(maxsize=None)
 def all_forests(n: int) -> tuple[Graph, ...]:
-    """Non-isomorphic forests on exactly n vertices with no isolated vertices."""
+    """Non-isomorphic forests on exactly n vertices with no isolated vertices.
+
+    A forest is a partition of n into tree sizes >= 2 and, for each size that
+    occurs c times, a multiset of c trees of that size.
+    """
     out: list[Graph] = []
     for parts in _partitions_min2(n):
-        pools = []
-        for size, group in itertools.groupby(parts):
-            count = len(list(group))
-            trees = all_trees(size)
-            pools.append(
-                list(itertools.combinations_with_replacement(range(len(trees)), count))
+        multisets = [
+            itertools.combinations_with_replacement(all_trees(size), len(list(group)))
+            for size, group in itertools.groupby(parts)
+        ]
+        for picks in itertools.product(*multisets):
+            out.append(
+                functools.reduce(disjoint_union, itertools.chain.from_iterable(picks))
             )
-            pools[-1] = [(size, combo) for combo in pools[-1]]
-        for picks in itertools.product(*pools):
-            forest: Graph | None = None
-            for size, combo in picks:
-                for idx in combo:
-                    piece = all_trees(size)[idx]
-                    forest = piece if forest is None else disjoint_union(forest, piece)
-            assert forest is not None
-            out.append(forest)
     return tuple(out)
-
-
-def all_forests_up_to(n: int) -> list[Graph]:
-    out: list[Graph] = []
-    for k in range(2, n + 1):
-        out.extend(all_forests(k))
-    return out
 
 
 def disjoint_edges_graph(r: int) -> Graph:
@@ -229,22 +205,30 @@ def _family_size(spec: str, value: str, least: int) -> int:
     return size
 
 
+# NAME-N lists the graphs on n vertices for every n from the least up to N;
+# name -> (the graphs on exactly n vertices, least n, greatest N)
+SIZED_FAMILIES = {
+    "exhaustive": (all_graphs, 1, GRAPH_ENUM_CAP),
+    "trees": (all_trees, 1, TREE_ENUM_CAP),
+    # the smallest forest without isolated vertices is one edge
+    "forests": (all_forests, 2, TREE_ENUM_CAP),
+}
+_SIZED_SPEC = re.compile(rf"({'|'.join(SIZED_FAMILIES)})-(\d+)")
+
+
 def resolve_family(spec: str, seed: int = DEFAULT_SEED) -> list[Graph]:
     """Materialize a family spec into a list of graphs."""
     if spec == "builtin":
         from .graphs import BUILTIN_GRAPH_NAMES, builtin_graph
 
         return [builtin_graph(name) for name in BUILTIN_GRAPH_NAMES]
-    m = re.fullmatch(r"exhaustive-(\d+)", spec)
+    m = _SIZED_SPEC.fullmatch(spec)
     if m:
-        return all_graphs_up_to(_family_size(spec, m.group(1), 1))
-    m = re.fullmatch(r"trees-(\d+)", spec)
-    if m:
-        return all_trees_up_to(_family_size(spec, m.group(1), 1))
-    m = re.fullmatch(r"forests-(\d+)", spec)
-    if m:
-        # the smallest forest without isolated vertices is one edge
-        return all_forests_up_to(_family_size(spec, m.group(1), 2))
+        lister, least, cap = SIZED_FAMILIES[m.group(1)]
+        size = _family_size(spec, m.group(2), least)
+        if size > cap:
+            raise ValueError(f"family {spec!r} is capped at n = {cap}")
+        return [G for n in range(least, size + 1) for G in lister(n)]
     m = re.fullmatch(r"random-(\d+)-(\d+)", spec)
     if m:
         # random_graphs draws each vertex count from 2..N

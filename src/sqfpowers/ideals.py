@@ -9,6 +9,7 @@ the mask 0 (the monomial 1).
 
 from __future__ import annotations
 
+import functools
 from typing import Iterable
 
 from . import memo
@@ -185,10 +186,6 @@ def sqfree_power(I: MonomialIdeal, k: int) -> MonomialIdeal:
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    if k == 0:
-        return MonomialIdeal.unit(I.n)
-    if I.is_zero:
-        return MonomialIdeal.zero(I.n)
     gens = I.gens
     m = len(gens)
     unions: set[int] = set()
@@ -224,12 +221,7 @@ def colon_ideal(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
         raise ValueError("ideals live in different rings")
     if J.is_zero:
         raise ValueError("colon by the zero ideal is undefined here")
-    result: MonomialIdeal | None = None
-    for v in J.gens:
-        piece = colon_by_monomial(I, v)
-        result = piece if result is None else intersect(result, piece)
-    assert result is not None
-    return result
+    return functools.reduce(intersect, (colon_by_monomial(I, v) for v in J.gens))
 
 
 def ideal_sum(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:

@@ -34,9 +34,6 @@ def enumerate_matchings(G: Graph, k: int) -> Iterator[Matching]:
     """Yield every k-matching, lexicographically by sorted edge list."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    if k == 0:
-        yield ()
-        return
     edges = G.edge_list
     masks = [edge_mask(e) for e in edges]
     m = len(edges)
@@ -205,8 +202,6 @@ def induced_matching_number(G: Graph) -> int:
 
 def _induced_nu(G: Graph) -> int:
     edges = G.edge_list
-    if not edges:
-        return 0
     emasks = [edge_mask(e) for e in edges]
     closed = [_closed_edge_mask(G, e) for e in edges]
     m = len(edges)

@@ -24,14 +24,7 @@ from sqfpowers.checks import (
     theorem_failures,
 )
 from sqfpowers.edge_ideals import edge_ideal
-from sqfpowers.families import (
-    all_forests_up_to,
-    all_graphs_up_to,
-    all_trees_up_to,
-    disjoint_edges_graph,
-    random_graphs,
-    resolve_family,
-)
+from sqfpowers.families import disjoint_edges_graph, random_graphs, resolve_family
 from sqfpowers.graphs import builtin_graph, cycle_graph, path_graph
 
 JOBS = 4
@@ -403,7 +396,7 @@ def test_resolution_invariants_full_range():
     # graph with at most 7 vertices
     reports = run_checks(
         ["restriction-table", "betti-induced-monotone"],
-        all_graphs_up_to(7),
+        resolve_family("exhaustive-7"),
         jobs=JOBS,
     )
     assert theorem_failures(reports) == []
@@ -416,7 +409,7 @@ def test_edge_ideal_invariants_full_range():
     # colon formula on every edge, and power-route agreement, for n <= 8
     reports = run_checks(
         ["colon-formula", "power-matching-agreement"],
-        all_graphs_up_to(8),
+        resolve_family("exhaustive-8"),
         jobs=JOBS,
     )
     assert theorem_failures(reports) == []
@@ -426,12 +419,12 @@ def test_edge_ideal_invariants_full_range():
 
 
 def test_colon_regularity_full_range():
-    reports = run_checks(["colon-regularity"], all_graphs_up_to(7), jobs=JOBS)
+    reports = run_checks(["colon-regularity"], resolve_family("exhaustive-7"), jobs=JOBS)
     assert theorem_failures(reports) == []
 
 
 def test_forest_five_way_full_range():
-    reports = run_checks(["forest-five-way"], all_forests_up_to(10), jobs=JOBS)
+    reports = run_checks(["forest-five-way"], resolve_family("forests-10"), jobs=JOBS)
     assert theorem_failures(reports) == []
     counts = summarize(reports)["forest-five-way"]
     assert counts.get(VACUOUS, 0) == 1  # the single edge
@@ -441,7 +434,7 @@ def test_forest_five_way_full_range():
 def test_tree_checks_full_range():
     reports = run_checks(
         ["tree-criterion-agreement", "tree-perfect-linres", "nu0-perfect-tree"],
-        all_trees_up_to(12),
+        resolve_family("trees-12"),
         jobs=JOBS,
     )
     assert theorem_failures(reports) == []

@@ -9,15 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sqfpowers.defaults import FAMILY_HELP
 from sqfpowers.families import (
     DEFAULT_SEED,
     TREE_ENUM_CAP,
+    SIZED_FAMILIES,
     all_forests,
-    all_forests_up_to,
     all_graphs,
-    all_graphs_up_to,
     all_trees,
-    all_trees_up_to,
     disjoint_edges_graph,
     random_graphs,
     random_squarefree_ideals,
@@ -52,7 +51,7 @@ FOREST_COUNTS = {2: 1, 3: 1, 4: 3, 5: 4, 6: 10, 7: 17, 8: 39, 9: 77}
 def test_graph_counts():
     for n, count in GRAPH_COUNTS.items():
         assert len(all_graphs(n)) == count, n
-    assert len(all_graphs_up_to(5)) == sum(GRAPH_COUNTS[n] for n in range(1, 6))
+    assert len(resolve_family("exhaustive-5")) == sum(GRAPH_COUNTS[n] for n in range(1, 6))
 
 
 def _edge_code(G: Graph) -> int:
@@ -115,7 +114,7 @@ def test_tree_counts():
     for n, count in TREE_COUNTS.items():
         assert len(all_trees(n)) == count, n
     assert all(is_tree(T) for n in range(1, 10) for T in all_trees(n))
-    assert len(all_trees_up_to(8)) == sum(TREE_COUNTS[n] for n in range(1, 9))
+    assert len(resolve_family("trees-8")) == sum(TREE_COUNTS[n] for n in range(1, 9))
 
 
 def test_forest_counts():
@@ -124,7 +123,7 @@ def test_forest_counts():
     for n in range(2, 10):
         for F in all_forests(n):
             assert is_forest(F) and not isolated_vertices(F), to_graph6(F)
-    assert len(all_forests_up_to(6)) == sum(FOREST_COUNTS[n] for n in range(2, 7))
+    assert len(resolve_family("forests-6")) == sum(FOREST_COUNTS[n] for n in range(2, 7))
 
 
 def test_enumerations_have_no_isomorphic_duplicates():
@@ -232,3 +231,21 @@ def test_resolve_family_forms(tmp_path):
 def test_resolve_family_rejects_empty_families(spec):
     with pytest.raises(ValueError, match="is empty"):
         resolve_family(spec)
+
+
+@pytest.mark.parametrize(
+    "spec, cap", [("trees-13", 12), ("forests-13", 12), ("exhaustive-9", 8)]
+)
+def test_resolve_family_rejects_an_oversize_family_before_listing(spec, cap):
+    listers = (all_graphs, all_trees, all_forests)
+    for lister in listers:
+        lister.cache_clear()
+    with pytest.raises(ValueError, match=f"capped at n = {cap}"):
+        resolve_family(spec)
+    assert [lister.cache_info().misses for lister in listers] == [0, 0, 0]
+
+
+def test_family_help_names_every_sized_family():
+    # the parser prints FAMILY_HELP without importing families
+    for name in SIZED_FAMILIES:
+        assert f"{name}-N" in FAMILY_HELP, name
