@@ -24,8 +24,9 @@ one ``betti.time_budget`` scope around the runner, which bounds every library
 call made inside it, and the conversion of an exhausted budget into one
 inconclusive report and of a crash into one failing report.
 
-``run_checks`` validates the request (``validate_request``), makes one task
-of each collection check, then one of each graph with every check in scope
+``run_checks`` validates the request (``validate_request``) once, as
+``run_check_on_instance`` does for its one check, makes one task of each
+collection check, then one of each graph with every check in scope
 of it, and runs them in a serial loop or a process pool.  Each process that
 runs tasks holds the request's memo open, so each value ``memo`` lists is
 computed once per process.  The checks about first syzygies
@@ -1025,14 +1026,24 @@ def run_check_on_instance(
 ) -> list[CheckReport]:
     """Run one check on one instance and turn its runner's items into reports.
 
-    A graph outside the check's scope, or a runner that yields nothing, gives
-    one vacuous report.  The runner and its reports run under
+    The request is validated first (``validate_request``), so a bad name or
+    context raises ``ValueError`` instead of becoming a report.  A graph
+    outside the check's scope, or a runner that yields nothing, gives one
+    vacuous report.  The runner and its reports run under
     ``time_budget(ctx.time_budget_s)``, so every library call they make is
     bounded; the budget is also checked before the runner starts and before
     each report.  An exhausted budget keeps the reports already finished and
     adds one inconclusive report; a crash replaces the instance's reports by
     one failing report.
     """
+    validate_request([name], ctx)
+    return _run_on_instance(name, instance, ctx)
+
+
+def _run_on_instance(
+    name: str, instance: Graph | None, ctx: CheckContext
+) -> list[CheckReport]:
+    """``run_check_on_instance`` on a request already validated."""
     check = CHECKS[name]
     label = _gid(instance) if instance is not None else f"collection:seed={ctx.seed}"
     holds = GRAPH_SCOPES.get(check.scope)  # None for a collection
@@ -1093,7 +1104,7 @@ def _tasks_for(
 def _run_task(
     names: tuple[str, ...], instance: Graph | None, ctx: CheckContext
 ) -> list[CheckReport]:
-    return [r for name in names for r in run_check_on_instance(name, instance, ctx)]
+    return [r for name in names for r in _run_on_instance(name, instance, ctx)]
 
 
 _POOL_CHUNK = 8  # tasks per pool message: fewer result batches to pickle and hold

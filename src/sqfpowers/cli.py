@@ -7,8 +7,10 @@ subcommand accepts ``--json`` for machine-readable output conforming to
 ``schemas/output.schema.json``.
 
 Exit codes: 0 success, 1 theorem-check failure (``verify`` only), 2 usage or
-input error.  An input error is any ``ValueError`` or ``OSError`` a command
-raises; ``main`` prints it as one ``error:`` line.
+input error, 141 standard output closed by its reader (as a shell reports a
+writer killed by SIGPIPE; nothing more is written, and no ``error:`` line).
+An input error is any other ``ValueError`` or ``OSError`` a command raises;
+``main`` prints it as one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import argparse
 import contextlib
 import itertools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -102,6 +105,8 @@ def _ideal_for_algebra(args: argparse.Namespace) -> ideals.MonomialIdeal:
     if args.ideal is not None:
         if args.graph is not None:
             raise ValueError("give either a GRAPH argument or --ideal FILE, not both")
+        if args.k != 1:
+            raise ValueError(f"-k {args.k} needs a GRAPH argument; --ideal FILE takes no power")
         return load_ideal(args.ideal)
     if args.graph is None:
         raise ValueError("provide a GRAPH argument or --ideal FILE")
@@ -522,7 +527,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Output still buffered would fail again at shutdown; it goes nowhere.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

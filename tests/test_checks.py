@@ -144,6 +144,32 @@ def test_run_checks_rejects_a_bad_request_before_any_task(names, ctx, jobs, mess
         run_checks(names, resolve_family("exhaustive-3"), ctx, jobs=jobs)
 
 
+@pytest.mark.parametrize(
+    "ctx, message",
+    [
+        (CheckContext(characteristic=4), "not prime"),
+        (CheckContext(time_budget_s=-1.0), "time budget"),
+    ],
+)
+def test_run_check_on_instance_rejects_a_bad_context(ctx, message):
+    # a bad request is an input error, not a theorem failure of the check
+    with pytest.raises(ValueError, match=message):
+        run_check_on_instance("froberg", cycle_graph(5), ctx)
+
+
+def test_run_checks_validates_a_request_once(monkeypatch):
+    calls = []
+    validate = checks.validate_request
+
+    def counted(*args):
+        calls.append(args)
+        return validate(*args)
+
+    monkeypatch.setattr(checks, "validate_request", counted)
+    run_checks(["froberg", "matching-chain"], resolve_family("exhaustive-4"))
+    assert len(calls) == 1
+
+
 def test_every_selected_check_reports_on_every_instance_in_its_scope():
     # a runner that yields nothing, or a collection with nothing in it, still
     # gives its instance one (vacuous) report

@@ -35,7 +35,7 @@ from sqfpowers.checks import CHECKS, Check, CheckReport
 from sqfpowers.cli import main
 from sqfpowers.defaults import DEFAULT_CHARACTERISTIC
 from sqfpowers.edge_ideals import sqfree_power_via_matchings
-from sqfpowers.graphs import path_graph, to_graph6
+from sqfpowers.graphs import complete_graph, path_graph, to_graph6
 
 SCHEMA = json.loads(
     resources.files("sqfpowers").joinpath("schemas/output.schema.json").read_text()
@@ -388,6 +388,17 @@ def test_a_graph_and_an_ideal_file_are_not_both_taken(tmp_path, command):
     path.write_text("n 3\n1 2\n2 3\n")
     code, out, err = run([command, "c7", "-k", "2", "--ideal", str(path)])
     assert code == 2 and out == "" and err.startswith("error:")
+
+
+@pytest.mark.parametrize("command", ["betti", "linrel", "linquot"])
+def test_a_power_of_an_ideal_file_is_rejected(tmp_path, command):
+    # -k powers a GRAPH argument; an ideal file is taken as it is
+    path = tmp_path / "p4.ideal"
+    path.write_text("n 4\n1 2\n2 3\n3 4\n")
+    code, out, err = run([command, "-k", "2", "--ideal", str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert run([command, "-k", "1", "--ideal", str(path)])[0] == 0
 
 
 def test_betti_large_characteristic():
@@ -968,19 +979,42 @@ def _run_entry_point(
     return _run_fresh(["-c", wrapper, *argv], cwd)
 
 
-def _run_fresh(args: list[str], cwd: Path) -> subprocess.CompletedProcess:
+def _run_fresh(
+    args: list[str], cwd: Path, stdout=subprocess.PIPE
+) -> subprocess.CompletedProcess:
     """Run ``python ARGS`` in a fresh interpreter on the package under test."""
     src_root = str(Path(sqfpowers.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_root, env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, *args],
-        capture_output=True,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
         text=True,
         timeout=120,
         cwd=cwd,
         env=env,
     )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["invariants", "c7"],  # held in the buffer until main flushes it
+        ["power", "g6:" + to_graph6(complete_graph(12)), "-k", "3", "--json"],  # 60 KB
+    ],
+)
+def test_a_closed_stdout_exits_141_without_an_error_line(tmp_path, argv):
+    # the reader of stdout is gone before the command starts, as after
+    # `sqfpowers ... | head -1` once head has read its line
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        wrapper = "import sys; from sqfpowers.cli import main; sys.exit(main())"
+        proc = _run_fresh(["-c", wrapper, *argv], tmp_path, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, "")
 
 
 def test_console_script(tmp_path):
