@@ -106,7 +106,9 @@ def _ideal_for_algebra(args: argparse.Namespace) -> ideals.MonomialIdeal:
         if args.graph is not None:
             raise ValueError("give either a GRAPH argument or --ideal FILE, not both")
         if args.k != 1:
-            raise ValueError(f"-k {args.k} needs a GRAPH argument; --ideal FILE takes no power")
+            raise ValueError(
+                f"-k {args.k} needs a GRAPH argument; --ideal FILE takes no power"
+            )
         return load_ideal(args.ideal)
     if args.graph is None:
         raise ValueError("provide a GRAPH argument or --ideal FILE")
