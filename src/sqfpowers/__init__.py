@@ -28,11 +28,11 @@ _EXPORTS = {
         (
             "betti",
             """
-            BettiTable BudgetExceeded LinearQuotientsResult SyzygyWitnessReport
+            BettiTable LinearQuotientsResult SyzygyWitnessReport
             first_syzygy_witness gf_rank has_linear_resolution
             is_linearly_related_combinatorial is_linearly_related_homological
             lcm_lattice linear_quotients_order multigraded_betti
-            projective_dimension regularity render_betti_diagram time_budget
+            projective_dimension regularity render_betti_diagram
             """,
         ),
         (
@@ -86,6 +86,7 @@ _EXPORTS = {
             tree_perfect_matching_criterion
             """,
         ),
+        ("memo", "BudgetExceeded time_budget"),
     )
     for name in names.split()
 }

@@ -45,8 +45,6 @@ table, so the table is the one place that validates the characteristic.
 
 from __future__ import annotations
 
-import time
-from contextlib import contextmanager
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import memo
@@ -64,43 +62,6 @@ GENERATOR_CAP = 2000
 SPARSE_COLUMN_THRESHOLD = 5000
 TABLE_MAX_VARS = 24
 MAX_CHARACTERISTIC = 1 << 64
-
-
-class BudgetExceeded(RuntimeError):
-    """Raised when a computation overruns its node or time budget."""
-
-
-_deadline: float | None = None  # the time.monotonic() bound of the request
-
-
-def _check_budgets(node_budget: int = 0, seconds: float | None = None) -> None:
-    """Nodes are an int >= 0; seconds are None or a number >= 0, not NaN."""
-    if not isinstance(node_budget, int) or node_budget < 0:
-        raise ValueError(f"node budget must be an int >= 0, got {node_budget!r}")
-    if seconds is not None and not seconds >= 0:
-        raise ValueError(f"time budget must be >= 0 seconds, got {seconds!r}")
-
-
-@contextmanager
-def time_budget(seconds: float | None) -> Iterator[None]:
-    """Raise ``BudgetExceeded`` in the body's computations after *seconds*.
-
-    ``None`` sets no bound and 0 is spent at the first check; a negative or
-    NaN budget raises ``ValueError``.  The outer bound comes back on exit.
-    """
-    _check_budgets(seconds=seconds)
-    global _deadline
-    outer = _deadline
-    _deadline = None if seconds is None else time.monotonic() + seconds
-    try:
-        yield
-    finally:
-        _deadline = outer
-
-
-def _check_deadline() -> None:
-    if _deadline is not None and time.monotonic() >= _deadline:
-        raise BudgetExceeded("time budget exhausted")
 
 
 _MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -134,7 +95,7 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-def _check_characteristic(characteristic: int) -> None:
+def check_characteristic(characteristic: int) -> None:
     """Reject a characteristic that is not a prime below MAX_CHARACTERISTIC."""
     if characteristic >= MAX_CHARACTERISTIC:
         raise ValueError(f"characteristic {characteristic} is not below 2^64")
@@ -204,7 +165,7 @@ def _lattice_joins(gens: tuple[int, ...]) -> list[int]:
     # at most one member, g_g, outside g_1..g_{g-1}, so g - 1 passes suffice
     lattice = set(gens)
     for g in gens[:-1]:
-        _check_deadline()
+        memo.check_deadline()
         lattice |= {m | g for m in lattice}
     return sorted(lattice, key=lambda m: (m.bit_count(), monomial_sort_key(m)))
 
@@ -261,7 +222,7 @@ def _face_levels(member: bytes | _DividingGenerators, m: int) -> list[list[int]]
     levels = []
     level = [0]
     while level:
-        _check_deadline()
+        memo.check_deadline()
         levels.append([f for f in level if not member[m ^ f ^ v]])
         grown = []
         for f in level:
@@ -371,7 +332,7 @@ def multigraded_betti(
 
 
 def _betti_table(I: MonomialIdeal, characteristic: int) -> BettiTable:
-    _check_characteristic(characteristic)
+    check_characteristic(characteristic)
     entries: dict[tuple[int, int], int] = {}
     lattice = lcm_lattice(I.gens)
     # the zero ideal has no multidegree to walk, so no table to build
@@ -448,7 +409,7 @@ def _linearly_related(gens: tuple[int, ...], d: int | None) -> bool:
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
     for i in range(g):
-        _check_deadline()
+        memo.check_deadline()
         for j in range(i + 1, g):
             m = gens[i] | gens[j]
             if monomial_degree(m) == d + 1:
@@ -558,18 +519,18 @@ def linear_quotients_order(
     linearly related first syzygies (Herzog-Hibi, Monomial Ideals, Prop.
     8.2.1).  So "none" is certified in one of two ways: the combinatorial
     linear-relatedness test fails (nodes 0, reason "not linearly related"), or
-    the search of _search_linear_quotients is exhausted (reason None).  Running
+    the search of search_linear_quotients is exhausted (reason None).  Running
     out of the request's ``time_budget`` in either, or of node_budget in the
     search, reports "inconclusive".
     """
-    _check_budgets(node_budget)
+    memo.check_budgets(node_budget)
     try:
         related = is_linearly_related_combinatorial(I)
-    except BudgetExceeded:
+    except memo.BudgetExceeded:
         return LinearQuotientsResult("inconclusive", None, 0)
     if not related:
         return LinearQuotientsResult("none", None, 0, "not linearly related")
-    return _search_linear_quotients(I, node_budget)
+    return search_linear_quotients(I, node_budget)
 
 
 def _precedence(gens: Sequence[int]) -> list[int]:
@@ -590,7 +551,7 @@ def _precedence(gens: Sequence[int]) -> list[int]:
     ]
 
 
-def _search_linear_quotients(I: MonomialIdeal, node_budget: int) -> LinearQuotientsResult:
+def search_linear_quotients(I: MonomialIdeal, node_budget: int) -> LinearQuotientsResult:
     """Search for a linear-quotients order of the generators.
 
     Whether a generator can be appended depends only on the set already
@@ -632,9 +593,9 @@ def _search_linear_quotients(I: MonomialIdeal, node_budget: int) -> LinearQuotie
                 continue
             nodes += 1
             if nodes > node_budget:
-                raise BudgetExceeded("node budget exhausted")
+                raise memo.BudgetExceeded("node budget exhausted")
             if nodes % 4096 == 0:
-                _check_deadline()
+                memo.check_deadline()
             if _colon_is_linear(placed, gens[j]):
                 placed.append(gens[j])
                 if dfs(chosen | bit):
@@ -645,9 +606,9 @@ def _search_linear_quotients(I: MonomialIdeal, node_budget: int) -> LinearQuotie
         return False
 
     try:
-        _check_deadline()
+        memo.check_deadline()
         ok = dfs(0)
-    except BudgetExceeded:
+    except memo.BudgetExceeded:
         return LinearQuotientsResult("inconclusive", None, nodes)
     if ok:
         return LinearQuotientsResult("found", tuple(placed), nodes)

@@ -20,7 +20,7 @@ there is nothing to compare, and the registry alone decides scope.
 does the rest: one vacuous report for an instance outside the scope or a
 runner that yields nothing, instance names, per-report timing, pass / fail
 from a bool (a passing bool drops its witness, an explicit outcome keeps it),
-one ``betti.time_budget`` scope around the runner, which bounds every library
+one ``memo.time_budget`` scope around the runner, which bounds every library
 call made inside it, and the conversion of an exhausted budget into one
 inconclusive report and of a crash into one failing report.
 
@@ -50,12 +50,8 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import memo
 from .betti import (
-    BudgetExceeded,
     LinearQuotientsResult,
-    _check_budgets,
-    _check_characteristic,
-    _check_deadline,
-    _search_linear_quotients,
+    check_characteristic,
     first_syzygy_witness,
     has_linear_resolution,
     is_linearly_related_combinatorial,
@@ -64,7 +60,7 @@ from .betti import (
     linear_quotients_order,
     multigraded_betti,
     regularity,
-    time_budget,
+    search_linear_quotients,
 )
 from .defaults import (
     DEFAULT_CHARACTERISTIC,
@@ -505,7 +501,7 @@ def _run_top_power_linear_quotients(G: Graph, ctx: CheckContext):
         return
     nu = matching_number(G)
     I = sqfree_power_via_matchings(G, nu)
-    result = _search_linear_quotients(I, ctx.node_budget)
+    result = search_linear_quotients(I, ctx.node_budget)
     if result.status == "inconclusive":
         yield "", INCONCLUSIVE, {"nodes": result.nodes}
     else:
@@ -614,7 +610,7 @@ def _run_taylor_witness(G: Graph, ctx: CheckContext):
         for i, m in table.entries:
             if i != 1:
                 continue
-            _check_deadline()
+            memo.check_deadline()
             if first_syzygy_witness(I, m).all_covered:
                 bad.append({"k": k, "m": list(monomial_vars(m))})
     yield "", not bad, {"violations": bad}
@@ -804,7 +800,7 @@ def _run_forest_five_way(G: Graph, ctx: CheckContext):
     if not G.edges or isolated_vertices(G) or G.n == 2:
         return
     I2 = sqfree_power_via_matchings(G, 2)
-    search = _search_linear_quotients(I2, ctx.node_budget)
+    search = search_linear_quotients(I2, ctx.node_budget)
     if search.status == "inconclusive":
         yield "", INCONCLUSIVE, {"nodes": search.nodes}
         return
@@ -1050,8 +1046,8 @@ def _run_on_instance(
     t0 = start = time.monotonic()
     reports = []
     try:
-        with time_budget(ctx.time_budget_s):
-            _check_deadline()
+        with memo.time_budget(ctx.time_budget_s):
+            memo.check_deadline()
             if holds is None:
                 prefix, items = "", check.runner(ctx)
             else:
@@ -1059,7 +1055,7 @@ def _run_on_instance(
                 items = check.runner(instance, ctx) if holds(instance) else ()
                 prefix = label
             for suffix, verdict, witness in items:
-                _check_deadline()
+                memo.check_deadline()
                 if isinstance(verdict, bool):
                     verdict, witness = (PASS, None) if verdict else (FAIL, witness)
                 reports.append(
@@ -1067,9 +1063,9 @@ def _run_on_instance(
                 )
                 start = time.monotonic()
             if not reports:
-                _check_deadline()
+                memo.check_deadline()
                 reports.append(CheckReport(name, label, VACUOUS, None, _ms(start)))
-    except BudgetExceeded as exc:
+    except memo.BudgetExceeded as exc:
         reports.append(
             CheckReport(name, label, INCONCLUSIVE, {"reason": str(exc)}, _ms(start))
         )
@@ -1121,13 +1117,13 @@ def validate_request(
         raise ValueError(f"unknown checks {unknown}; 'verify --list' prints the registry")
     if not names:
         raise ValueError("no check names given")
-    _check_characteristic(ctx.characteristic)
+    check_characteristic(ctx.characteristic)
     for field in ("random_ideal_count", "random_graph_count"):
         if (count := getattr(ctx, field)) < 0:
             raise ValueError(f"{field} must be >= 0, got {count}")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    _check_budgets(ctx.node_budget, ctx.time_budget_s)
+    memo.check_budgets(ctx.node_budget, ctx.time_budget_s)
     return names
 
 

@@ -23,7 +23,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import betti, checks, edge_ideals, families, graphs, ideals, matchings
+from . import betti, checks, edge_ideals, families, graphs, ideals, matchings, memo
 from .defaults import (
     DEFAULT_CHARACTERISTIC,
     DEFAULT_NODE_BUDGET,
@@ -221,7 +221,7 @@ def cmd_linrel(args: argparse.Namespace) -> int:
 
 def cmd_linquot(args: argparse.Namespace) -> int:
     I = _ideal_for_algebra(args)
-    with betti.time_budget(args.time_budget):
+    with memo.time_budget(args.time_budget):
         result = betti.linear_quotients_order(I, args.node_budget)
     payload = {
         "command": "linquot",

@@ -13,12 +13,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from sqfpowers import betti
+from sqfpowers import betti, memo
 from sqfpowers.betti import (
     DEFAULT_CHARACTERISTIC,
     GENERATOR_CAP,
     TABLE_MAX_VARS,
-    BudgetExceeded,
     first_syzygy_witness,
     gf_rank,
     has_linear_resolution,
@@ -30,14 +29,13 @@ from sqfpowers.betti import (
     projective_dimension,
     regularity,
     render_betti_diagram,
-    time_budget,
+    search_linear_quotients,
     _DividingGenerators,
     _face_levels,
     _homology_dims,
     _is_prime,
     _membership_table,
     _precedence,
-    _search_linear_quotients,
 )
 from sqfpowers.checks import INCONCLUSIVE, CheckContext, CheckReport, run_check_on_instance
 from sqfpowers.defaults import DEFAULT_NODE_BUDGET
@@ -58,6 +56,7 @@ from sqfpowers.ideals import (
     monomial_vars,
     sqfree_power,
 )
+from sqfpowers.memo import BudgetExceeded, time_budget
 from sqfpowers.matchings import matching_number
 from strategies import mixed_ideals_st, squarefree_ideals_st
 
@@ -524,7 +523,7 @@ def test_the_budget_is_checked_inside_one_face_walk(monkeypatch):
         return clock.ticks
 
     monkeypatch.setattr(betti, "_face_levels", walk)
-    monkeypatch.setattr(betti, "time", SimpleNamespace(monotonic=monotonic))
+    monkeypatch.setattr(memo, "time", SimpleNamespace(monotonic=monotonic))
     clock = SimpleNamespace(started=False, ticks=0)
     with pytest.raises(BudgetExceeded), time_budget(1.5):
         betti._face_levels(table, top)
@@ -557,11 +556,11 @@ def test_time_budget_rejects_a_negative_or_nan_budget(seconds):
 
 def test_a_zero_time_budget_is_spent_at_the_first_check(monkeypatch):
     # a clock that stands still: the deadline is the moment of entry
-    monkeypatch.setattr(betti, "time", SimpleNamespace(monotonic=lambda: 5.0))
+    monkeypatch.setattr(memo, "time", SimpleNamespace(monotonic=lambda: 5.0))
     with pytest.raises(BudgetExceeded), time_budget(0):
-        betti._check_deadline()
+        memo.check_deadline()
     with time_budget(1):
-        betti._check_deadline()
+        memo.check_deadline()
 
 
 @pytest.mark.parametrize("node_budget", [-1, 1.5])
@@ -712,7 +711,7 @@ def test_linear_quotients_certificate_agrees_with_search():
             for k in range(1, matching_number(G) + 1):
                 P = sqfree_power_via_matchings(G, k)
                 res = linear_quotients_order(P)
-                search = _search_linear_quotients(P, DEFAULT_NODE_BUDGET)
+                search = search_linear_quotients(P, DEFAULT_NODE_BUDGET)
                 assert search.status in ("found", "none"), (to_graph6(G), k)
                 if res.reason is None:
                     assert res == search, (to_graph6(G), k)
@@ -741,7 +740,7 @@ def _search_ranking(I: MonomialIdeal) -> list[int]:
 def test_pruned_search_agrees_with_unpruned_oracle(I):
     # the precedence constraints skip only subtrees that hold no order, so
     # the search finds the first order of the unpruned depth-first search
-    res = _search_linear_quotients(I, DEFAULT_NODE_BUDGET)
+    res = search_linear_quotients(I, DEFAULT_NODE_BUDGET)
     assert res.status in ("found", "none")
     assert res.order == oracles.first_linear_quotients_order(_search_ranking(I))
 

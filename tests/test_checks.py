@@ -7,7 +7,6 @@ import pytest
 
 import sqfpowers
 from sqfpowers import betti, checks
-from sqfpowers.betti import BudgetExceeded
 from sqfpowers.checks import (
     CHECKS,
     FAIL,
@@ -26,6 +25,7 @@ from sqfpowers.checks import (
 from sqfpowers.edge_ideals import edge_ideal
 from sqfpowers.families import disjoint_edges_graph, random_graphs, resolve_family
 from sqfpowers.graphs import builtin_graph, cycle_graph, path_graph
+from sqfpowers.memo import BudgetExceeded
 
 JOBS = 4
 
@@ -297,7 +297,7 @@ def test_regularity_runners_honour_the_time_budget(name):
 
 
 def test_no_deadline_is_passed_by_hand():
-    # the time budget belongs to the request (betti.time_budget), so no
+    # the time budget belongs to the request (memo.time_budget), so no
     # exported callable takes a deadline and every runner takes (G, ctx) or
     # (ctx) alone
     for name in sqfpowers.__all__:

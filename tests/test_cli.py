@@ -30,12 +30,12 @@ import pytest
 
 import sqfpowers
 from sqfpowers import cli
-from sqfpowers.betti import BudgetExceeded
 from sqfpowers.checks import CHECKS, Check, CheckReport
 from sqfpowers.cli import main
 from sqfpowers.defaults import DEFAULT_CHARACTERISTIC
 from sqfpowers.edge_ideals import sqfree_power_via_matchings
 from sqfpowers.graphs import complete_graph, path_graph, to_graph6
+from sqfpowers.memo import BudgetExceeded
 
 SCHEMA = json.loads(
     resources.files("sqfpowers").joinpath("schemas/output.schema.json").read_text()
@@ -1084,7 +1084,7 @@ def test_import_does_not_load_numpy(tmp_path):
 
 # the modules cli.py imports; bench/tracer.py wraps functions of them and
 # looks them up in sys.modules after importing sqfpowers.cli
-CLI_MODULES = {"betti", "checks", "edge_ideals", "families", "graphs", "ideals", "matchings"}
+CLI_MODULES = {"betti", "checks", "edge_ideals", "families", "graphs", "ideals", "matchings", "memo"}
 
 
 def test_import_registers_modules_without_running_them(tmp_path):

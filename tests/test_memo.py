@@ -16,12 +16,10 @@ import pytest
 
 from sqfpowers import betti, checks, edge_ideals, ideals, matchings, memo
 from sqfpowers.betti import (
-    BudgetExceeded,
     is_linearly_related_combinatorial,
     lcm_lattice,
     linear_quotients_order,
     multigraded_betti,
-    time_budget,
 )
 from sqfpowers.checks import CHECKS, PASS, Check, CheckContext, run_check_on_instance, run_checks
 from sqfpowers.edge_ideals import edge_ideal, sqfree_power_via_matchings
@@ -33,6 +31,7 @@ from sqfpowers.matchings import (
     matching_number,
     restricted_matching_number,
 )
+from sqfpowers.memo import BudgetExceeded, time_budget
 
 
 def _count_calls(monkeypatch, module, name) -> list[int]:
@@ -232,7 +231,7 @@ def test_an_interrupted_lattice_is_not_stored(kernels):
 
 def test_a_memoised_table_validates_the_characteristic_once(monkeypatch):
     # the table is the one place that validates it, and only on a memo miss
-    calls = _count_calls(monkeypatch, betti, "_check_characteristic")
+    calls = _count_calls(monkeypatch, betti, "check_characteristic")
     I = sqfree_power_via_matchings(cycle_graph(7), 2)
     with request():
         multigraded_betti(I)
