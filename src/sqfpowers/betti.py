@@ -41,6 +41,10 @@ no separate first-syzygy complex is built.  The zero ideal has the zero
 resolution, so its table is empty: regularity 1 and a linear resolution by
 convention, no projective dimension.  Every homological answer is read from a
 table, so the table is the one place that validates the characteristic.
+
+The lattice, each face walk, the linear-relatedness test and the
+linear-quotients search read the request's time budget (see ``memo``); this
+module keeps only its own rules, the characteristic and ``GENERATOR_CAP``.
 """
 
 from __future__ import annotations

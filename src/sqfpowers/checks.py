@@ -21,7 +21,8 @@ does the rest: one vacuous report for an instance outside the scope or a
 runner that yields nothing, instance names, per-report timing, pass / fail
 from a bool (a passing bool drops its witness, an explicit outcome keeps it),
 one ``memo.time_budget`` scope around the runner, which bounds every library
-call made inside it, and the conversion of an exhausted budget into one
+call made inside it (the vertex-subset loops of ``chordal-oracle`` and
+``betti-induced-monotone`` read it too), and the conversion of an exhausted budget into one
 inconclusive report and of a crash into one failing report.
 
 ``run_checks`` validates the request (``validate_request``) once, as
@@ -451,6 +452,7 @@ def _run_betti_induced_monotone(G: Graph, ctx: CheckContext):
     vertices = list(G.vertices)
     for size in range(2, G.n):
         for W in itertools.combinations(vertices, size):
+            memo.check_deadline()  # memo hits alone check no deadline
             H = induced_subgraph(G, W)
             if not H.edges:
                 continue
@@ -694,6 +696,7 @@ def _has_chordless_cycle(G: Graph) -> bool:
     vertices = list(G.vertices)
     for size in range(4, G.n + 1):
         for W in itertools.combinations(vertices, size):
+            memo.check_deadline()
             H = induced_subgraph(G, W)
             if len(H.edges) == size and all(H.degree(v) == 2 for v in H.vertices):
                 if len(connected_components(H)) == 1:

@@ -191,6 +191,7 @@ def sqfree_power(I: MonomialIdeal, k: int) -> MonomialIdeal:
     unions: set[int] = set()
 
     def rec(start: int, used: int, depth: int) -> None:
+        memo.check_deadline()
         if depth == k:
             unions.add(used)
             return

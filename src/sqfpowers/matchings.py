@@ -7,6 +7,10 @@ gaps), and the restricted matching number nu0 (largest matching containing
 one edge that forms a gap with every other edge of the matching).  Two edges
 form a gap when no edge of the graph joins them, i.e. they induce a
 2-matching.  Always nu1 <= nu0 <= nu.
+
+nu and nu0 are polynomial.  nu1, the k-matchings and the maximal matchings are
+exhaustive searches, which read the request's time budget (see ``memo``) once
+per recursive step; without a budget they are unbounded.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ def enumerate_matchings(G: Graph, k: int) -> Iterator[Matching]:
     chosen: list[Edge] = []
 
     def rec(start: int, used: int) -> Iterator[Matching]:
+        memo.check_deadline()
         need = k - len(chosen)
         if need == 0:
             yield tuple(chosen)
@@ -207,6 +212,7 @@ def _induced_nu(G: Graph) -> int:
     m = len(edges)
 
     def rec(start: int, blocked: int, count: int) -> int:
+        memo.check_deadline()
         best = count
         for i in range(start, m):
             if emasks[i] & blocked:
@@ -262,6 +268,7 @@ def enumerate_maximal_matchings(G: Graph) -> Iterator[Matching]:
     chosen: list[Edge] = []
 
     def rec(start: int, used: int) -> Iterator[Matching]:
+        memo.check_deadline()
         if all(mask & used for mask in masks):
             yield tuple(chosen)
             return

@@ -546,6 +546,56 @@ def test_zero_time_budget_is_spent():
     assert payload["summary"] == {"nu0-lambda": {"inconclusive": 18}}
 
 
+# bench/reference.gnp(48, 0.07, random.Random(3)), 78 edges: nu1 alone
+# takes about 4 s on it
+G48 = (
+    "o??CCo???A???????_??????C????_AB@??????CO?_C?A?@@A?@?A?TG?G_??_?@?A??_@G?A?C_?G"
+    "????@????GA@?@??????????O_?GG???@G??C?_??@?o????c?????H????????@?AC???OA?????_?"
+    "??????G??c_A??C????Ia?CG?????AO"
+)
+
+
+@pytest.mark.parametrize(
+    "graph, outcome",
+    [
+        (
+            f"parse_graph6({G48!r})",
+            "run_check_on_instance('matching-chain', G, CheckContext(time_budget_s=0.5))[0].outcome",
+        ),
+        ("complete_graph(14)", "spent(0.2, lambda: is_equimatchable(G))"),
+        (
+            "path_graph(22)",
+            "run_check_on_instance('chordal-oracle', G, CheckContext(time_budget_s=0.3))[0].outcome",
+        ),
+    ],
+    ids=["matching-chain-G48", "equimatchable-K14", "chordal-oracle-P22"],
+)
+def test_a_spent_budget_stops_an_exhaustive_search(tmp_path, graph, outcome):
+    # in a child process with a hard timeout, so a search that ignores the
+    # budget fails here in seconds, not at the job's time limit
+    probe = (
+        "import time\n"
+        "from sqfpowers.checks import CheckContext, run_check_on_instance\n"
+        "from sqfpowers.graphs import complete_graph, parse_graph6, path_graph\n"
+        "from sqfpowers.matchings import is_equimatchable\n"
+        "from sqfpowers.memo import BudgetExceeded, time_budget\n"
+        "def spent(seconds, search):\n"
+        "    try:\n"
+        "        with time_budget(seconds):\n"
+        "            search()\n"
+        "    except BudgetExceeded:\n"
+        "        return 'inconclusive'\n"
+        "    return 'finished'\n"
+        f"G = {graph}\n"
+        "start = time.monotonic()\n"
+        f"print({outcome}, time.monotonic() - start)\n"
+    )
+    proc = _run_fresh(["-c", probe], tmp_path, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    verdict, seconds = proc.stdout.split()
+    assert verdict == "inconclusive" and float(seconds) < 1.5, proc.stdout
+
+
 @pytest.mark.parametrize("budget", ["-1", "-0.5", "nan"])
 def test_linquot_rejects_a_bad_time_budget(budget):
     code, out, err = run(["linquot", "c7", "-k", "2", "--time-budget", budget])
@@ -980,7 +1030,7 @@ def _run_entry_point(
 
 
 def _run_fresh(
-    args: list[str], cwd: Path, stdout=subprocess.PIPE
+    args: list[str], cwd: Path, stdout=subprocess.PIPE, timeout: float = 120
 ) -> subprocess.CompletedProcess:
     """Run ``python ARGS`` in a fresh interpreter on the package under test."""
     src_root = str(Path(sqfpowers.__file__).resolve().parent.parent)
@@ -991,7 +1041,7 @@ def _run_fresh(
         stdout=stdout,
         stderr=subprocess.PIPE,
         text=True,
-        timeout=120,
+        timeout=timeout,
         cwd=cwd,
         env=env,
     )

@@ -24,8 +24,9 @@ from sqfpowers.betti import (
 from sqfpowers.checks import CHECKS, PASS, Check, CheckContext, run_check_on_instance, run_checks
 from sqfpowers.edge_ideals import edge_ideal, sqfree_power_via_matchings
 from sqfpowers.graphs import Graph, cycle_graph, path_graph
-from sqfpowers.ideals import MonomialIdeal, monomial, ratliff_check
+from sqfpowers.ideals import MonomialIdeal, monomial, ratliff_check, sqfree_power
 from sqfpowers.matchings import (
+    enumerate_matchings,
     induced_matching_number,
     is_equimatchable,
     matching_number,
@@ -292,3 +293,27 @@ def test_call_sites_keep_apart_equal_keys():
         with request():
             for _ in range(2):
                 assert [f(P4) for f, _ in order] == [value for _, value in order]
+
+
+P4 = path_graph(4)
+I_P4 = edge_ideal(P4)
+
+
+@pytest.mark.parametrize(
+    "search",
+    [
+        pytest.param(lambda: induced_matching_number(P4), id="nu1"),
+        pytest.param(lambda: is_equimatchable(cycle_graph(5)), id="equimatchable"),
+        pytest.param(lambda: next(enumerate_matchings(P4, 1)), id="matchings"),
+        pytest.param(lambda: sqfree_power_via_matchings(P4, 1), id="power-via-matchings"),
+        pytest.param(lambda: sqfree_power(I_P4, 1), id="power-ideal-side"),
+        pytest.param(lambda: lcm_lattice(I_P4.gens), id="lattice"),
+        pytest.param(lambda: multigraded_betti(I_P4), id="betti"),
+        pytest.param(lambda: is_linearly_related_combinatorial(I_P4), id="linrel"),
+    ],
+)
+def test_every_exhaustive_search_reads_the_deadline(search):
+    # each runs to its end without a budget, and a spent one stops it
+    search()
+    with pytest.raises(BudgetExceeded), time_budget(0):
+        search()
