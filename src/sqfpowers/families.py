@@ -136,6 +136,10 @@ def all_forests(n: int) -> tuple[Graph, ...]:
     A forest is a partition of n into tree sizes >= 2 and, for each size that
     occurs c times, a multiset of c trees of that size.
     """
+    if n < 2:
+        raise ValueError("n must be >= 2: a forest with no isolated vertex has an edge")
+    if n > TREE_ENUM_CAP:
+        raise ValueError(f"forest enumeration capped at n = {TREE_ENUM_CAP}")
     out: list[Graph] = []
     for parts in _partitions_min2(n):
         multisets = [

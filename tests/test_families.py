@@ -103,6 +103,12 @@ def test_graph_enumeration_validates():
         canonical_code(Graph.from_edges(9, []))
 
 
+@pytest.mark.parametrize("n", [1, 0, -3])
+def test_forest_enumeration_rejects_sizes_below_two(n):
+    with pytest.raises(ValueError, match=">= 2"):
+        all_forests(n)
+
+
 def test_tree_and_forest_enumeration_is_capped():
     assert TREE_ENUM_CAP == max(TREE_COUNTS)
     for enumerate_ in (all_trees, all_forests):
