@@ -22,8 +22,8 @@ runner that yields nothing, instance names, per-report timing, pass / fail
 from a bool (a passing bool drops its witness, an explicit outcome keeps it),
 one ``memo.time_budget`` scope around the runner, which bounds every library
 call made inside it (the vertex-subset loops of ``chordal-oracle`` and
-``betti-induced-monotone`` read it too), and the conversion of an exhausted budget into one
-inconclusive report and of a crash into one failing report.
+``betti-induced-monotone`` read it too), and the conversion of an exhausted
+budget into one inconclusive report and of a crash into one failing report.
 
 ``run_checks`` validates the request (``validate_request``) once, as
 ``run_check_on_instance`` does for its one check, makes one task of each
