@@ -27,7 +27,7 @@ from sqfpowers.checks import (
 )
 from sqfpowers.edge_ideals import lambda_number, sqfree_power_via_matchings
 from sqfpowers.families import resolve_family
-from sqfpowers.graphs import builtin_graph, cycle_graph, path_graph
+from sqfpowers.graphs import builtin_graph, cycle_graph
 from sqfpowers.matchings import restricted_matching_number
 
 JOBS = 4
@@ -88,22 +88,17 @@ def test_criterion_03_heptagon_square_diagram_and_verdicts():
     _finish(3, "heptagon square diagram and verdicts", t0, 30.0)
 
 
-def test_criterion_04_linear_relatedness_oracles_agree():
+def test_criterion_04_linear_relatedness_oracles_agree(exhaustive_7):
     t0 = time.monotonic()
-    reports = run_checks(
-        ["linrel-oracle-agreement"],
-        resolve_family("exhaustive-7"),
-        CheckContext(),
-        jobs=JOBS,
-    )
+    reports = exhaustive_7.of(["linrel-oracle-agreement"])
     assert theorem_failures(reports) == []
     outcomes = Counter(r.outcome for r in reports)
     assert outcomes[FAIL] == 0 and outcomes[INCONCLUSIVE] == 0
     assert outcomes[PASS] == 3528  # one verdict pair per (graph, power)
-    _finish(4, "linear-relatedness oracles agree, n <= 7", t0, 1800.0)
+    _finish(4, "linear-relatedness oracles agree, n <= 7", t0)
 
 
-def test_criterion_05_theorem_suite_small_exhaustive():
+def test_criterion_05_theorem_suite_small_exhaustive(exhaustive_7):
     t0 = time.monotonic()
     names_n7 = [
         "lower-bound",
@@ -119,32 +114,27 @@ def test_criterion_05_theorem_suite_small_exhaustive():
         "froberg",
     ]
     names_n6 = ["restriction-table", "betti-induced-monotone"]  # Betti-heavy pair
-    reports = run_checks(
-        names_n7, resolve_family("exhaustive-7"), CheckContext(), jobs=JOBS
-    )
-    reports += run_checks(
-        names_n6, resolve_family("exhaustive-6"), CheckContext(), jobs=JOBS
-    )
+    reports = exhaustive_7.of(names_n7) + exhaustive_7.of(names_n6, "exhaustive-6")
     assert theorem_failures(reports) == []
     by_check = summarize(reports)
     assert set(by_check) == set(names_n7) | set(names_n6)
     for name in names_n7 + names_n6:
         assert by_check[name].get(FAIL, 0) == 0, name
         assert by_check[name].get(PASS, 0) > 0, name
-    _finish(5, "theorem suite, n <= 7 (Betti-heavy pair n <= 6)", t0, 1800.0)
+    _finish(5, "theorem suite, n <= 7 (Betti-heavy pair n <= 6)", t0)
 
 
 def test_criterion_06_forest_five_way_equivalence():
     t0 = time.monotonic()
     reports = run_checks(
-        ["forest-five-way"], resolve_family("forests-9"), CheckContext(), jobs=JOBS
+        ["forest-five-way"], resolve_family("forests-10"), CheckContext(), jobs=JOBS
     )
     assert theorem_failures(reports) == []
     outcomes = Counter(r.outcome for r in reports)
     assert outcomes[FAIL] == 0 and outcomes[INCONCLUSIVE] == 0
     vacuous = [r for r in reports if r.outcome == VACUOUS]
     assert len(vacuous) == 1 and "A_" in vacuous[0].instance  # the single edge
-    _finish(6, "forest five-way equivalence, n <= 9", t0, 1800.0)
+    _finish(6, "forest five-way equivalence, n <= 10", t0, 1800.0)
 
 
 def test_criterion_07_perfect_matching_trees():
@@ -167,25 +157,19 @@ def test_criterion_07_perfect_matching_trees():
     _finish(7, "perfect-matching trees, n <= 12", t0)
 
 
-def test_criterion_08_top_power_linear_quotients():
+def test_criterion_08_top_power_linear_quotients(exhaustive_7):
     t0 = time.monotonic()
-    reports = run_checks(
-        ["top-power-linear-quotients"],
-        resolve_family("exhaustive-7"),
-        CheckContext(),
-        jobs=JOBS,
-    )
+    reports = exhaustive_7.of(["top-power-linear-quotients"])
     outcomes = Counter(r.outcome for r in reports)
     assert outcomes[FAIL] == 0 and outcomes[INCONCLUSIVE] == 0
     assert outcomes[PASS] == 1245 and outcomes[VACUOUS] == 7  # edgeless graphs
     _finish(8, "top-power linear quotients, n <= 7", t0)
 
 
-def test_criterion_09_random_squarefree_colon_stability():
+def test_criterion_09_random_squarefree_colon_stability(exhaustive_7):
+    # the sweep's ratliff-random: 500 ideals from the default seed
     t0 = time.monotonic()
-    reports = run_checks(
-        ["ratliff-random"], [path_graph(2)], CheckContext(random_ideal_count=500)
-    )
+    reports = exhaustive_7.of(["ratliff-random"])
     assert len(reports) == 500
     assert theorem_failures(reports) == []
     assert all(r.outcome in (PASS, VACUOUS) for r in reports)

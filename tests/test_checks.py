@@ -217,16 +217,6 @@ def test_reports_are_deterministic_and_sorted():
     assert a == sorted(a, key=lambda r: (r.check, r.instance))
 
 
-def test_parallel_equals_serial():
-    # the whole registry: one task per graph and memoised tables and powers
-    # must give the same reports however the tasks are scheduled
-    graphs = resolve_family("exhaustive-5")
-    serial = run_checks(None, graphs, jobs=1)
-    parallel = run_checks(None, graphs, jobs=2)
-    assert {r.check for r in serial} == set(CHECKS)
-    assert _strip_millis(serial) == _strip_millis(parallel)
-
-
 def test_crash_becomes_failure_report(monkeypatch):
     def boom(G, ctx):
         raise RuntimeError("synthetic defect")
@@ -402,8 +392,8 @@ def test_ratliff_checks_on_c7():
 # ---------------------------------------------------------------------------
 # invariant sweeps (the registered statements hold on their stated ranges)
 
-def test_whole_registry_passes_on_small_graphs():
-    reports = run_checks(None, resolve_family("exhaustive-5"), jobs=JOBS)
+def test_whole_registry_passes_on_small_graphs(exhaustive_7):
+    reports = exhaustive_7.of(family="exhaustive-5")
     failures = theorem_failures(reports)
     assert failures == [], [
         (r.check, r.instance, r.witness) for r in failures[:10]
@@ -417,14 +407,10 @@ def test_builtin_family_passes():
     assert theorem_failures(reports) == []
 
 
-def test_resolution_invariants_full_range():
+def test_resolution_invariants_full_range(exhaustive_7):
     # Betti-table restriction and induced-subgraph monotonicity on every
     # graph with at most 7 vertices
-    reports = run_checks(
-        ["restriction-table", "betti-induced-monotone"],
-        resolve_family("exhaustive-7"),
-        jobs=JOBS,
-    )
+    reports = exhaustive_7.of(["restriction-table", "betti-induced-monotone"])
     assert theorem_failures(reports) == []
     counts = summarize(reports)
     assert counts["restriction-table"][PASS] > 3000
@@ -432,7 +418,9 @@ def test_resolution_invariants_full_range():
 
 
 def test_edge_ideal_invariants_full_range():
-    # colon formula on every edge, and power-route agreement, for n <= 8
+    # colon formula on every edge, and power-route agreement, for n <= 8:
+    # the k-matching supports generate I^[k] for k = 1 .. nu + 1, so the
+    # (nu + 1)-st power is zero
     reports = run_checks(
         ["colon-formula", "power-matching-agreement"],
         resolve_family("exhaustive-8"),
@@ -444,30 +432,9 @@ def test_edge_ideal_invariants_full_range():
     assert counts["power-matching-agreement"][PASS] > 13000
 
 
-def test_colon_regularity_full_range():
-    reports = run_checks(["colon-regularity"], resolve_family("exhaustive-7"), jobs=JOBS)
+def test_colon_regularity_full_range(exhaustive_7):
+    reports = exhaustive_7.of(["colon-regularity"])
     assert theorem_failures(reports) == []
-
-
-def test_forest_five_way_full_range():
-    reports = run_checks(["forest-five-way"], resolve_family("forests-10"), jobs=JOBS)
-    assert theorem_failures(reports) == []
-    counts = summarize(reports)["forest-five-way"]
-    assert counts.get(VACUOUS, 0) == 1  # the single edge
-    assert counts.get(INCONCLUSIVE, 0) == 0
-
-
-def test_tree_checks_full_range():
-    reports = run_checks(
-        ["tree-criterion-agreement", "tree-perfect-linres", "nu0-perfect-tree"],
-        resolve_family("trees-12"),
-        jobs=JOBS,
-    )
-    assert theorem_failures(reports) == []
-    counts = summarize(reports)
-    assert counts["tree-criterion-agreement"][PASS] == 987
-    assert counts["tree-perfect-linres"][PASS] > 70
-    assert counts["nu0-perfect-tree"][PASS] > 70
 
 
 def test_generated_by_variables_on_random_graphs():

@@ -815,7 +815,10 @@ def _ndjson_without_millis(path: Path) -> list[dict]:
     return rows
 
 
-def test_verify_ndjson_holds_the_returned_reports(tmp_path, monkeypatch):
+def test_verify_ndjson_holds_the_returned_reports(tmp_path, monkeypatch, sweep):
+    # a serial sweep writes what run_checks returned, and agrees with the
+    # same sweep on two workers, whose digest tests/test_golden.py pins
+    parallel = sweep(" ".join(SMALL_SWEEP + ["--jobs", "2"])).ndjson
     real = sqfpowers.checks.run_checks
     returned = []
 
@@ -825,22 +828,13 @@ def test_verify_ndjson_holds_the_returned_reports(tmp_path, monkeypatch):
 
     monkeypatch.setattr(sqfpowers.checks, "run_checks", recorded)
     nd = tmp_path / "reports.ndjson"
-    code, _, err = run(SMALL_SWEEP + ["--jobs", "2", "--ndjson", str(nd)])
+    code, _, err = run(SMALL_SWEEP + ["--jobs", "1", "--ndjson", str(nd)])
     assert code == 0, err
     assert len(returned) > 100
     assert nd.read_bytes() == b"".join(
         r.to_json_line().encode() + b"\n" for r in returned
     )
-
-
-def test_verify_ndjson_agrees_across_jobs(tmp_path):
-    rows = []
-    for jobs in ("1", "2"):
-        nd = tmp_path / f"jobs{jobs}.ndjson"
-        code, _, err = run(SMALL_SWEEP + ["--jobs", jobs, "--ndjson", str(nd)])
-        assert code == 0, err
-        rows.append(_ndjson_without_millis(nd))
-    assert rows[0] == rows[1] and len(rows[0]) > 100
+    assert _ndjson_without_millis(nd) == _ndjson_without_millis(parallel)
 
 
 def test_a_check_with_nothing_to_run_gives_one_vacuous_report(tmp_path):
@@ -957,12 +951,6 @@ def test_verify_budget_keeps_finished_reports(monkeypatch):
     jsonschema.validate(payload, SCHEMA)
     assert payload["summary"] == {"fake-budget": {"pass": 2, "inconclusive": 1}}
     assert payload["total_reports"] == 3
-
-
-def test_verify_all_small_exhaustive_passes():
-    code, out, _ = run(["verify", "all", "--family", "exhaustive-6", "--jobs", "4"])
-    assert code == 0
-    assert out.rstrip("\n").split("\n")[-1].endswith("0 theorem failures")
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,10 @@ Each single-object command on c7 or fig1 has its exact standard output in
 ``golden/<name>.txt``, where the name is the argument list joined by "_" with
 leading dashes dropped.  Larger outputs are pinned by their sha256 in
 ``golden/sha256.json``: the ``betti --json`` payloads of the three large
-instances, the ND-JSON of two ``verify all`` sweeps with the ``millis``
+instances, the ND-JSON of three ``verify all`` sweeps with the ``millis``
 timings removed from every report, and the graph6 lines (one per graph, in
-order) of the largest exhaustive, tree and forest families.
+order) of the largest exhaustive, tree and forest families.  Each sweep runs
+once per session (``conftest.py``).
 
 To refresh a pinned output after an intended change, write the new standard
 output (or digest) of the same arguments into its file.
@@ -94,9 +95,8 @@ def ndjson_without_millis(path: Path) -> bytes:
 
 
 @pytest.mark.parametrize("args", sorted(DIGESTS["ndjson_without_millis"]))
-def test_sweep_ndjson_digest(args, tmp_path):
-    nd = tmp_path / "reports.ndjson"
-    run(args.split() + ["--ndjson", str(nd)])
+def test_sweep_ndjson_digest(args, sweep):
+    nd = sweep(args).ndjson
     digest = hashlib.sha256(ndjson_without_millis(nd)).hexdigest()
     assert digest == DIGESTS["ndjson_without_millis"][args]
 

@@ -238,25 +238,6 @@ def test_sqfree_power_membership_property(I):
         assert {m for m in range(1 << I.n) if P.contains(m)} == want
 
 
-def test_power_supports_equal_matching_supports_exhaustively():
-    # the generators of the k-th power of an edge ideal are exactly the
-    # supports of the k-matchings, for every graph with at most 8 vertices
-    from sqfpowers.matchings import enumerate_matchings
-
-    for n in range(1, 9):
-        for G in all_graphs(n):
-            I = edge_ideal(G)
-            nu = matching_number(G)
-            for k in range(1, nu + 1):
-                P = sqfree_power(I, k)
-                supports = {
-                    monomial(v for e in M for v in e)
-                    for M in enumerate_matchings(G, k)
-                }
-                assert set(P.gens) == supports, (to_graph6(G), k)
-            assert sqfree_power(I, nu + 1).is_zero, to_graph6(G)
-
-
 # ---------------------------------------------------------------------------
 # colon and intersection
 

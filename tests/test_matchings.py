@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 import oracles
+from sqfpowers.defaults import DEFAULT_SEED
 from sqfpowers.families import all_graphs, random_graphs
 from sqfpowers.graphs import (
     Graph,
@@ -275,14 +276,14 @@ def test_matching_chain_exhaustive():
             assert nu1 <= nu0 <= nu, to_graph6(G)
 
 
-def test_matching_chain_random():
-    for G in random_graphs(1000, 12):
-        nu, nu1, nu0 = (
-            matching_number(G),
-            induced_matching_number(G),
-            restricted_matching_number(G),
-        )
-        assert nu1 <= nu0 <= nu, to_graph6(G)
+def test_matching_chain_random(exhaustive_7):
+    # nu1 <= nu0 <= nu on random_graphs(1000, 12) from the default seed: the
+    # graphs of the sweep's matching-chain-random report
+    reports = exhaustive_7.of(["matching-chain-random"])
+    instance = f"random;seed={DEFAULT_SEED};count=1000;max_n=12"
+    assert [(r.instance, r.outcome, r.witness) for r in reports] == [
+        (instance, "pass", None)
+    ]
 
 
 def test_restricted_matching_number_matches_gap_mate_scan():
