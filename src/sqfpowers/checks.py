@@ -28,8 +28,9 @@ budget into one inconclusive report and of a crash into one failing report.
 ``run_checks`` validates the request (``validate_request``) once, as
 ``run_check_on_instance`` does for its one check, makes one task of each
 collection check, then one of each graph with every check in scope
-of it, and runs them in a serial loop or a process pool.  Each process that
-runs tasks holds the request's memo open, so each value ``memo`` lists is
+of it, and runs them in a serial loop or, for ``jobs > 1``, a process pool of
+at most ``min(jobs, tasks, usable CPUs)`` workers (a pool starts all of its
+workers at once).  Each process that runs tasks holds the request's memo open, so each value ``memo`` lists is
 computed once per process.  The checks about first syzygies
 (``first-syzygy-degree-bound``, ``taylor-witness`` and the homological side
 of ``linrel-oracle-agreement``) read b_{1,m} from these tables.  The
@@ -45,6 +46,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import os
 import random
 import time
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -1109,6 +1111,13 @@ def _run_task(
 _POOL_CHUNK = 8  # tasks per pool message: fewer result batches to pickle and hold
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on (all of them where that is unknown)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def validate_request(
     names: Sequence[str] | None, ctx: CheckContext, jobs: int = 1
 ) -> list[str]:
@@ -1150,7 +1159,8 @@ def run_checks(
         # Imported here: it loads multiprocessing, and only a pool needs it.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs, initializer=memo.open) as pool:
+        workers = max(1, min(jobs, len(tasks), _usable_cpus()))
+        with ProcessPoolExecutor(max_workers=workers, initializer=memo.open) as pool:
             for batch in pool.map(
                 _run_task,
                 [task_names for task_names, _ in tasks],

@@ -516,7 +516,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--family", default=None, help=FAMILY_HELP)
     p.add_argument("--list", action="store_true", help="print the registry and exit")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes")
+    p.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help="worker processes; at most one per task and per usable CPU",
+    )
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--random-ideals", type=int, default=DEFAULT_RANDOM_IDEALS)
     p.add_argument("--random-graphs", type=int, default=DEFAULT_RANDOM_GRAPHS)

@@ -1,7 +1,9 @@
 """The verification harness: registry, execution, reports, invariant sweeps."""
 
+import concurrent.futures
 import inspect
 import json
+import os
 
 import pytest
 
@@ -215,6 +217,47 @@ def test_reports_are_deterministic_and_sorted():
     b = run_checks(["matching-chain", "froberg"], graphs)
     assert _strip_millis(a) == _strip_millis(b)
     assert a == sorted(a, key=lambda r: (r.check, r.instance))
+
+
+@pytest.mark.parametrize(
+    "affinity, cpu_count, workers",
+    [
+        (set(range(64)), None, 7),  # one worker per task
+        ({0, 1}, None, 2),  # one worker per usable CPU
+        (None, 3, 3),  # no affinity: every CPU
+        (None, None, 1),  # no CPU count either
+    ],
+)
+def test_the_pool_starts_no_more_workers_than_tasks_or_cpus(
+    affinity, cpu_count, workers, monkeypatch
+):
+    # a pool starts all of its workers at once, so --jobs 1000000 must not
+    # ask for a million processes; a serial stand-in records the pool size
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers, initializer):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    if affinity is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity)
+    graphs = resolve_family("exhaustive-3")  # 7 graphs, so 7 tasks
+    reports = run_checks(["froberg"], graphs, jobs=10**6)
+    assert sizes == [workers]
+    assert _strip_millis(reports) == _strip_millis(run_checks(["froberg"], graphs))
 
 
 def test_crash_becomes_failure_report(monkeypatch):
