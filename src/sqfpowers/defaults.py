@@ -12,6 +12,6 @@ DEFAULT_RANDOM_GRAPHS = 1000  # graphs of the matching-chain-random check
 
 FAMILY_HELP = (
     "exhaustive-N (all graphs with <= N vertices), trees-N, forests-N, "
-    "random-N-COUNT (seeded random graphs with <= N vertices), "
+    "random-N-COUNT (seeded random graphs with <= N vertices, N <= 64), "
     "builtin (the bundled example graphs), or graph6:PATH / a graph file path"
 )

@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Iterator
 
 from .defaults import DEFAULT_SEED, FAMILY_HELP
-from .graphs import Graph, disjoint_union, is_tree, parse_graphs
+from .graphs import MAX_VERTICES, Graph, disjoint_union, is_tree, parse_graphs
 from .ideals import MonomialIdeal, minimalize, monomial
 
 GRAPH_ENUM_CAP = 8
@@ -237,6 +237,8 @@ def resolve_family(spec: str, seed: int = DEFAULT_SEED) -> list[Graph]:
     if m:
         # random_graphs draws each vertex count from 2..N
         max_n = _family_size(spec, m.group(1), 2)
+        if max_n > MAX_VERTICES:
+            raise ValueError(f"family {spec!r} is capped at n = {MAX_VERTICES}")
         return random_graphs(_family_size(spec, m.group(2), 1), max_n, seed)
     path = spec[len("graph6:") :] if spec.startswith("graph6:") else spec
     file = Path(path)

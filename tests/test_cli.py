@@ -886,6 +886,7 @@ def test_verify_ndjson_path_is_checked_before_the_sweep(tmp_path, monkeypatch):
         ["verify", "nu0-lambda", "--family", "trees-0"],
         ["verify", "nu0-lambda", "--family", "forests-1"],
         ["verify", "nu0-lambda", "--family", "random-3-0"],
+        ["verify", "matching-chain", "--family", "random-65-3"],
     ],
 )
 def test_verify_bad_input(argv):
