@@ -22,7 +22,7 @@ from .graphs import (
     is_forest,
     remove_edge,
 )
-from .ideals import MonomialIdeal, _sorted_gens, intersect, minimalize, monomial
+from .ideals import MonomialIdeal, intersect, minimalize, monomial, sorted_gens
 from .matchings import edge_mask, enumerate_matchings, matching_number
 
 
@@ -54,7 +54,7 @@ def _power_from_matchings(G: Graph, k: int) -> MonomialIdeal:
         for e in M:
             mask |= edge_mask(e)
         supports.add(mask)
-    return MonomialIdeal._trusted(G.n, _sorted_gens(supports))
+    return MonomialIdeal._trusted(G.n, sorted_gens(supports))
 
 
 def colon_square_by_edge(G: Graph, e: Edge) -> Graph:

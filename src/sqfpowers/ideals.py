@@ -62,7 +62,8 @@ def monomial_sort_key(mask: int) -> str:
     return bin(mask)[:1:-1].translate(_VAR_LETTERS) if mask else ""
 
 
-def _sorted_gens(masks: Iterable[int]) -> tuple[int, ...]:
+def sorted_gens(masks: Iterable[int]) -> tuple[int, ...]:
+    """The distinct masks in generator order (``monomial_sort_key``)."""
     return tuple(sorted(set(masks), key=monomial_sort_key))
 
 
@@ -83,7 +84,7 @@ class MonomialIdeal:
 
     def __init__(self, n: int, gens: tuple[int, ...]) -> None:
         _check_variables(n, gens)
-        if gens != _sorted_gens(gens):
+        if gens != sorted_gens(gens):
             raise ValueError("generators must be sorted and duplicate-free")
         for i, g in enumerate(gens):
             for h in gens[i + 1 :]:
@@ -175,7 +176,7 @@ def minimalize(n: int, masks: Iterable[int]) -> MonomialIdeal:
         kept += [
             m for m in by_degree[degree] if not any(monomial_divides(g, m) for g in kept)
         ]
-    return MonomialIdeal._trusted(n, _sorted_gens(kept))
+    return MonomialIdeal._trusted(n, sorted_gens(kept))
 
 
 def sqfree_power(I: MonomialIdeal, k: int) -> MonomialIdeal:

@@ -1188,6 +1188,15 @@ def test_package_surface_resolves_lazily(tmp_path):
     assert proc.returncode == 0 and proc.stdout == "matching_number\n", proc.stderr
 
 
+def test_no_module_imports_a_private_name_of_another():
+    # a name another module needs is public in the module that defines it
+    for path in sorted(Path(sqfpowers.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                private = [a.name for a in node.names if a.name.startswith("_")]
+                assert private == [], (path.name, node.module, private)
+
+
 def _tracer_names() -> list[str]:
     """Dotted names (module.attr...) that bench/tracer.py looks up in the package.
 
