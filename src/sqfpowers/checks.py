@@ -30,12 +30,12 @@ budget into one inconclusive report and of a crash into one failing report.
 collection check, then one of each graph with every check in scope
 of it, and runs them in a serial loop or, for ``jobs > 1``, a process pool of
 at most ``min(jobs, tasks, usable CPUs)`` workers (a pool starts all of its
-workers at once).  Each process that runs tasks holds the request's memo open, so each value ``memo`` lists is
-computed once per process.  The checks about first syzygies
-(``first-syzygy-degree-bound``, ``taylor-witness`` and the homological side
-of ``linrel-oracle-agreement``) read b_{1,m} from these tables.  The
-ideal-side ``sqfree_power`` that ``power-matching-agreement`` compares
-against is not memoised.
+workers at once).  Each process that runs tasks holds the request's memo
+open, so each value ``memo`` lists is computed once per process.  The checks
+about first syzygies (``first-syzygy-degree-bound``, ``taylor-witness`` and
+the homological side of ``linrel-oracle-agreement``) read b_{1,m} from these
+tables.  The ideal-side ``sqfree_power`` that ``power-matching-agreement``
+compares against is not memoised.
 
 Reports serialize to ND-JSON lines {check, instance, outcome, witness?,
 millis} and instances are named re-runnably (graph6 strings, seeds).

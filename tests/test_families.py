@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqfpowers import families
 from sqfpowers.defaults import FAMILY_HELP
 from sqfpowers.families import (
     DEFAULT_SEED,
@@ -241,7 +240,8 @@ def test_resolve_family_rejects_empty_families(spec):
 
 
 @pytest.mark.parametrize(
-    "spec, cap", [("trees-13", 12), ("forests-13", 12), ("exhaustive-9", 8)]
+    "spec, cap",
+    [("trees-13", 12), ("forests-13", 12), ("exhaustive-9", 8), ("random-65-3", 64)],
 )
 def test_resolve_family_rejects_an_oversize_family_before_listing(spec, cap):
     listers = (all_graphs, all_trees, all_forests)
@@ -250,16 +250,6 @@ def test_resolve_family_rejects_an_oversize_family_before_listing(spec, cap):
     with pytest.raises(ValueError, match=f"capped at n = {cap}"):
         resolve_family(spec)
     assert [lister.cache_info().misses for lister in listers] == [0, 0, 0]
-
-
-def test_resolve_family_rejects_random_graphs_beyond_64_vertices(monkeypatch):
-    # whether random-N-COUNT with N > 64 was accepted depended on the vertex
-    # counts the seed drew; now the size is checked before any draw
-    assert len(resolve_family("random-64-3")) == 3
-    monkeypatch.setattr(families, "random_graphs", None)  # any draw raises
-    for spec in ("random-65-3", "random-100-1"):
-        with pytest.raises(ValueError, match="capped at n = 64"):
-            resolve_family(spec)
 
 
 def test_family_help_names_every_sized_family():

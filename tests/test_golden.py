@@ -98,7 +98,11 @@ def ndjson_without_millis(path: Path) -> bytes:
 def test_sweep_ndjson_digest(args, sweep):
     nd = sweep(args).ndjson
     digest = hashlib.sha256(ndjson_without_millis(nd)).hexdigest()
-    assert digest == DIGESTS["ndjson_without_millis"][args]
+    assert digest == DIGESTS["ndjson_without_millis"][args], (
+        f"the reports of {args!r} changed; they are kept in {nd}. To list "
+        f"each change, write the same sweep at the parent commit (OLD) and "
+        f"run: python tests/sweep_diff.py OLD {nd}"
+    )
 
 
 @pytest.mark.parametrize("spec", sorted(DIGESTS["family_graph6"]))
