@@ -71,7 +71,7 @@ _EXPORTS = {
             "ideals",
             """
             MonomialIdeal colon_by_monomial colon_ideal format_ideal ideal_sum
-            intersect minimalize monomial monomial_degree monomial_divides
+            intersect minimalize monomial monomial_divides
             monomial_str monomial_vars parse_ideal ratliff_check restrict
             sqfree_power
             """,

@@ -55,7 +55,6 @@ from . import memo
 from .defaults import DEFAULT_CHARACTERISTIC, DEFAULT_NODE_BUDGET
 from .ideals import (
     MonomialIdeal,
-    monomial_degree,
     monomial_divides,
     monomial_sort_key,
 )
@@ -295,16 +294,13 @@ class BettiTable(NamedTuple):
         """Coarse table: (i, total degree) -> sum of multigraded values."""
         out: dict[tuple[int, int], int] = {}
         for (i, m), v in self.entries.items():
-            key = (i, monomial_degree(m))
+            key = (i, m.bit_count())
             out[key] = out.get(key, 0) + v
         return out
 
-    def total(self, i: int) -> int:
-        return sum(v for (ii, _), v in self.entries.items() if ii == i)
-
     def regularity(self) -> int:
         """max(deg m - i); 1 by convention for the empty table."""
-        return max((monomial_degree(m) - i for (i, m) in self.entries), default=1)
+        return max((m.bit_count() - i for (i, m) in self.entries), default=1)
 
     def projective_dimension(self) -> int | None:
         """max i; None for the empty table."""
@@ -315,7 +311,7 @@ class BettiTable(NamedTuple):
         d = self.gen_degree
         return not self.entries or (
             d is not None
-            and all(monomial_degree(m) == d + i for (i, m) in self.entries)
+            and all(m.bit_count() == d + i for (i, m) in self.entries)
         )
 
 
@@ -388,7 +384,7 @@ def is_linearly_related_homological(
     """
     d = I.pure_degree()
     table = multigraded_betti(I, characteristic)
-    return all(monomial_degree(m) == d + 1 for (i, m) in table.entries if i == 1)
+    return all(m.bit_count() == d + 1 for (i, m) in table.entries if i == 1)
 
 
 def is_linearly_related_combinatorial(I: MonomialIdeal) -> bool:
@@ -409,14 +405,14 @@ def _linearly_related(gens: tuple[int, ...], d: int | None) -> bool:
     adj = [0] * g
     for i in range(g):
         for j in range(i + 1, g):
-            if monomial_degree(gens[i] | gens[j]) == d + 1:
+            if (gens[i] | gens[j]).bit_count() == d + 1:
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
     for i in range(g):
         memo.check_deadline()
         for j in range(i + 1, g):
             m = gens[i] | gens[j]
-            if monomial_degree(m) == d + 1:
+            if m.bit_count() == d + 1:
                 continue
             divisors = 0
             for k in range(g):
@@ -574,9 +570,9 @@ def search_linear_quotients(I: MonomialIdeal, node_budget: int) -> LinearQuotien
     g = len(gens)
     if g == 1:
         return LinearQuotientsResult("found", gens, 0)
-    d = monomial_degree(gens[0])
+    d = gens[0].bit_count()
     linear_mates = [
-        sum(1 for j in range(g) if j != i and monomial_degree(gens[i] | gens[j]) == d + 1)
+        sum(1 for j in range(g) if j != i and (gens[i] | gens[j]).bit_count() == d + 1)
         for i in range(g)
     ]
     heuristic = sorted(range(g), key=lambda i: (-linear_mates[i], monomial_sort_key(gens[i])))

@@ -131,7 +131,7 @@ def cmd_invariants(args: argparse.Namespace) -> int:
         "nu0": matchings.restricted_matching_number(G),
         "equimatchable": matchings.is_equimatchable(G),
         "has_perfect_matching": matchings.has_perfect_matching(G),
-        "gap_free": nu1 <= 1,  # what is_gap_free decides, without a second search
+        "gap_free": nu1 <= 1,  # what is_gap_free decides, from the nu1 already computed
         "is_forest": graphs.is_forest(G),
         "is_tree": graphs.is_tree(G),
         "is_chordal": graphs.is_chordal(G),

@@ -27,12 +27,8 @@ from .matchings import edge_mask, enumerate_matchings, matching_number
 
 
 def edge_ideal(G: Graph) -> MonomialIdeal:
-    """I(G); within a request (see ``memo``), built once per (n, edges)."""
-    return memo.get((G.n, G.edges), lambda: _edge_ideal(G))
-
-
-def _edge_ideal(G: Graph) -> MonomialIdeal:
-    return MonomialIdeal.from_supports(G.n, G.edge_list)
+    """I(G), the first squarefree power: its generators are the 1-matchings."""
+    return sqfree_power_via_matchings(G, 1)
 
 
 def sqfree_power_via_matchings(G: Graph, k: int) -> MonomialIdeal:
@@ -167,26 +163,6 @@ class TemplateMatch(NamedTuple):
     kind: str
     spine: tuple[int, ...]
     bouquets: tuple[tuple[int, ...], ...]
-
-    def realize(self, n: int) -> Graph:
-        """Rebuild the edge set encoded by the parameters."""
-        edges: list[tuple[int, int]] = []
-        if self.kind == "G1":
-            x1, x2, x3 = self.spine
-            edges += [(x1, x2), (x2, x3)]
-            for x, leaves in zip(self.spine, self.bouquets):
-                edges += [(x, v) for v in leaves]
-        elif self.kind == "G2":
-            x1, x2, x3, x4 = self.spine
-            edges += [(x1, x2), (x2, x3), (x3, x4)]
-            for x, leaves in ((x1, self.bouquets[0]), (x4, self.bouquets[1])):
-                edges += [(x, v) for v in leaves]
-        elif self.kind == "G3":
-            for c, leaves in zip(self.spine, self.bouquets):
-                edges += [(c, v) for v in leaves]
-        else:
-            raise ValueError(f"unknown template kind {self.kind!r}")
-        return Graph.from_edges(n, edges)
 
 
 class ForestClassification(NamedTuple):

@@ -34,10 +34,6 @@ def monomial_vars(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def monomial_degree(mask: int) -> int:
-    return mask.bit_count()
-
-
 def monomial_divides(u: int, v: int) -> bool:
     return u & ~v == 0
 
@@ -146,7 +142,7 @@ class MonomialIdeal:
         return any(monomial_divides(g, mask) for g in self.gens)
 
     def generator_degrees(self) -> tuple[int, ...]:
-        return tuple(sorted({monomial_degree(g) for g in self.gens}))
+        return tuple(sorted({g.bit_count() for g in self.gens}))
 
     def pure_degree(self) -> int | None:
         """Common generator degree, or None for the zero ideal.
@@ -170,7 +166,7 @@ def minimalize(n: int, masks: Iterable[int]) -> MonomialIdeal:
     """
     by_degree: dict[int, list[int]] = {}
     for m in set(masks):
-        by_degree.setdefault(monomial_degree(m), []).append(m)
+        by_degree.setdefault(m.bit_count(), []).append(m)
     kept: list[int] = []
     for degree in sorted(by_degree):
         kept += [

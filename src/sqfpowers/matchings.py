@@ -305,7 +305,7 @@ def greedy_matching_extension(G: Graph, V: Iterable[int]) -> list[Edge]:
         raise ValueError("graph is not equimatchable")
     adj = G.adjacency
     covered = vertices_to_mask(V)
-    target = _nu(adj, G.vertex_mask)
+    target = matching_number(G)
     current = _nu(adj, covered)
     picked: list[Edge] = []
     while current < target:

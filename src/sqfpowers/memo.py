@@ -11,8 +11,8 @@ So are memoised, each by its key:
 - the lcm lattice, by ``gens``;
 - the Betti table, by ``(gens, p)``;
 - the combinatorial linear-relatedness verdict, by ``gens``;
-- the squarefree power via matchings, by ``(n, edges, k)``, and the edge
-  ideal, by ``(n, edges)``, as an ideal carries n;
+- the squarefree power via matchings, by ``(n, edges, k)``, as an ideal
+  carries n; the edge ideal is its first power;
 - the matching numbers nu, nu0 and nu1 and equimatchability, each by
   ``edges``;
 - the Ratliff verdict I^[k] : I^[l] = I^[k], by ``(gens, k, l)``.

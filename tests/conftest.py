@@ -2,6 +2,8 @@
 
 ``sweep`` runs a ``verify`` command line through ``cli.main`` at most once per
 session and keeps its ND-JSON file under pytest's temporary directory.
+Tests marked ``slow`` (the exhaustive-8 sweep, minutes long) are deselected
+unless the environment sets ``SQFPOWERS_SLOW=1``.
 ``exhaustive-7`` holds every graph of ``exhaustive-5`` and ``exhaustive-6``,
 so the tests that assert theorem outcomes over those families read the one
 ``exhaustive_7`` sweep, whose digest ``golden/sha256.json`` pins.
@@ -11,6 +13,7 @@ from __future__ import annotations
 
 import io
 import json
+import os
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from typing import NamedTuple
@@ -20,6 +23,13 @@ import pytest
 from sqfpowers.checks import CHECKS, GRAPH_SCOPES, CheckReport, _gid
 from sqfpowers.cli import main
 from sqfpowers.families import resolve_family
+
+
+def pytest_collection_modifyitems(config, items):
+    if os.environ.get("SQFPOWERS_SLOW") != "1":
+        slow = [item for item in items if item.get_closest_marker("slow")]
+        config.hook.pytest_deselected(items=slow)
+        items[:] = [item for item in items if item not in slow]
 
 
 class Sweep(NamedTuple):

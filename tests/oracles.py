@@ -3,9 +3,10 @@
 Everything here is deliberately written from first principles with different
 algorithms and data structures than the package: exhaustive edge-subset
 search for the matching invariants, the Taylor complex over the rationals for
-multigraded Betti numbers, the minimal generators of each colon and unpruned
-prefix search for linear quotients, and induced-subset search for chordless
-cycles.  Slow but obviously correct.
+multigraded Betti numbers, the K-polynomial of S/I for their alternating
+sums, the minimal generators of each colon and unpruned prefix search for
+linear quotients, induced-subset search for chordless cycles, and the graph
+that a forest template's parameters spell out.  Slow but obviously correct.
 
 There are three exceptions.  ``generated_graphs``, the numpy generator that
 produced the package's bundled graph table, stays here to cross-check that
@@ -24,7 +25,7 @@ import functools
 import itertools
 from collections import defaultdict
 
-from sqfpowers import Graph, MonomialIdeal
+from sqfpowers import Graph, MonomialIdeal, TemplateMatch
 from sqfpowers.families import GRAPH_ENUM_CAP, _edge_slots, _graph_from_code
 from sqfpowers.matchings import edge_mask, matching_number
 
@@ -290,6 +291,30 @@ def first_linear_quotients_order(ranking: list[int]) -> tuple[int, ...] | None:
 
 
 # ---------------------------------------------------------------------------
+# forest templates, rebuilt from their parameters
+
+def realize(match: TemplateMatch, n: int) -> Graph:
+    """The forest on n vertices whose edges the template match encodes."""
+    edges: list[Edge] = []
+    if match.kind == "G1":
+        x1, x2, x3 = match.spine
+        edges += [(x1, x2), (x2, x3)]
+        for x, leaves in zip(match.spine, match.bouquets):
+            edges += [(x, v) for v in leaves]
+    elif match.kind == "G2":
+        x1, x2, x3, x4 = match.spine
+        edges += [(x1, x2), (x2, x3), (x3, x4)]
+        for x, leaves in ((x1, match.bouquets[0]), (x4, match.bouquets[1])):
+            edges += [(x, v) for v in leaves]
+    elif match.kind == "G3":
+        for c, leaves in zip(match.spine, match.bouquets):
+            edges += [(c, v) for v in leaves]
+    else:
+        raise ValueError(f"unknown template kind {match.kind!r}")
+    return Graph.from_edges(n, edges)
+
+
+# ---------------------------------------------------------------------------
 # the edge-list text format, written
 
 def format_edge_list(G: Graph) -> str:
@@ -380,3 +405,31 @@ def taylor_regularity(I: MonomialIdeal) -> int:
     if I.is_zero:
         return 1
     return max(m.bit_count() - i for (i, m) in taylor_betti_table(I))
+
+
+# ---------------------------------------------------------------------------
+# alternating sums of multigraded Betti numbers from the K-polynomial
+
+def alternating_betti_sums(I: MonomialIdeal) -> dict[int, int]:
+    """sum_i (-1)^i b_{i,m}(I) for every multidegree m != 1 where it is nonzero.
+
+    The K-polynomial of S/I has the coefficient sum over F <= m, F not in I,
+    of (-1)^|m - F| at x^m, and for m != 1 that coefficient is
+    -sum_i (-1)^i b_{i,m}(I) (Miller-Sturmfels, Combinatorial Commutative
+    Algebra, Ch. 1 and 4).  Membership comes from the generators, closed
+    upwards one variable at a time; the signed subset sum is one pass per
+    variable over all 2^n masks.  Only the sums are checked, not each b_{i,m}.
+    """
+    import numpy as np
+
+    n = I.n
+    member = np.zeros(1 << n, dtype=np.int64)
+    member[list(I.gens)] = 1
+    for j in range(n):  # axis 1 of the view is bit j of the mask
+        view = member.reshape(-1, 2, 1 << j)
+        view[:, 1, :] |= view[:, 0, :]
+    coeff = 1 - member
+    for j in range(n):
+        view = coeff.reshape(-1, 2, 1 << j)
+        view[:, 1, :] -= view[:, 0, :]
+    return {int(m): -int(coeff[m]) for m in np.flatnonzero(coeff[1:]) + 1}

@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import math
 import operator
 import random
 from fractions import Fraction
@@ -51,7 +52,6 @@ from sqfpowers.graphs import (
 from sqfpowers.ideals import (
     MonomialIdeal,
     monomial,
-    monomial_degree,
     monomial_sort_key,
     monomial_vars,
     sqfree_power,
@@ -232,7 +232,7 @@ def test_lcm_lattice_matches_subset_joins():
         )
         got = lcm_lattice(gens)
         assert set(got) == _subset_joins(gens)
-        assert got == sorted(got, key=lambda m: (monomial_degree(m), monomial_vars(m)))
+        assert got == sorted(got, key=lambda m: (m.bit_count(), monomial_vars(m)))
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +300,34 @@ def test_rp2_table_depends_on_the_characteristic():
         (2, full): 1,
         (3, full): 1,
     }
+
+
+def _alternating_sums(table):
+    """sum_i (-1)^i b_{i,m} per multidegree m != 1, where nonzero."""
+    sums: dict[int, int] = {}
+    for (i, m), v in table.entries.items():
+        sums[m] = sums.get(m, 0) + (-1) ** i * v
+    return {m: s for m, s in sums.items() if s and m}
+
+
+@settings(max_examples=100, deadline=None)
+@given(mixed_ideals_st(max_n=8), st.sampled_from([2, 32003]))
+@example(MonomialIdeal.unit(3), 2)
+@example(RP2, 2)
+def test_alternating_sums_match_the_k_polynomial(I, p):
+    # every multidegree, lattice or not, in both directions
+    assert _alternating_sums(multigraded_betti(I, p)) == oracles.alternating_betti_sums(I)
+
+
+@pytest.mark.parametrize(
+    "G, k",
+    [(path_graph(12), 3), (cycle_graph(12), 3), (path_graph(14), 4)],
+    ids=["P12^[3]", "C12^[3]", "P14^[4]"],
+)
+def test_large_powers_match_the_k_polynomial(G, k):
+    # the three powers whose tables the golden digests pin
+    I = sqfree_power_via_matchings(G, k)
+    assert _alternating_sums(multigraded_betti(I)) == oracles.alternating_betti_sums(I)
 
 
 def _fraction_rank(rows):
@@ -379,12 +407,11 @@ def test_variable_ideal_is_koszul():
     for n in (2, 3, 4, 5):
         I = MonomialIdeal.from_supports(n, [(v,) for v in range(1, n + 1)])
         table = multigraded_betti(I)
+        graded = table.graded()
         for i in range(n):
-            import math
-
-            assert table.total(i) == math.comb(n, i + 1)
+            assert sum(v for (j, _), v in graded.items() if j == i) == math.comb(n, i + 1)
         assert all(v == 1 for v in table.entries.values())
-        assert all(monomial_degree(m) == i + 1 for (i, m) in table.entries)
+        assert all(m.bit_count() == i + 1 for (i, m) in table.entries)
         assert table.regularity() == 1
         assert table.projective_dimension() == n - 1
 
@@ -394,7 +421,8 @@ def test_pinned_diagrams():
     P = sqfree_power_via_matchings(cycle_graph(7), 2)
     table = multigraded_betti(P)
     assert table.graded() == {(0, 4): 14, (1, 5): 21, (2, 6): 7, (2, 7): 1}
-    assert [table.total(i) for i in range(3)] == [14, 21, 8]
+    graded = table.graded()
+    assert [sum(v for (j, _), v in graded.items() if j == i) for i in range(3)] == [14, 21, 8]
     assert table.regularity() == 5
     assert table.projective_dimension() == 2
     assert render_betti_diagram(table) == (
@@ -615,7 +643,7 @@ def test_homological_linrel_matches_taylor_oracle(I):
     # linearly related: no first syzygy of the Taylor resolution off degree d + 1
     d = I.pure_degree()
     expected = all(
-        monomial_degree(m) == d + 1
+        m.bit_count() == d + 1
         for (i, m) in oracles.taylor_betti_table(I)
         if i == 1
     )
@@ -728,8 +756,8 @@ def _search_ranking(I: MonomialIdeal) -> list[int]:
     """The generators in the order the search tries them: those with the
     most generators at linear distance first, then in monomial order."""
     gens = I.gens
-    d = monomial_degree(gens[0])
-    mates = {u: sum(monomial_degree(t | u) == d + 1 for t in gens if t != u) for u in gens}
+    d = gens[0].bit_count()
+    mates = {u: sum((t | u).bit_count() == d + 1 for t in gens if t != u) for u in gens}
     return sorted(gens, key=lambda u: (-mates[u], monomial_sort_key(u)))
 
 

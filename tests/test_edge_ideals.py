@@ -5,6 +5,7 @@ import pytest
 from sqfpowers import edge_ideals
 from sqfpowers.betti import regularity
 from sqfpowers.edge_ideals import (
+    TemplateMatch,
     classify_forest,
     colon_square_by_edge,
     edge_ideal,
@@ -34,6 +35,7 @@ from sqfpowers.ideals import (
     sqfree_power,
 )
 from sqfpowers.matchings import edge_mask, matching_number, restricted_matching_number
+from oracles import realize
 
 
 # ---------------------------------------------------------------------------
@@ -242,23 +244,9 @@ def test_realize_roundtrip_on_all_matches():
     for n in range(2, 9):
         for F in all_forests(n):
             for m in classify_forest(F).matches:
-                assert m.realize(F.n) == F, (to_graph6(F), m)
-
-
-def test_matched_equals_small_restricted_matching_number():
-    # across forests without isolated vertices, template membership is
-    # exactly nu0 <= 2 -- except the single edge, which fits no template
-    for n in range(2, 11):
-        for F in all_forests(n):
-            if F.n == 2:
-                continue
-            assert classify_forest(F).matched == (
-                restricted_matching_number(F) <= 2
-            ), to_graph6(F)
+                assert realize(m, F.n) == F, (to_graph6(F), m)
 
 
 def test_realize_unknown_kind_raises():
-    from sqfpowers.edge_ideals import TemplateMatch
-
     with pytest.raises(ValueError):
-        TemplateMatch("G9", (1,), ((),)).realize(3)
+        realize(TemplateMatch("G9", (1,), ((),)), 3)

@@ -7,7 +7,9 @@ leading dashes dropped.  Larger outputs are pinned by their sha256 in
 instances, the ND-JSON of three ``verify all`` sweeps with the ``millis``
 timings removed from every report, and the graph6 lines (one per graph, in
 order) of the largest exhaustive, tree and forest families.  Each sweep runs
-once per session (``conftest.py``).
+once per session (``conftest.py``).  The exhaustive-8 sweep takes minutes, so
+its digest (under ``slow_ndjson_without_millis``) is checked only when
+``SQFPOWERS_SLOW=1`` is set.
 
 To refresh a pinned output after an intended change, write the new standard
 output (or digest) of the same arguments into its file.
@@ -94,11 +96,23 @@ def ndjson_without_millis(path: Path) -> bytes:
     return b"".join(json.dumps(row, sort_keys=True).encode() + b"\n" for row in rows)
 
 
-@pytest.mark.parametrize("args", sorted(DIGESTS["ndjson_without_millis"]))
+SWEEP_DIGESTS = {**DIGESTS["ndjson_without_millis"], **DIGESTS["slow_ndjson_without_millis"]}
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        *sorted(DIGESTS["ndjson_without_millis"]),
+        *(
+            pytest.param(args, marks=pytest.mark.slow)
+            for args in sorted(DIGESTS["slow_ndjson_without_millis"])
+        ),
+    ],
+)
 def test_sweep_ndjson_digest(args, sweep):
     nd = sweep(args).ndjson
     digest = hashlib.sha256(ndjson_without_millis(nd)).hexdigest()
-    assert digest == DIGESTS["ndjson_without_millis"][args], (
+    assert digest == SWEEP_DIGESTS[args], (
         f"the reports of {args!r} changed; they are kept in {nd}. To list "
         f"each change, write the same sweep at the parent commit (OLD) and "
         f"run: python tests/sweep_diff.py OLD {nd}"

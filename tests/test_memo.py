@@ -1,8 +1,8 @@
 """Each memoised object is computed once per request, and only then.
 
 The objects and their keys: the lcm lattice (``gens``), the Betti table
-(``(gens, p)``), the power I(G)^[k] via matchings (``(n, edges, k)``), the
-edge ideal I(G) (``(n, edges)``), the matching numbers nu, nu0 and nu1 and
+(``(gens, p)``), the power I(G)^[k] via matchings (``(n, edges, k)``), which
+at k = 1 is the edge ideal, the matching numbers nu, nu0 and nu1 and
 equimatchability (each by ``edges``), the combinatorial linear-relatedness
 verdict (``gens``) and the Ratliff verdict of ``ratliff_check``
 (``(gens, k, l)``).
@@ -92,9 +92,9 @@ def test_a_request_computes_each_object_once(monkeypatch, kernels):
 
 @pytest.fixture
 def verdicts(monkeypatch):
-    """Build counters of the edge ideals and the verdicts computed."""
+    """Build counters of the edge ideals (first powers) and the verdicts computed."""
     return (
-        _count_calls(monkeypatch, edge_ideals, "_edge_ideal"),
+        _count_calls(monkeypatch, edge_ideals, "_power_from_matchings"),
         _count_calls(monkeypatch, betti, "_linearly_related"),
         _count_calls(monkeypatch, matchings, "_restricted_nu"),
         _count_calls(monkeypatch, matchings, "_induced_nu"),
