@@ -79,8 +79,8 @@ _EXPORTS = {
         (
             "matchings",
             """
-            enumerate_matchings enumerate_maximal_matchings
-            greedy_matching_extension has_perfect_matching induced_matching_number
+            enumerate_maximal_matchings greedy_matching_extension
+            has_perfect_matching induced_matching_number
             is_equimatchable is_gap_free matching_number
             matching_number_within restricted_matching_number
             tree_perfect_matching_criterion

@@ -23,7 +23,7 @@ from .graphs import (
     remove_edge,
 )
 from .ideals import MonomialIdeal, intersect, minimalize, monomial, sorted_gens
-from .matchings import edge_mask, enumerate_matchings, matching_number
+from .matchings import edge_mask, matching_number
 
 
 def edge_ideal(G: Graph) -> MonomialIdeal:
@@ -44,12 +44,20 @@ def sqfree_power_via_matchings(G: Graph, k: int) -> MonomialIdeal:
 
 
 def _power_from_matchings(G: Graph, k: int) -> MonomialIdeal:
-    supports = set()
-    for M in enumerate_matchings(G, k):
-        mask = 0
-        for e in M:
-            mask |= edge_mask(e)
-        supports.add(mask)
+    masks = [edge_mask(e) for e in G.edge_list]
+    m = len(masks)
+    supports: set[int] = set()
+
+    def rec(start: int, used: int, need: int) -> None:
+        memo.check_deadline()
+        if not need:
+            supports.add(used)
+            return
+        for i in range(start, m - need + 1):
+            if not masks[i] & used:
+                rec(i + 1, used | masks[i], need - 1)
+
+    rec(0, 0, k)
     return MonomialIdeal._trusted(G.n, sorted_gens(supports))
 
 
@@ -110,21 +118,25 @@ def l_ideal_shape(G: Graph, e: Edge, k: int) -> MonomialIdeal:
 def l_degree_hypothesis(G: Graph, e: Edge, k: int) -> bool:
     """Hypothesis under which l_ideal is generated in degree 2k + 1.
 
-    Every k-matching of G - e must contain an edge meeting some vertex c
-    adjacent to a or b (c outside the edge e) whose removal leaves a
-    (k-1)-matching avoiding both a and b.
+    Every k-matching M of G - e must contain an edge f meeting some vertex c
+    adjacent to a or b (c outside the edge e) such that M - f avoids both a
+    and b.  This depends on the support U of M alone, so it is read off the
+    generators of I(G - e)^[k], which l_ideal builds next:
+    - if a and b are both in U, they lie on different edges of M, so removing
+      any one edge f leaves a or b in U - f, and M fails;
+    - if exactly one of them, say a, is in U, its edge is {a, c} with c in
+      N(a) - {b}, and removing it leaves neither, so M holds;
+    - if neither is in U, M holds iff U meets N(a) or N(b).
+    So the hypothesis holds iff no U contains both a and b and every U meets
+    N(a) | N(b), which holds a and b.
     """
     a, b = e
     if not G.has_edge(a, b):
         raise ValueError(f"edge {e} not present")
     ab = edge_mask(e)
-    targets = (G.adjacency[a] | G.adjacency[b]) & ~ab
-    for M in enumerate_matchings(remove_edge(G, e), k):
-        masks = [edge_mask(f) for f in M]
-        union = sum(masks)  # the edges of a matching are disjoint
-        if not any(m & targets and not (union ^ m) & ab for m in masks):
-            return False
-    return True
+    near = G.adjacency[a] | G.adjacency[b]
+    supports = sqfree_power_via_matchings(remove_edge(G, e), k).gens
+    return all(u & ab != ab and u & near for u in supports)
 
 
 def is_generated_in_degree(I: MonomialIdeal, d: int) -> bool:

@@ -8,9 +8,10 @@ one edge that forms a gap with every other edge of the matching).  Two edges
 form a gap when no edge of the graph joins them, i.e. they induce a
 2-matching.  Always nu1 <= nu0 <= nu.
 
-nu and nu0 are polynomial.  nu1, the k-matchings and the maximal matchings are
-exhaustive searches, which read the request's time budget (see ``memo``) once
-per recursive step; without a budget they are unbounded.
+nu and nu0 are polynomial.  nu1 and the maximal matchings are exhaustive
+searches, which read the request's time budget (see ``memo``) once per
+recursive step; without a budget they are unbounded.  The k-matchings are
+walked only in ``edge_ideals``, as the supports that generate I(G)^[k].
 """
 
 from __future__ import annotations
@@ -32,31 +33,6 @@ Matching = tuple[Edge, ...]
 
 def edge_mask(e: Edge) -> int:
     return (1 << (e[0] - 1)) | (1 << (e[1] - 1))
-
-
-def enumerate_matchings(G: Graph, k: int) -> Iterator[Matching]:
-    """Yield every k-matching, lexicographically by sorted edge list."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    edges = G.edge_list
-    masks = [edge_mask(e) for e in edges]
-    m = len(edges)
-    chosen: list[Edge] = []
-
-    def rec(start: int, used: int) -> Iterator[Matching]:
-        memo.check_deadline()
-        need = k - len(chosen)
-        if need == 0:
-            yield tuple(chosen)
-            return
-        for i in range(start, m - need + 1):
-            if masks[i] & used:
-                continue
-            chosen.append(edges[i])
-            yield from rec(i + 1, used | masks[i])
-            chosen.pop()
-
-    yield from rec(0, 0)
 
 
 def _nu(adj: tuple[int, ...], avail: int) -> int:

@@ -2,11 +2,13 @@
 
 Everything here is deliberately written from first principles with different
 algorithms and data structures than the package: exhaustive edge-subset
-search for the matching invariants, the Taylor complex over the rationals for
-multigraded Betti numbers, the K-polynomial of S/I for their alternating
-sums, the minimal generators of each colon and unpruned prefix search for
-linear quotients, induced-subset search for chordless cycles, and the graph
-that a forest template's parameters spell out.  Slow but obviously correct.
+search for the matchings, their supports and the matching invariants, the
+Taylor complex over the rationals for multigraded Betti numbers, the
+K-polynomial of S/I for their alternating sums, the mapping cones of a
+linear-quotients order for the Betti numbers of such an ideal, the minimal
+generators of each colon and unpruned prefix search for linear quotients,
+induced-subset search for chordless cycles, and the graph that a forest
+template's parameters spell out.  Slow but obviously correct.
 
 There are three exceptions.  ``generated_graphs``, the numpy generator that
 produced the package's bundled graph table, stays here to cross-check that
@@ -46,6 +48,32 @@ def _pairwise_disjoint(edges: tuple[Edge, ...]) -> bool:
 
 def is_matching(G: Graph, edges: list[Edge] | tuple[Edge, ...]) -> bool:
     return _pairwise_disjoint(edges) and all(G.has_edge(*e) for e in edges)
+
+
+def enumerate_matchings(G: Graph, k: int) -> list[tuple[Edge, ...]]:
+    """Every k-matching, lexicographically by sorted edge list: the k-subsets
+    of the edges that are pairwise disjoint."""
+    return [M for M in itertools.combinations(sorted(G.edges), k) if _pairwise_disjoint(M)]
+
+
+def matching_supports(G: Graph, k: int) -> set[int]:
+    """The vertex sets of the k-matchings, as bitmasks."""
+    return {sum(1 << (v - 1) for e in M for v in e) for M in enumerate_matchings(G, k)}
+
+
+def brute_l_degree_hypothesis(G: Graph, e: Edge, k: int) -> bool:
+    """Whether every k-matching M of G - e holds an edge f that meets a
+    neighbour c of a or b outside e = (a, b), with M - f avoiding a and b."""
+    a, b = e
+    targets = {c for u, v in G.edges for c in (u, v) if {u, v} & {a, b}} - {a, b}
+    rest = Graph.from_edges(G.n, [f for f in G.edges if set(f) != {a, b}])
+    return all(
+        any(
+            set(f) & targets and not {v for g in M if g != f for v in g} & {a, b}
+            for f in M
+        )
+        for M in enumerate_matchings(rest, k)
+    )
 
 
 def brute_matching_number(G: Graph) -> int:
@@ -288,6 +316,23 @@ def first_linear_quotients_order(ranking: list[int]) -> tuple[int, ...] | None:
         return None
 
     return extend((), ranking)
+
+
+def mapping_cone_betti(order: tuple[int, ...]) -> dict[tuple[int, int], int]:
+    """All multigraded Betti numbers of the ideal with the linear-quotients
+    order u_1, ..., u_g: b_{i,m} counts the pairs (j, F) with F a set of i of
+    the variables that generate (u_1, ..., u_{j-1}) : u_j and u_j x_F = m
+    (Herzog-Takayama, "Resolutions by mapping cones", 2002).  The colons are
+    read from their minimal generators; raises unless each is linear."""
+    table: dict[tuple[int, int], int] = defaultdict(int)
+    for j, u in enumerate(order):
+        colon = minimal_masks({t & ~u for t in order[:j]})
+        if any(q.bit_count() != 1 for q in colon):
+            raise ValueError(f"colon {j} of the order is not generated by variables")
+        for i in range(len(colon) + 1):
+            for F in itertools.combinations(colon, i):
+                table[(i, u | sum(F))] += 1
+    return dict(table)
 
 
 # ---------------------------------------------------------------------------

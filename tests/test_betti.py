@@ -10,7 +10,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -46,6 +46,7 @@ from sqfpowers.graphs import (
     builtin_graph,
     complete_graph,
     cycle_graph,
+    parse_graph6,
     path_graph,
     to_graph6,
 )
@@ -321,11 +322,20 @@ def test_alternating_sums_match_the_k_polynomial(I, p):
 
 @pytest.mark.parametrize(
     "G, k",
-    [(path_graph(12), 3), (cycle_graph(12), 3), (path_graph(14), 4)],
-    ids=["P12^[3]", "C12^[3]", "P14^[4]"],
+    [
+        (path_graph(12), 3),
+        (cycle_graph(12), 3),
+        (path_graph(14), 4),
+        (path_graph(16), 1),
+        pytest.param(path_graph(18), 1, marks=pytest.mark.slow),
+        # bench/reference.gnp(16, 0.5, random.Random(1)), 56 edges
+        pytest.param(parse_graph6("ObmvJOikeWhjtQXBwAeUG"), 1, marks=pytest.mark.slow),
+    ],
+    ids=["P12^[3]", "C12^[3]", "P14^[4]", "I(P16)", "I(P18)", "I(G(16,0.5))"],
 )
 def test_large_powers_match_the_k_polynomial(G, k):
-    # the three powers whose tables the golden digests pin
+    # the three powers whose tables the golden digests pin, and the edge
+    # ideals that the kernel's planned rewrites target
     I = sqfree_power_via_matchings(G, k)
     assert _alternating_sums(multigraded_betti(I)) == oracles.alternating_betti_sums(I)
 
@@ -771,6 +781,24 @@ def test_pruned_search_agrees_with_unpruned_oracle(I):
     res = search_linear_quotients(I, DEFAULT_NODE_BUDGET)
     assert res.status in ("found", "none")
     assert res.order == oracles.first_linear_quotients_order(_search_ranking(I))
+
+
+@settings(max_examples=100, deadline=None)
+@given(squarefree_ideals_st(max_n=7, max_gens=8))
+@example(sqfree_power_via_matchings(cycle_graph(7), 3))
+@example(edge_ideal(path_graph(5)))
+def test_linear_quotients_tables_match_the_mapping_cones(I):
+    # each found order spells out the whole table, entry by entry
+    res = search_linear_quotients(I, DEFAULT_NODE_BUDGET)
+    assume(res.found)
+    assert multigraded_betti(I).entries == oracles.mapping_cone_betti(res.order)
+
+
+def test_the_square_of_k8_matches_its_mapping_cones():
+    I = sqfree_power_via_matchings(complete_graph(8), 2)
+    res = linear_quotients_order(I)
+    assert len(I.gens) == 70 and res.found
+    assert multigraded_betti(I).entries == oracles.mapping_cone_betti(res.order)
 
 
 def test_a_linearly_related_ideal_gets_no_precedence_constraint():

@@ -35,7 +35,7 @@ from sqfpowers.ideals import (
     sqfree_power,
 )
 from sqfpowers.matchings import edge_mask, matching_number, restricted_matching_number
-from oracles import realize
+from oracles import brute_l_degree_hypothesis, matching_supports, realize
 
 
 # ---------------------------------------------------------------------------
@@ -60,6 +60,29 @@ def test_power_routes_agree_exhaustively():
                     k,
                 )
             assert sqfree_power_via_matchings(G, nu + 1).is_zero
+
+
+def test_supports_and_degree_hypothesis_match_the_matching_enumerator():
+    # both read the one support walk; the oracle lists the k-matchings
+    verdicts = set()
+    for n in range(2, 7):
+        for G in all_graphs(n):
+            nu = matching_number(G)
+            for k in range(0, nu + 2):
+                supports = matching_supports(G, k)
+                assert set(sqfree_power_via_matchings(G, k).gens) == supports, (
+                    to_graph6(G),
+                    k,
+                )
+                for e in G.edge_list:
+                    held = l_degree_hypothesis(G, e, k)
+                    assert held == brute_l_degree_hypothesis(G, e, k), (
+                        to_graph6(G),
+                        e,
+                        k,
+                    )
+                    verdicts.add(held)
+    assert verdicts == {True, False}
 
 
 def test_matching_supports_are_already_minimal(monkeypatch):

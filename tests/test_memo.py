@@ -26,7 +26,6 @@ from sqfpowers.edge_ideals import edge_ideal, sqfree_power_via_matchings
 from sqfpowers.graphs import Graph, cycle_graph, path_graph
 from sqfpowers.ideals import MonomialIdeal, monomial, ratliff_check, sqfree_power
 from sqfpowers.matchings import (
-    enumerate_matchings,
     induced_matching_number,
     is_equimatchable,
     matching_number,
@@ -304,7 +303,6 @@ I_P4 = edge_ideal(P4)
     [
         pytest.param(lambda: induced_matching_number(P4), id="nu1"),
         pytest.param(lambda: is_equimatchable(cycle_graph(5)), id="equimatchable"),
-        pytest.param(lambda: next(enumerate_matchings(P4, 1)), id="matchings"),
         pytest.param(lambda: sqfree_power_via_matchings(P4, 1), id="power-via-matchings"),
         pytest.param(lambda: sqfree_power(I_P4, 1), id="power-ideal-side"),
         pytest.param(lambda: lcm_lattice(I_P4.gens), id="lattice"),
