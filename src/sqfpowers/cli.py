@@ -247,25 +247,30 @@ def cmd_linquot(args: argparse.Namespace) -> int:
 
 def cmd_lambda(args: argparse.Namespace) -> int:
     G = load_graph(args.graph)
-    nu = matchings.matching_number(G)
-    per_power = [
-        {
-            "k": k,
-            "linearly_related": betti.is_linearly_related_combinatorial(
-                edge_ideals.sqfree_power_via_matchings(G, k)
-            ),
+    # one request: lambda_number reads the powers and verdicts listed here
+    memo.open()
+    try:
+        nu = matchings.matching_number(G)
+        per_power = [
+            {
+                "k": k,
+                "linearly_related": betti.is_linearly_related_combinatorial(
+                    edge_ideals.sqfree_power_via_matchings(G, k)
+                ),
+            }
+            for k in range(1, nu + 1)
+        ]
+        lam = edge_ideals.lambda_number(G)
+        payload = {
+            "command": "lambda",
+            "graph6": graphs.to_graph6(G),
+            "lambda": lam,
+            "nu": nu,
+            "nu0": matchings.restricted_matching_number(G),
+            "per_power": per_power,
         }
-        for k in range(1, nu + 1)
-    ]
-    lam = edge_ideals.lambda_number(G)
-    payload = {
-        "command": "lambda",
-        "graph6": graphs.to_graph6(G),
-        "lambda": lam,
-        "nu": nu,
-        "nu0": matchings.restricted_matching_number(G),
-        "per_power": per_power,
-    }
+    finally:
+        memo.close()
     lines = [f"lambda: {lam}", f"nu: {nu}", f"nu0: {payload['nu0']}"]
     lines += [
         f"  k={row['k']}: linearly related = {row['linearly_related']}"

@@ -1,9 +1,11 @@
 """The request: its memo of finished results and its time budget.
 
 Closed, as it starts, the memo computes every value afresh and keeps nothing,
-so the library API and the single-object CLI commands never hold on to a
-result.  ``checks.run_checks`` opens it around its serial loop, and each pool
-worker opens it as its initializer, for the life of the pool.
+so the library API and the other single-object CLI commands never hold on to
+a result.  ``checks.run_checks`` opens it around its serial loop, and each pool
+worker opens it as its initializer, for the life of the pool.  The ``lambda``
+command opens it for its one graph, so ``lambda_number`` reads the powers and
+verdicts that the command has listed.
 
 A call site asks for a value by key and gives the function that computes it.
 So are memoised, each by its key:

@@ -39,6 +39,11 @@ SUPPORT_ORACLE = (
     "tests/test_edge_ideals.py::"
     "test_supports_and_degree_hypothesis_match_the_matching_enumerator"
 )
+# the pinned ND-JSON of the whole registry on every graph with n <= 7
+EXHAUSTIVE_7_DIGEST = (
+    "tests/test_golden.py::"
+    "test_sweep_ndjson_digest[verify all --family exhaustive-7 --jobs 2]"
+)
 
 
 class Mutant(NamedTuple):
@@ -74,6 +79,43 @@ MUTANTS = (
         "range(start, m - need + 1)",
         "range(start, m - need)",
         (SUPPORT_ORACLE,),
+        "caught",
+    ),
+    # The next four break a theorem check of the registry on some graph with
+    # n <= 7; the exhaustive-7 digest, the only Tier-1 test that runs these
+    # checks over all such graphs, must see each.
+    Mutant(
+        "colon-graph-adds-loops",
+        "edge_ideals.py",
+        "if c != d and c not in ends and d not in ends:",
+        "if c not in ends and d not in ends:",
+        (EXHAUSTIVE_7_DIGEST,),
+        "caught",
+    ),
+    Mutant(
+        "l-shape-matches-through-c",
+        "edge_ideals.py",
+        "set(G.vertices) - {a, b, c}",
+        "set(G.vertices) - {a, b}",
+        (EXHAUSTIVE_7_DIGEST,),
+        "caught",
+    ),
+    Mutant(
+        "restricted-nu-ignores-the-gap",
+        "matchings.py",
+        "_nu(adj, full & ~_closed_edge_mask(G, e))",
+        "_nu(adj, full)",
+        (EXHAUSTIVE_7_DIGEST,),
+        "caught",
+    ),
+    # swapped, the colon I^[l] : I^[k] is the unit ideal for l < k, so every
+    # Ratliff verdict of an equimatchable graph with nu >= 2 turns False
+    Mutant(
+        "ratliff-colon-arguments-swapped",
+        "ideals.py",
+        "colon_ideal(Ik, Il) == Ik",
+        "colon_ideal(Il, Ik) == Ik",
+        (EXHAUSTIVE_7_DIGEST,),
         "caught",
     ),
     # a stored pivot whose low entry is not 1 never clears that entry from

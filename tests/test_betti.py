@@ -636,11 +636,6 @@ def test_linearly_related_knowns():
     assert not is_linearly_related_homological(F)
 
 
-def test_linrel_routes_agree_exhaustively():
-    for tag, k, P in _oracle_cases(5):
-        assert is_linearly_related_combinatorial(P) == is_linearly_related_homological(P), (tag, k)
-
-
 @settings(max_examples=50, deadline=None)
 @given(squarefree_ideals_st(max_n=6, max_gens=7))
 def test_linrel_routes_agree_property(I):

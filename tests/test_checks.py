@@ -460,21 +460,6 @@ def test_resolution_invariants_full_range(exhaustive_7):
     assert counts["betti-induced-monotone"][PASS] > 1200
 
 
-def test_edge_ideal_invariants_full_range():
-    # colon formula on every edge, and power-route agreement, for n <= 8:
-    # the k-matching supports generate I^[k] for k = 1 .. nu + 1, so the
-    # (nu + 1)-st power is zero
-    reports = run_checks(
-        ["colon-formula", "power-matching-agreement"],
-        resolve_family("exhaustive-8"),
-        jobs=JOBS,
-    )
-    assert theorem_failures(reports) == []
-    counts = summarize(reports)
-    assert counts["colon-formula"][PASS] > 13000
-    assert counts["power-matching-agreement"][PASS] > 13000
-
-
 def test_colon_regularity_full_range(exhaustive_7):
     reports = exhaustive_7.of(["colon-regularity"])
     assert theorem_failures(reports) == []

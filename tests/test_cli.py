@@ -434,6 +434,23 @@ def test_betti_builds_one_table(monkeypatch):
         assert len(calls) == 1, argv
 
 
+def test_lambda_builds_each_power_and_verdict_once(monkeypatch):
+    # the per-power list and lambda_number read the same powers and verdicts
+    counted_names = (("edge_ideals", "_power_from_matchings"), ("betti", "_linearly_related"))
+    calls = {name: 0 for _, name in counted_names}
+    for module, name in counted_names:
+        real = getattr(importlib.import_module(f"sqfpowers.{module}"), name)
+
+        def counted(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(f"sqfpowers.{module}.{name}", counted)
+    code, _, err = run(["lambda", "c7"])  # nu(C7) = 3
+    assert code == 0, err
+    assert calls == {"_power_from_matchings": 3, "_linearly_related": 3}
+
+
 class _CountingStdout(io.StringIO):
     """A captured standard output that counts its writes."""
 
@@ -1195,48 +1212,6 @@ def test_no_module_imports_a_private_name_of_another():
             if isinstance(node, ast.ImportFrom) and node.level:
                 private = [a.name for a in node.names if a.name.startswith("_")]
                 assert private == [], (path.name, node.module, private)
-
-
-def _tracer_names() -> list[str]:
-    """Dotted names (module.attr...) that bench/tracer.py looks up in the package.
-
-    They are its TRACED pairs and every attribute chain it reads from a module
-    it imports with ``from sqfpowers import ...``.
-    """
-    tree = ast.parse((REPO / "bench" / "tracer.py").read_text())
-    names = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Assign) and [
-            t.id for t in node.targets if isinstance(t, ast.Name)
-        ] == ["TRACED"]:
-            names += [f"{mod}.{fn}" for mod, fn in ast.literal_eval(node.value)]
-    imported = {
-        alias.asname or alias.name
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom) and node.module == "sqfpowers"
-        for alias in node.names
-    }
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            chain = ast.unparse(node)
-            if chain.split(".")[0] in imported:
-                names.append(chain)
-    return names
-
-
-def test_tracer_names_resolve():
-    # the benchmark's tracer wraps these by name; a renamed or deleted one
-    # would break a traced benchmark run, not a test
-    names = _tracer_names()
-    assert "betti.multigraded_betti" in names
-    assert "ideals.MonomialIdeal.contains" in names
-    importlib.import_module("sqfpowers.cli")
-    for name in names:
-        first, *rest = name.split(".")
-        obj = sys.modules[f"sqfpowers.{first}"]
-        for attr in rest:
-            assert hasattr(obj, attr), name
-            obj = getattr(obj, attr)
 
 
 @pytest.mark.skipif(

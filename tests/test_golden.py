@@ -4,12 +4,16 @@ Each single-object command on c7 or fig1 has its exact standard output in
 ``golden/<name>.txt``, where the name is the argument list joined by "_" with
 leading dashes dropped.  Larger outputs are pinned by their sha256 in
 ``golden/sha256.json``: the ``betti --json`` payloads of the three large
-instances, the ND-JSON of three ``verify all`` sweeps with the ``millis``
+instances, the ND-JSON of the ``verify all`` sweeps with the ``millis``
 timings removed from every report, and the graph6 lines (one per graph, in
 order) of the largest exhaustive, tree and forest families.  Each sweep runs
-once per session (``conftest.py``).  The exhaustive-8 sweep takes minutes, so
-its digest (under ``slow_ndjson_without_millis``) is checked only when
-``SQFPOWERS_SLOW=1`` is set.
+once per session (``conftest.py``).  No exhaustive-6 sweep is pinned: its
+ND-JSON is the exhaustive-7 sweep's reports on graphs with at most 6 vertices,
+beside the same collection reports, so the exhaustive-7 digest implies it.
+The exhaustive-5 sweep stays, since its random counts differ.  The
+exhaustive-8 sweep takes minutes, so its digest (under
+``slow_ndjson_without_millis``) is checked only when ``SQFPOWERS_SLOW=1`` is
+set.
 
 To refresh a pinned output after an intended change, write the new standard
 output (or digest) of the same arguments into its file.

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 import oracles
 from sqfpowers import ideals
 from sqfpowers.edge_ideals import edge_ideal
-from sqfpowers.families import all_graphs, random_squarefree_ideals
-from sqfpowers.graphs import cycle_graph, to_graph6
+from sqfpowers.families import random_squarefree_ideals
+from sqfpowers.graphs import cycle_graph
 from sqfpowers.ideals import (
     MonomialIdeal,
     colon_by_monomial,
@@ -31,7 +31,6 @@ from sqfpowers.ideals import (
     restrict,
     sqfree_power,
 )
-from sqfpowers.matchings import is_equimatchable, matching_number
 from strategies import mixed_ideals_st, squarefree_ideals_st
 
 
@@ -350,19 +349,6 @@ def test_colon_stability_on_random_ideals():
         for k in (2, 3):
             outcome = ratliff_check(I, k, 1)
             assert outcome in (True, None), (format_ideal(I), k)
-
-
-def test_colon_stability_on_equimatchable_edge_ideals():
-    # all colons I^[k] : I^[l] = I^[k] with l < k for equimatchable graphs
-    for n in range(2, 9):
-        for G in all_graphs(n):
-            if not is_equimatchable(G) or not G.edges:
-                continue
-            I = edge_ideal(G)
-            nu = matching_number(G)
-            for k in range(2, nu + 1):
-                for ell in range(1, k):
-                    assert ratliff_check(I, k, ell) is True, (to_graph6(G), k, ell)
 
 
 # ---------------------------------------------------------------------------

@@ -263,18 +263,6 @@ def test_invariants_match_brute_force_property(G):
     assert _invariants(G) == _brute_invariants(G)
 
 
-def test_matching_chain_exhaustive():
-    # nu1 <= nu0 <= nu on every graph with at most 8 vertices
-    for n in range(1, 9):
-        for G in all_graphs(n):
-            nu, nu1, nu0 = (
-                matching_number(G),
-                induced_matching_number(G),
-                restricted_matching_number(G),
-            )
-            assert nu1 <= nu0 <= nu, to_graph6(G)
-
-
 def test_matching_chain_random(exhaustive_7):
     # nu1 <= nu0 <= nu on random_graphs(1000, 12) from the default seed: the
     # graphs of the sweep's matching-chain-random report
